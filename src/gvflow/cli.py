@@ -39,7 +39,6 @@ from .solver import (
     ggvf_weight,
     gvf_solve,
     steady_residual,
-    validate_ggvf_params,
 )
 from .spectral import parseval_energy, spectral_steady_state
 
@@ -239,9 +238,6 @@ def _pipeline(args, generalized: bool) -> int:
             K=cfg["k"], dt=cfg["dt"], delta=cfg["delta"], cap=threshold,
             max_iter=int(cfg["t_max"]),
         )
-        violations = validate_ggvf_params(params, image.spec)
-        if violations and not cfg["force"]:
-            raise ParameterError("; ".join(violations))
         report = ggvf_solve(f, params, mask, periodic=cfg["periodic"], force=cfg["force"])
         weight = ggvf_weight(clamp_magnitude(gradient_central(f), threshold), cfg["k"])
         res_params = GvfParams(

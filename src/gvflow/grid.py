@@ -116,32 +116,73 @@ class VectorField:
         return VectorField(self.u.copy(), self.v.copy())
 
 
-# --- mirrored-neighbor shifts ------------------------------------------------
+# --- the five-point neighbor sum -----------------------------------------------
 
-def shift_xp(a: np.ndarray) -> np.ndarray:
-    """Value of the x+1 neighbor, border pixel mirrored onto itself."""
-    return np.concatenate([a[:, 1:], a[:, -1:]], axis=1)
+def _border_views(padded: np.ndarray, periodic: bool) -> list:
+    """(destination, source) view pairs that refresh the one-pixel border
+    of a (..., H+2, W+2) padded buffer; copy each source onto its
+    destination after every change of the interior.
+
+    Edge values implement the mirror rule (an off-grid neighbor is the
+    border pixel itself); wrapped values implement periodic borders.
+    Corners are never read by the stencils and are left alone.
+    """
+    first, last = (-2, 1) if periodic else (1, -2)
+    return [
+        (padded[..., 1:-1, 0], padded[..., 1:-1, first]),
+        (padded[..., 1:-1, -1], padded[..., 1:-1, last]),
+        (padded[..., 0, 1:-1], padded[..., first, 1:-1]),
+        (padded[..., -1, 1:-1], padded[..., last, 1:-1]),
+    ]
 
 
-def shift_xm(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a[:, :1], a[:, :-1]], axis=1)
+def _pad_border(a: np.ndarray) -> np.ndarray:
+    """Copy of a (..., H, W) array inside a (..., H+2, W+2) buffer with
+    a mirror-rule border and zero corners."""
+    out = np.zeros(a.shape[:-2] + (a.shape[-2] + 2, a.shape[-1] + 2))
+    out[..., 1:-1, 1:-1] = a
+    for dst, src in _border_views(out, periodic=False):
+        np.copyto(dst, src)
+    return out
 
 
-def shift_yp(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a[1:, :], a[-1:, :]], axis=0)
+def _span(padded: np.ndarray) -> slice:
+    """The stretch of a flattened (..., H+2, W+2) padded buffer from its
+    first interior pixel to its last, border cells in between included."""
+    wp = padded.shape[-1]
+    return slice(wp + 1, padded.size - wp - 1)
 
 
-def shift_ym(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a[:1, :], a[:-1, :]], axis=0)
+def _neighbor_sum(padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Four-neighbor sums of the interior pixels of a contiguous padded
+    (..., H+2, W+2) buffer whose border is already filled.
+
+    The terms are added in the order x+1, x-1, y+1, y-1.  The result has
+    the padded shape and only its interior is meaningful.  The sum runs
+    over the flattened buffer, one contiguous pass per term: offsets of
+    +-1 and +-(W+2) address the four neighbors, and the border cells in
+    between are computed too and simply ignored.
+    """
+    wp = padded.shape[-1]
+    flat = padded.reshape(-1)
+    if out is None:
+        out = np.zeros_like(padded)
+    span = _span(padded)
+    lo, hi = span.start, span.stop
+    o = out.reshape(-1)[span]
+    np.add(flat[lo + 1:hi + 1], flat[lo - 1:hi - 1], out=o)
+    np.add(o, flat[lo + wp:hi + wp], out=o)
+    np.add(o, flat[lo - wp:hi - wp], out=o)
+    return out
 
 
 # --- operators ----------------------------------------------------------------
 
 def gradient_central(f: ScalarField) -> VectorField:
     """Central-difference gradient; mirrored neighbors at the borders."""
-    a = f.values
-    u = (shift_xp(a) - shift_xm(a)) / (2.0 * f.spec.dx)
-    v = (shift_yp(a) - shift_ym(a)) / (2.0 * f.spec.dy)
+    p = _pad_border(f.values)
+    u = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * f.spec.dx)
+    v = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * f.spec.dy)
     return VectorField(ScalarField(f.spec, u), ScalarField(f.spec, v))
 
 
@@ -152,7 +193,8 @@ def laplacian_5pt(f: ScalarField) -> ScalarField:
     solvers and is only meaningful for square cells.
     """
     a = f.values
-    lap = (shift_xp(a) + shift_xm(a) + shift_yp(a) + shift_ym(a) - 4.0 * a) / f.spec.cell_area
+    nb = _neighbor_sum(_pad_border(a))[1:-1, 1:-1]
+    lap = (nb - 4.0 * a) / f.spec.cell_area
     return ScalarField(f.spec, lap)
 
 

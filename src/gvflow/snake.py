@@ -82,7 +82,8 @@ class SnakeParams:
     tensile_sign: float = 1.0
 
     def __post_init__(self):
-        if self.b < 0 or self.gamma < 0:
+        # written so that NaN fails too
+        if not (self.b >= 0 and self.gamma >= 0):
             raise ParameterError("b and gamma must be >= 0")
         if not self.step > 0:
             raise ParameterError("step must be > 0")
@@ -90,7 +91,7 @@ class SnakeParams:
             raise ParameterError("eps must be > 0")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be >= 1")
-        if self.resample_spacing < 0:
+        if not self.resample_spacing >= 0:
             raise ParameterError("resample_spacing must be >= 0")
         if self.tensile_sign not in (1.0, -1.0):
             raise ParameterError("tensile_sign must be +1 or -1")
@@ -182,6 +183,15 @@ def resample_contour(s: Snake, spacing: float) -> Snake:
     return Snake(new_pts)
 
 
+def _displacement_bound(tens: np.ndarray, fu: np.ndarray, fv: np.ndarray,
+                        p: SnakeParams) -> float:
+    """The force budget of one step: no snaxel can move further than
+    step * (b * max|B_i| + gamma * max|F(p_i)|)."""
+    return p.step * (
+        p.b * np.hypot(tens[:, 0], tens[:, 1]).max() + p.gamma * np.hypot(fu, fv).max()
+    )
+
+
 def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     """Evolve until the largest per-step displacement drops below eps.
 
@@ -202,17 +212,16 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
         )
         if not np.all(np.isfinite(disp)):
             raise DivergenceError("non-finite snaxel displacement", n)
-        # per-step displacement can never exceed the force budget
-        bound = p.step * (
-            p.b * np.hypot(tens[:, 0], tens[:, 1]).max()
-            + p.gamma * np.hypot(fu, fv).max()
-        )
+        bound = _displacement_bound(tens, fu, fv, p)
         new_pts = pts + disp
         new_pts[:, 0] = np.clip(new_pts[:, 0], 0.0, spec.width - 1.0)
         new_pts[:, 1] = np.clip(new_pts[:, 1], 0.0, spec.height - 1.0)
         # deformation = applied movement; a border-pinned snaxel is settled
         moved = np.hypot(new_pts[:, 0] - pts[:, 0], new_pts[:, 1] - pts[:, 1]).max()
-        assert moved <= bound * (1.0 + 1e-9)
+        if not moved <= bound * (1.0 + 1e-9):
+            raise DivergenceError(
+                f"snaxel moved {moved:.6g} px, past the force bound of {bound:.6g} px", n
+            )
         pts = new_pts
         iterations = n
         history.append(float(moved))

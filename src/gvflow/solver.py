@@ -15,6 +15,16 @@ leave the domain are mirrored onto the center pixel (zero-flux rule),
 both at the grid border and at the boundary of a masked domain; a
 periodic variant wraps instead and backs the spectral oracle.
 
+One stencil operator (_Stencil) serves the iteration, gvf_step and
+steady_residual, and grid.laplacian_5pt shares its neighbor sum.  Both
+components sit in one (2, H, W) array inside a padded buffer, and the
+neighbor sum is four shifted slices of it.  On the full rectangle the
+one-pixel border is refreshed before each sum: edge values give the
+mirror rule, wrapped values the periodic border.  On a masked domain a
+small gather fixes up the sum at the boundary pixels only, and the
+exterior stays at zero.  Every sum adds x+1, x-1, y+1, y-1 in that
+order, so all results are reproducible to the last bit.
+
 The scheme is stable for r < 1/4; the usual working constraints are
 r < 1/4, g*dt < 1, h*dt < 1 and h < g.  Violations can be forced
 through (useful to demonstrate divergence), but are never silent.
@@ -50,6 +60,9 @@ from .grid import (
     GridSpec,
     ScalarField,
     VectorField,
+    _border_views,
+    _neighbor_sum,
+    _span,
     clamp_magnitude,
     gradient_central,
     laplacian_5pt,
@@ -177,7 +190,7 @@ class DomainMask:
 
     def boundary(self) -> np.ndarray:
         """Interior pixels with at least one exterior/off-grid 4-neighbor."""
-        padded = np.pad(self.inside, 1, mode="constant", constant_values=False)
+        padded = _pad_mask(self.inside)
         nb_all = (
             padded[1:-1, 2:] & padded[1:-1, :-2] & padded[2:, 1:-1] & padded[:-2, 1:-1]
         )
@@ -216,14 +229,14 @@ def _coeff_max(c: float | ScalarField) -> float:
     return float(c)
 
 
-def _coeff_flat(c: float | ScalarField, spec: GridSpec, idx: np.ndarray):
-    """Coefficient restricted to the interior pixel list (scalar passthrough)."""
+def _coeff_grid(c: float | ScalarField, spec: GridSpec):
+    """Per-pixel coefficient as an (H, W) array; scalars pass through."""
     if isinstance(c, ScalarField):
         if c.spec != spec:
             raise DimensionError("per-pixel coefficient grid does not match field grid")
         if np.any(c.values < 0):
             raise ParameterError("per-pixel coefficients must be >= 0")
-        return c.values.ravel()[idx]
+        return c.values
     return float(c)
 
 
@@ -268,50 +281,132 @@ def validate_ggvf_params(p: GgvfParams, spec: GridSpec) -> list[str]:
     return violations
 
 
-# --- interior indexing -----------------------------------------------------------
+# --- the five-point stencil ---------------------------------------------------------
+
+def _pad_mask(inside: np.ndarray) -> np.ndarray:
+    """The mask inside a one-pixel False border (off-grid = exterior)."""
+    padded = np.zeros((inside.shape[0] + 2, inside.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = inside
+    return padded
 
 
-def _neighbor_table(mask: DomainMask, periodic: bool):
-    """Flat center indices and (4, M) neighbor indices for interior pixels.
+def _mirror_neighbors(padded: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Flat indices (4, n) into padded, the domain mask from _pad_mask,
+    of the x+1, x-1, y+1, y-1 neighbors of the interior pixels at flat
+    indices `at`, under the mirror rule: a neighbor outside the domain
+    or off the grid is replaced by the pixel itself."""
+    flat = padded.reshape(-1)
+    nbrs = np.empty((4, at.size), dtype=np.intp)
+    for a, step in enumerate((1, -1, padded.shape[1], -padded.shape[1])):
+        nbrs[a] = at + step * flat[at + step]
+    return nbrs
 
-    Neighbors outside the domain (or off the grid) point back at their
-    center pixel, which implements the mirror rule; periodic wraps and
-    requires the full rectangle.
+
+class _Stencil:
+    """Five-point stencil on both components of a field at once.
+
+    The (2, H, W) field lives inside a padded (2, H+2, W+2) buffer, and
+    the neighbor sum is grid._neighbor_sum: four shifted slices of the
+    flattened buffer, added x+1, x-1, y+1, y-1.  On the full rectangle
+    the one-pixel border is refreshed before each sum, with edge values
+    for the mirror rule or wrapped values for periodic borders.  On a
+    masked domain the slice sum is wrong only at mask.boundary() pixels,
+    which count the grid border as exterior; a small gather in the same
+    order overwrites it there.  Coefficients are zero outside the domain
+    (coeffs), so exterior pixels and the border stay exactly zero.
+
+    All arithmetic runs on the contiguous span of the padded buffers
+    that holds every interior pixel, border cells in between included.
+    step() writes into a second buffer and swaps, so an iteration
+    allocates nothing.
     """
-    inside = mask.inside
-    hh, ww = inside.shape
-    if periodic and not mask.is_full:
-        raise ParameterError("periodic borders require the full-rectangle domain")
-    iy, ix = np.nonzero(inside)
-    center = iy * ww + ix
-    nbrs = np.empty((4, center.size), dtype=np.intp)
-    for a, (dy, dx) in enumerate(((0, 1), (0, -1), (1, 0), (-1, 0))):
-        ny, nx = iy + dy, ix + dx
-        if periodic:
-            ny %= hh
-            nx %= ww
-            nbrs[a] = ny * ww + nx
-        else:
-            ok = (nx >= 0) & (nx < ww) & (ny >= 0) & (ny < hh)
-            ny = np.where(ok, ny, iy)
-            nx = np.where(ok, nx, ix)
-            ok &= inside[ny, nx]
-            nbrs[a] = np.where(ok, ny * ww + nx, center)
-    return center, nbrs
+
+    def __init__(self, mask: DomainMask, periodic: bool, field: VectorField):
+        if periodic and not mask.is_full:
+            raise ParameterError("periodic borders require the full-rectangle domain")
+        self._spec = mask.spec
+        hh, ww = mask.spec.shape
+        shape = (2, hh + 2, ww + 2)
+        self._nb = np.zeros(shape)
+        self._span = span = _span(self._nb)
+        # per field buffer: padded array, its span, its interior, its border views
+        self._cur, self._old = (
+            (b, b.reshape(-1)[span], b[:, 1:-1, 1:-1], _border_views(b, periodic))
+            for b in (np.zeros(shape), np.zeros(shape))
+        )
+        self.field[0] = field.u.values
+        self.field[1] = field.v.values
+        self._nb_span = self._nb.reshape(-1)[span]
+        self._inside = None
+        if not mask.is_full:
+            self._inside = mask.inside
+            padded = _pad_mask(mask.inside)
+            at = np.flatnonzero(_pad_mask(mask.boundary()))
+            src = _mirror_neighbors(padded, at)
+            plane = padded.size
+            self._fix_at = np.concatenate([at, at + plane])
+            self._fix_from = tuple(np.concatenate([s, s + plane]) for s in src)
+
+    @property
+    def field(self) -> np.ndarray:
+        """The current (2, H, W) field, a view into the padded buffer."""
+        return self._cur[2]
+
+    def coeffs(self, g, h, dt: float, src: VectorField):
+        """The coefficients of step() for g, h (scalars or ScalarFields)
+        and the source field: keep = 1 - h*dt, hsrc = h*dt*src and
+        rc = g*dt/(dx*dy), zero outside the domain and on the border."""
+        g = _coeff_grid(g, self._spec)
+        hdt = _coeff_grid(h, self._spec) * dt
+        hsrc = np.stack([hdt * src.u.values, hdt * src.v.values])
+        return (self._spread(1.0 - hdt), self._spread(hsrc),
+                self._spread(g * dt / self._spec.cell_area))
+
+    def _spread(self, a):
+        """Span layout; on the full rectangle a scalar passes through."""
+        if self._inside is None and np.ndim(a) == 0:
+            return a
+        out = np.zeros_like(self._nb)
+        out[:, 1:-1, 1:-1] = a if self._inside is None else np.where(self._inside, a, 0.0)
+        return out.reshape(-1)[self._span]
+
+    def neighbor_sum(self) -> np.ndarray:
+        """Padded four-neighbor sum of the current field (interior valid)."""
+        buf, _, _, border = self._cur
+        if self._inside is None:
+            for dst, src in border:
+                np.copyto(dst, src)
+        _neighbor_sum(buf, out=self._nb)
+        if self._inside is not None:
+            flat = buf.reshape(-1)
+            t0, t1, t2, t3 = self._fix_from
+            self._nb.reshape(-1)[self._fix_at] = flat[t0] + flat[t1] + flat[t2] + flat[t3]
+        return self._nb
+
+    def step(self, keep, hsrc, rc) -> None:
+        """One explicit update keep*c + hsrc + rc*(nb - 4c) of the field,
+        with hsrc = h*dt*grad_f; coefficients from coeffs()."""
+        # the other buffer receives the new field; until then it is scratch
+        old, new, nb = self._cur[1], self._old[1], self._nb_span
+        self.neighbor_sum()
+        np.multiply(old, 4.0, out=new)
+        np.subtract(nb, new, out=nb)
+        np.multiply(nb, rc, out=nb)
+        np.multiply(old, keep, out=new)
+        np.add(new, hsrc, out=new)
+        np.add(new, nb, out=new)
+        self._cur, self._old = self._old, self._cur
+
+    def squared_change(self, out: np.ndarray) -> np.ndarray:
+        """|v_new - v_old|^2 per pixel of the last step, into out (H, W);
+        overwrites the neighbor sum."""
+        d = np.subtract(self._cur[1], self._old[1], out=self._nb_span)
+        np.multiply(d, d, out=d)
+        return np.add(self._nb[0, 1:-1, 1:-1], self._nb[1, 1:-1, 1:-1], out=out)
 
 
-# --- the explicit step ------------------------------------------------------------
-
-
-def _step_component(flat, src, center, nbrs, keep, hdt, rc):
-    """One Jacobi update of a single component, interior pixels only.
-
-    keep = 1 - h*dt, hdt = h*dt, rc = g*dt/(dx*dy); scalars or
-    per-interior-pixel vectors.
-    """
-    nb = flat[nbrs[0]] + flat[nbrs[1]] + flat[nbrs[2]] + flat[nbrs[3]]
-    c = flat[center]
-    return keep * c + hdt * src + rc * (nb - 4.0 * c)
+def _unstack(spec: GridSpec, values: np.ndarray) -> VectorField:
+    return VectorField(ScalarField(spec, values[0].copy()), ScalarField(spec, values[1].copy()))
 
 
 def gvf_step(
@@ -329,44 +424,26 @@ def gvf_step(
         mask = DomainMask.full(spec)
     elif mask.spec != spec:
         raise DimensionError("mask grid does not match field grid")
-    center, nbrs = _neighbor_table(mask, periodic)
-    g_in = _coeff_flat(p.g, spec, center)
-    h_in = _coeff_flat(p.h, spec, center)
-    keep = 1.0 - h_in * p.dt
-    hdt = h_in * p.dt
-    rc = g_in * p.dt / spec.cell_area
-    out_u = v.u.values.copy().ravel()
-    out_v = v.v.values.copy().ravel()
-    out_u[center] = _step_component(
-        v.u.values.ravel(), grad_f.u.values.ravel()[center], center, nbrs, keep, hdt, rc
-    )
-    out_v[center] = _step_component(
-        v.v.values.ravel(), grad_f.v.values.ravel()[center], center, nbrs, keep, hdt, rc
-    )
-    shape = spec.shape
-    return VectorField(
-        ScalarField(spec, out_u.reshape(shape)), ScalarField(spec, out_v.reshape(shape))
-    )
+    stencil = _Stencil(mask, periodic, v)
+    stencil.step(*stencil.coeffs(p.g, p.h, p.dt, grad_f))
+    out = _unstack(spec, stencil.field)
+    for new, old in ((out.u.values, v.u.values), (out.v.values, v.v.values)):
+        np.copyto(new, old, where=~mask.inside)
+    return out
 
 
 def _iterate(source: VectorField, g, h, dt, delta, max_iter, mask, periodic):
     """Run the explicit iteration from v(0) = source until the largest
-    per-pixel change drops below delta; shared by both solvers."""
-    spec = source.spec
-    center, nbrs = _neighbor_table(mask, periodic)
-    area = spec.cell_area
-    g_in = _coeff_flat(g, spec, center)
-    h_in = _coeff_flat(h, spec, center)
-    keep = 1.0 - h_in * dt
-    hdt = h_in * dt
-    rc = g_in * dt / area
+    per-pixel change drops below delta; shared by both solvers.
 
-    u = np.zeros(spec.width * spec.height)
-    v = np.zeros_like(u)
-    u[center] = source.u.values.ravel()[center]
-    v[center] = source.v.values.ravel()[center]
-    src_u = source.u.values.ravel()[center]
-    src_v = source.v.values.ravel()[center]
+    source must be zero outside the domain."""
+    spec = source.spec
+    area = spec.cell_area
+    stencil = _Stencil(mask, periodic, source)
+    coeffs = stencil.coeffs(g, h, dt, source)
+    # the energy sums interior pixels only, in row-major order
+    inside = None if mask.is_full else np.flatnonzero(mask.inside)
+    sq = np.empty(spec.shape)
 
     changes: list[float] = []
     energies: list[float] = []
@@ -374,15 +451,10 @@ def _iterate(source: VectorField, g, h, dt, delta, max_iter, mask, periodic):
     iterations = 0
     first_change = None
     for n in range(1, max_iter + 1):
-        new_u = _step_component(u, src_u, center, nbrs, keep, hdt, rc)
-        new_v = _step_component(v, src_v, center, nbrs, keep, hdt, rc)
-        du = new_u - u[center]
-        dv = new_v - v[center]
-        sq = du * du + dv * dv
+        stencil.step(*coeffs)
+        stencil.squared_change(sq)
         change = math.sqrt(float(sq.max()))
-        energy = float(sq.sum()) * area
-        u[center] = new_u
-        v[center] = new_v
+        energy = float((sq if inside is None else sq.take(inside)).sum()) * area
         iterations = n
         changes.append(change)
         energies.append(energy)
@@ -400,17 +472,13 @@ def _iterate(source: VectorField, g, h, dt, delta, max_iter, mask, periodic):
             converged = True
             break
 
-    shape = spec.shape
-    out = VectorField(
-        ScalarField(spec, u.reshape(shape)), ScalarField(spec, v.reshape(shape))
-    )
     return SolveReport(
-        field=out,
+        field=_unstack(spec, stencil.field),
         iterations=iterations,
         converged=converged,
         change_history=np.asarray(changes),
         energy_history=np.asarray(energies),
-        inside_count=center.size,
+        inside_count=mask.inside_count,
     )
 
 
@@ -509,30 +577,35 @@ def direct_steady_solve(
         mask = DomainMask.full(spec)
     elif mask.spec != spec:
         raise DimensionError("mask grid does not match field grid")
-    center, nbrs = _neighbor_table(mask, periodic=False)
+    center = np.flatnonzero(mask.inside)
     m = center.size
     if m > _DENSE_ORACLE_LIMIT:
         raise SizeError(
             f"{m} interior pixels exceed the oracle limit of {_DENSE_ORACLE_LIMIT}"
         )
-    g_in = np.broadcast_to(np.asarray(_coeff_flat(p.g, spec, center), dtype=float), (m,))
-    h_in = np.broadcast_to(np.asarray(_coeff_flat(p.h, spec, center), dtype=float), (m,))
+    g_in = np.broadcast_to(_coeff_grid(p.g, spec), spec.shape).ravel()[center]
+    h_in = np.broadcast_to(_coeff_grid(p.h, spec), spec.shape).ravel()[center]
     if np.any((g_in == 0) & (h_in == 0)):
         raise RankError("g and h both vanish at an interior pixel")
     if not np.any(h_in > 0):
         raise RankError("h vanishes everywhere; the steady state is not unique")
 
-    pos = np.full(spec.width * spec.height, -1, dtype=np.intp)
-    pos[center] = np.arange(m)
+    # the neighbor table indexes the padded mask, whose interior pixels
+    # come in the same row-major order as center
+    padded = _pad_mask(mask.inside)
+    at = np.flatnonzero(padded)
+    nbrs = _mirror_neighbors(padded, at)
+    pos = np.full(padded.size, -1, dtype=np.intp)
+    pos[at] = np.arange(m)
     area = spec.cell_area
     rows = [np.arange(m)]
     cols = [np.arange(m)]
     # mirrored neighbors cancel out of the Laplacian, so the diagonal
     # counts only true interior neighbors
-    m_count = (nbrs != center[None, :]).sum(axis=0)
+    m_count = (nbrs != at[None, :]).sum(axis=0)
     vals = [h_in + g_in * m_count / area]
     for a in range(4):
-        real = nbrs[a] != center
+        real = nbrs[a] != at
         rows.append(np.nonzero(real)[0])
         cols.append(pos[nbrs[a][real]])
         vals.append(-g_in[real] / area)
@@ -568,19 +641,16 @@ def steady_residual(
         mask = DomainMask.full(spec)
     elif mask.spec != spec:
         raise DimensionError("mask grid does not match field grid")
-    center, nbrs = _neighbor_table(mask, periodic=False)
-    g_in = _coeff_flat(p.g, spec, center)
-    h_in = _coeff_flat(p.h, spec, center)
-    area = spec.cell_area
-    source = _masked_source(f, p.cap, mask)
-    res_sq = None
-    for comp, src in ((v.u, source.u), (v.v, source.v)):
-        flat = comp.values.ravel()
-        nb = flat[nbrs[0]] + flat[nbrs[1]] + flat[nbrs[2]] + flat[nbrs[3]]
-        lap = (nb - 4.0 * flat[center]) / area
-        r = g_in * lap + h_in * (src.values.ravel()[center] - flat[center])
-        res_sq = r * r if res_sq is None else res_sq + r * r
-    worst = math.sqrt(float(res_sq.max()))
+    g = _coeff_grid(p.g, spec)
+    h = _coeff_grid(p.h, spec)
+    grad = _masked_source(f, p.cap, mask)
+    source = np.stack([grad.u.values, grad.v.values])
+    stencil = _Stencil(mask, False, v)
+    c = stencil.field
+    lap = (stencil.neighbor_sum()[:, 1:-1, 1:-1] - 4.0 * c) / spec.cell_area
+    r = g * lap + h * (source - c)
+    res_sq = r[0] * r[0] + r[1] * r[1]
+    worst = math.sqrt(float(res_sq[mask.inside].max()))
     return worst
 
 

@@ -89,6 +89,18 @@ class TestPipeline:
         assert code == EXIT_VALIDATION
         assert "r < 1/4" in capsys.readouterr().err
 
+    def test_ggvf_validation_failure_names_constraint(self, u64, tmp_path, capsys):
+        code = main(["ggvf", "--image", str(u64), "--out", str(tmp_path / "x"),
+                     "--dt", "0.3"])
+        assert code == EXIT_VALIDATION
+        assert "r < 1/4" in capsys.readouterr().err
+
+    def test_nan_snake_parameter_is_validation_error(self, u64, tmp_path, capsys):
+        code = main(["ggvf", "--image", str(u64), "--out", str(tmp_path / "x"),
+                     "--delta", "0.05", "--snake", "31.5,31.5,25", "--b", "nan"])
+        assert code == EXIT_VALIDATION
+        assert "b and gamma must be >= 0" in capsys.readouterr().err
+
     def test_missing_image_is_io_error(self, tmp_path):
         assert main(["gvf", "--image", str(tmp_path / "nope.pgm"),
                      "--out", str(tmp_path / "x")]) == EXIT_IO

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import gvflow as gv
-from gvflow.errors import GeometryError, ParameterError
+from gvflow import snake as snake_mod
+from gvflow.errors import DivergenceError, GeometryError, ParameterError
 
 
 def constant_field(spec, ux, vy):
@@ -33,6 +34,11 @@ class TestSnakeType:
             gv.SnakeParams(step=0.0)
         with pytest.raises(ParameterError):
             gv.SnakeParams(tensile_sign=0.5)
+
+    @pytest.mark.parametrize("name", ["b", "gamma", "step", "eps", "resample_spacing"])
+    def test_params_reject_nan(self, name):
+        with pytest.raises(ParameterError):
+            gv.SnakeParams(**{name: math.nan})
 
 
 class TestTensileForce:
@@ -146,6 +152,15 @@ class TestSnakeEvolve:
         res = gv.snake_evolve(s, field, gv.SnakeParams(b=0.0, gamma=0.0, eps=0.01))
         assert res.converged and res.iterations == 1
         assert np.array_equal(res.snake.points, s.points)
+
+    def test_displacement_past_force_bound_raises(self, monkeypatch):
+        # a typed error, not an assert, so the check survives python -O
+        monkeypatch.setattr(snake_mod, "_displacement_bound", lambda *args: 0.0)
+        s = gv.Snake.circle(10, 10, 4, 12)
+        with pytest.raises(DivergenceError, match="force bound") as err:
+            gv.snake_evolve(s, gv.VectorField.zeros(gv.GridSpec(20, 20)),
+                            gv.SnakeParams(b=0.2, max_iter=5))
+        assert err.value.iteration == 1
 
     def test_zero_field_zero_tension(self):
         spec = gv.GridSpec(20, 20)
