@@ -78,24 +78,24 @@ _DEFAULTS = {
 
 def _parse_box(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
-    if len(parts) != 4:
-        raise ParameterError(f"expected x,y,w,h but got {text!r}")
-    x, y, w, h = (int(p) for p in parts)
+    try:
+        x, y, w, h = (int(p) for p in parts)
+    except ValueError:
+        raise ParameterError(f"expected x,y,w,h but got {text!r}") from None
     if w <= 0 or h <= 0:
         raise ParameterError("box width and height must be positive")
     return (x, y, w, h)
 
 
 def _parse_circle(text: str):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) == 3:
-        cx, cy, r = parts
-        n = max(16, int(round(2.0 * math.pi * r / 2.0)))
-    elif len(parts) == 4:
-        cx, cy, r = parts[:3]
-        n = int(parts[3])
-    else:
-        raise ParameterError(f"expected cx,cy,r[,n] but got {text!r}")
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []  # reported below, with the wrong counts and non-finite values
+    if len(parts) not in (3, 4) or not all(math.isfinite(p) for p in parts):
+        raise ParameterError(f"expected finite cx,cy,r[,n] but got {text!r}")
+    cx, cy, r = parts[:3]
+    n = int(parts[3]) if len(parts) == 4 else max(16, int(round(2.0 * math.pi * r / 2.0)))
     return cx, cy, r, n
 
 
@@ -224,6 +224,7 @@ def _pipeline(args, generalized: bool) -> int:
     ]
     cfg = _effective(args, keys)
     _echo(cfg)
+    init = Snake.circle(*_parse_circle(args.snake)) if args.snake else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     image = ioformats.read_pgm(args.image)
@@ -274,12 +275,9 @@ def _pipeline(args, generalized: bool) -> int:
     }
 
     snake_converged = True
-    if args.snake:
-        cx, cy, r, n = _parse_circle(args.snake)
+    if init is not None:
         grad_peak = float(clamp_magnitude(gradient_central(f), threshold).magnitude().max())
-        result = _run_snake_stage(
-            report.field, grad_peak, cfg, out_dir, Snake.circle(cx, cy, r, n)
-        )
+        result = _run_snake_stage(report.field, grad_peak, cfg, out_dir, init)
         snake_converged = result.converged
         summary["snake"] = {
             "iterations": result.iterations,
@@ -303,13 +301,17 @@ def cmd_snake(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     field = ioformats.read_field(args.field)
     if args.init_circle:
-        cx, cy, r, n = _parse_circle(args.init_circle)
-        init = Snake.circle(cx, cy, r, n)
+        init = Snake.circle(*_parse_circle(args.init_circle))
     elif args.init_contour:
         init = Snake(ioformats.read_contour(args.init_contour))
     else:
         raise ParameterError("need --init-circle or --init-contour")
-    peak = float(args.force_scale) if args.force_scale else float(field.magnitude().max())
+    if args.force_scale is None:
+        peak = float(field.magnitude().max())
+    elif 0 < args.force_scale < math.inf:
+        peak = args.force_scale
+    else:
+        raise ParameterError(f"--force-scale must be finite and > 0, got {args.force_scale!r}")
     t0 = time.perf_counter()
     result = _run_snake_stage(field, peak, cfg, out_dir, init)
     _write_summary(out_dir, {
@@ -363,7 +365,10 @@ def cmd_spectral(args) -> int:
 
 
 def _floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ParameterError(f"expected comma-separated numbers but got {text!r}") from None
 
 
 def cmd_sweep(args) -> int:

@@ -182,10 +182,13 @@ def read_contour(path) -> np.ndarray:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"bad contour pair on line {ln}")
-            pts.append((float(parts[0]), float(parts[1])))
+            try:
+                x, y = (float(p) for p in line.split(","))
+            except ValueError:
+                raise FormatError(f"bad contour pair on line {ln}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise FormatError(f"non-finite contour point on line {ln}")
+            pts.append((x, y))
     if not pts:
         raise FormatError("empty contour file")
     return np.asarray(pts, dtype=np.float64)
@@ -331,6 +334,8 @@ def render(
     """
     if mode not in RENDER_MODES:
         raise ParameterError(f"unknown render mode {mode!r}")
+    if arrow_stride < 1:
+        raise ParameterError(f"arrow stride must be >= 1, got {arrow_stride}")
     u, v = field.u.values, field.v.values
     mag = np.hypot(u, v)
     peak = mag.max()

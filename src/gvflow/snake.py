@@ -15,6 +15,18 @@ Iteration stops once the largest snaxel displacement of a step falls
 below eps (measured before any resampling).  Optional arc-length
 resampling keeps snaxel spacing uniform so the tensile force stays
 meaningful while the contour stretches.
+
+A step is a short, fixed sequence of whole-array calls.  The contour is
+held component-major, as a (2, N) array of x and y rows, so every call
+runs along the snaxels.  One wrapped copy of the ring gives both
+neighbors of every snaxel for the tensile term and, after the update,
+the segments for the spacing test and the resampling.  The field is laid
+out once as a (2, H*W) array, and one take of flat indices fetches the
+four bilinear corners of every snaxel, u and v together (_Sampler).
+Each clamp is a minimum and a maximum against the per-axis upper corner
+(w-1, h-1).  The arithmetic, its order included, is that of the
+per-snaxel formulas above, so contours, step counts and displacement
+histories are reproducible to the last bit.
 """
 
 from __future__ import annotations
@@ -93,6 +105,9 @@ class SnakeParams:
             raise ParameterError("max_iter must be >= 1")
         if not self.resample_spacing >= 0:
             raise ParameterError("resample_spacing must be >= 0")
+        for name in ("b", "gamma", "step", "eps", "resample_spacing"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if self.tensile_sign not in (1.0, -1.0):
             raise ParameterError("tensile_sign must be +1 or -1")
 
@@ -105,10 +120,6 @@ class SnakeResult:
     displacement_history: np.ndarray
 
 
-def _tensile_all(pts: np.ndarray) -> np.ndarray:
-    return pts - 0.5 * (np.roll(pts, 1, axis=0) + np.roll(pts, -1, axis=0))
-
-
 def tensile_force(s: Snake, i: int) -> tuple[float, float]:
     """B_i = p_i - (p_{i-1} + p_{i+1})/2, indices modulo N."""
     n = len(s)
@@ -118,34 +129,47 @@ def tensile_force(s: Snake, i: int) -> tuple[float, float]:
     return float(b[0]), float(b[1])
 
 
-def _sample_many(field: VectorField, xs: np.ndarray, ys: np.ndarray):
-    """Bilinear samples of both components; coordinates are clamped to
-    the pixel-center rectangle [0, w-1] x [0, h-1]."""
-    spec = field.spec
-    x = np.clip(xs, 0.0, spec.width - 1.0)
-    y = np.clip(ys, 0.0, spec.height - 1.0)
-    x0 = np.minimum(np.floor(x), spec.width - 2).astype(int)
-    y0 = np.minimum(np.floor(y), spec.height - 2).astype(int)
-    fx = x - x0
-    fy = y - y0
-    w00 = (1 - fx) * (1 - fy)
-    w10 = fx * (1 - fy)
-    w01 = (1 - fx) * fy
-    w11 = fx * fy
-    out = []
-    for comp in (field.u.values, field.v.values):
-        out.append(
-            w00 * comp[y0, x0]
-            + w10 * comp[y0, x0 + 1]
-            + w01 * comp[y0 + 1, x0]
-            + w11 * comp[y0 + 1, x0 + 1]
-        )
-    return out[0], out[1]
+class _Sampler:
+    """Bilinear samples of both field components with one gather.
+
+    Points come in component-major, as a (2, N) array of x and y rows,
+    so every elementwise call runs along the N snaxels.  The field is
+    laid out once as a (2, H*W) array, and the four corners of every
+    point, u and v together, come from one take of flat indices.  The
+    lower corner is clamped to [0, w-2] x [0, h-2], and the corners are
+    weighted and summed in the order w00*c00 + w10*c10 + w01*c01 +
+    w11*c11, with c10 one step along x.
+    """
+
+    def __init__(self, field: VectorField):
+        w = field.spec.width
+        self._uv = np.stack((field.u.values.ravel(), field.v.values.ravel()))
+        self._hi = np.array([[w - 1.0], [field.spec.height - 1.0]])
+        self._base_hi = np.array([[w - 2], [field.spec.height - 2]])
+        self._width = w
+        self._corners = np.array([[0], [1], [w], [w + 1]])
+
+    def clamp(self, xy: np.ndarray) -> np.ndarray:
+        """Points clamped to the pixel-center rectangle [0, w-1] x [0, h-1]."""
+        return np.maximum(np.minimum(xy, self._hi), 0.0)
+
+    def __call__(self, xy: np.ndarray) -> np.ndarray:
+        """(2, N) clamped points in, (2, N) samples (u, v) out."""
+        # truncation is floor on the clamped, nonnegative coordinates
+        base = np.minimum(xy.astype(np.intp), self._base_hi)
+        frac = xy - base
+        # q[0] = (1 - fx, 1 - fy), q[1] = (fx, fy); w[2*ky + kx] = qy[ky] * qx[kx]
+        q = np.concatenate((1.0 - frac, frac)).reshape(2, 2, -1)
+        w = (q[:, None, 1] * q[None, :, 0]).reshape(4, -1)
+        t = w * self._uv.take(base[1] * self._width + base[0] + self._corners, axis=1)
+        return t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
 
 
 def sample_field_bilinear(field: VectorField, x: float, y: float) -> tuple[float, float]:
     """Bilinear interpolation of the field at one sub-pixel position."""
-    u, v = _sample_many(field, np.asarray([x], dtype=float), np.asarray([y], dtype=float))
+    # lays the whole field out again: a spot check, not a loop primitive
+    sample = _Sampler(field)
+    u, v = sample(sample.clamp(np.array([[x], [y]], dtype=float)))
     return float(u[0]), float(v[0])
 
 
@@ -165,10 +189,15 @@ def resample_contour(s: Snake, spacing: float) -> Snake:
     max(4, round(perimeter / spacing))."""
     if not spacing > 0:
         raise ParameterError("spacing must be > 0")
-    pts = s.points
-    closed = np.vstack([pts, pts[:1]])
-    seg = np.diff(closed, axis=0)
-    seglen = np.hypot(seg[:, 0], seg[:, 1])
+    ring = _closed_ring(s.points.T)
+    seg = ring[:, 2:] - ring[:, 1:-1]
+    return Snake(np.ascontiguousarray(_resample(ring, seg, np.hypot(*seg), spacing).T))
+
+
+def _resample(ring: np.ndarray, seg: np.ndarray, seglen: np.ndarray,
+              spacing: float) -> np.ndarray:
+    """resample_contour on a closed ring (see _closed_ring), its (2, N)
+    segments and their lengths; returns the new (2, n) points."""
     perimeter = float(seglen.sum())
     if perimeter < 1e-9:
         raise GeometryError("contour has (near) zero perimeter")
@@ -179,17 +208,20 @@ def resample_contour(s: Snake, spacing: float) -> Snake:
     idx = np.clip(idx, 0, len(seglen) - 1)
     denom = np.where(seglen[idx] > 0, seglen[idx], 1.0)
     frac = (targets - cum[idx]) / denom
-    new_pts = closed[idx] + seg[idx] * frac[:, None]
-    return Snake(new_pts)
+    return ring[:, 1 + idx] + seg[:, idx] * frac
 
 
-def _displacement_bound(tens: np.ndarray, fu: np.ndarray, fv: np.ndarray,
-                        p: SnakeParams) -> float:
+def _displacement_bound(tens: np.ndarray, force: np.ndarray, p: SnakeParams) -> float:
     """The force budget of one step: no snaxel can move further than
     step * (b * max|B_i| + gamma * max|F(p_i)|)."""
-    return p.step * (
-        p.b * np.hypot(tens[:, 0], tens[:, 1]).max() + p.gamma * np.hypot(fu, fv).max()
-    )
+    return p.step * (p.b * np.hypot(*tens).max() + p.gamma * np.hypot(*force).max())
+
+
+def _closed_ring(xy: np.ndarray) -> np.ndarray:
+    """(2, N + 2): p_{N-1}, p_0 .. p_{N-1}, p_0, so that ring[:, i] and
+    ring[:, i + 2] are the neighbors of p_i and ring[:, i + 2] -
+    ring[:, i + 1] is the segment leaving it."""
+    return np.concatenate((xy[:, -1:], xy, xy[:, :1]), axis=1)
 
 
 def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
@@ -198,48 +230,51 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     Updates are simultaneous over snaxels; positions are clamped to the
     image rectangle so an inflating contour cannot escape the grid.
     """
-    spec = field.spec
-    pts = s.points.copy()
-    f = _unit_field(field) if p.normalize else field
+    sample = _Sampler(_unit_field(field) if p.normalize else field)
+    xy = np.array(s.points.T)
+    # where the field is sampled: xy clamped, as every updated xy already is
+    at = sample.clamp(xy)
+    ring = _closed_ring(xy)
     history: list[float] = []
     converged = False
     iterations = 0
     for n in range(1, p.max_iter + 1):
-        tens = _tensile_all(pts)
-        fu, fv = _sample_many(f, pts[:, 0], pts[:, 1])
-        disp = p.step * (
-            p.tensile_sign * p.b * tens + p.gamma * np.column_stack([fu, fv])
-        )
-        if not np.all(np.isfinite(disp)):
+        tens = xy - 0.5 * (ring[:, :-2] + ring[:, 2:])
+        force = sample(at)
+        disp = p.step * (p.tensile_sign * p.b * tens + p.gamma * force)
+        if not np.isfinite(disp).all():
             raise DivergenceError("non-finite snaxel displacement", n)
-        bound = _displacement_bound(tens, fu, fv, p)
-        new_pts = pts + disp
-        new_pts[:, 0] = np.clip(new_pts[:, 0], 0.0, spec.width - 1.0)
-        new_pts[:, 1] = np.clip(new_pts[:, 1], 0.0, spec.height - 1.0)
+        bound = _displacement_bound(tens, force, p)
+        new_xy = sample.clamp(xy + disp)
         # deformation = applied movement; a border-pinned snaxel is settled
-        moved = np.hypot(new_pts[:, 0] - pts[:, 0], new_pts[:, 1] - pts[:, 1]).max()
+        moved = np.hypot(*(new_xy - xy)).max()
         if not moved <= bound * (1.0 + 1e-9):
             raise DivergenceError(
                 f"snaxel moved {moved:.6g} px, past the force bound of {bound:.6g} px", n
             )
-        pts = new_pts
+        xy = at = new_xy
         iterations = n
         history.append(float(moved))
         if moved < p.eps:
             converged = True
             break
-        if p.resample_spacing > 0 and _spacing_drifted(pts, p.resample_spacing):
-            pts = resample_contour(Snake(pts), p.resample_spacing).points
-    return SnakeResult(Snake(pts), iterations, converged, np.asarray(history))
+        ring = _closed_ring(xy)
+        if p.resample_spacing > 0:
+            seg = ring[:, 2:] - ring[:, 1:-1]
+            seglen = np.hypot(*seg)
+            if _spacing_drifted(seglen, p.resample_spacing):
+                xy = _resample(ring, seg, seglen, p.resample_spacing)
+                at = sample.clamp(xy)
+                ring = _closed_ring(xy)
+    return SnakeResult(Snake(np.ascontiguousarray(xy.T)), iterations, converged,
+                       np.asarray(history))
 
 
-def _spacing_drifted(pts: np.ndarray, spacing: float) -> bool:
-    """True once any segment leaves [1/2, 2] times the target spacing.
+def _spacing_drifted(seglen: np.ndarray, spacing: float) -> bool:
+    """True once any segment length leaves [1/2, 2] times the target
+    spacing.
 
     Resampling only on drift lets a settled contour reach equilibrium:
     redistributing every step would keep displacing snaxels tangentially
     and the termination test could never pass."""
-    closed = np.vstack([pts, pts[:1]])
-    seg = np.diff(closed, axis=0)
-    seglen = np.hypot(seg[:, 0], seg[:, 1])
     return bool(seglen.max() > 2.0 * spacing or seglen.min() < 0.5 * spacing)

@@ -182,6 +182,84 @@ class TestSnakeCommand:
         assert d.mean() < 1.5
 
 
+class TestTypedErrors:
+    """Malformed input ends in a typed error and its exit code, never a traceback."""
+
+    @pytest.fixture
+    def stored_field(self, tmp_path):
+        path = tmp_path / "field.gvf"
+        rng = np.random.default_rng(3)
+        io.write_field(gv.VectorField.from_arrays(rng.random((32, 32)), rng.random((32, 32))),
+                       path)
+        return path
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_infinite_snake_step_is_validation_error(self, stored_field, tmp_path, capsys):
+        code, err = self.run(["snake", "--field", str(stored_field), "--out", str(tmp_path / "s"),
+                              "--init-circle", "16,16,8", "--step", "inf"], capsys)
+        assert code == EXIT_VALIDATION
+        assert "step must be finite" in err
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_force_scale_is_validation_error(self, stored_field, tmp_path, capsys, scale):
+        code, err = self.run(["snake", "--field", str(stored_field), "--out", str(tmp_path / "s"),
+                              "--init-circle", "16,16,8", "--force-scale", scale], capsys)
+        assert code == EXIT_VALIDATION
+        assert "--force-scale" in err
+
+    @pytest.mark.parametrize("circle", ["a,b,c", "16,16", "16,16,nan", "16,16,8,x"])
+    def test_malformed_init_circle_is_validation_error(self, stored_field, tmp_path, capsys,
+                                                       circle):
+        code, err = self.run(["snake", "--field", str(stored_field), "--out", str(tmp_path / "s"),
+                              "--init-circle", circle], capsys)
+        assert code == EXIT_VALIDATION
+        assert "cx,cy,r[,n]" in err
+
+    def test_malformed_snake_circle_fails_before_the_solve(self, u64, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, err = self.run(["ggvf", "--image", str(u64), "--out", str(out),
+                              "--snake", "a,b,c"], capsys)
+        assert code == EXIT_VALIDATION
+        assert "cx,cy,r[,n]" in err
+        assert not (out / "field.gvf").exists()
+
+    @pytest.mark.parametrize("box", ["a,1,2,3", "1,2,3"])
+    def test_malformed_inner_box_is_validation_error(self, u64, tmp_path, capsys, box):
+        code, err = self.run(["gvf", "--image", str(u64), "--out", str(tmp_path / "x"),
+                              "--inner-box", box], capsys)
+        assert code == EXIT_VALIDATION
+        assert "x,y,w,h" in err
+
+    def test_malformed_sweep_list_is_validation_error(self, u64, tmp_path, capsys):
+        code, err = self.run(["sweep", "--image", str(u64), "--out", str(tmp_path / "sw"),
+                              "--g-list", "1,x"], capsys)
+        assert code == EXIT_VALIDATION
+        assert "'1,x'" in err
+
+    @pytest.mark.parametrize("stride", ["0", "-4"])
+    def test_nonpositive_render_stride_is_validation_error(self, stored_field, tmp_path, capsys,
+                                                           stride):
+        code, err = self.run(["render", "--field", str(stored_field), "--mode", "arrows",
+                              "--out-image", str(tmp_path / "r.ppm"), "--stride", stride],
+                             capsys)
+        assert code == EXIT_VALIDATION
+        assert "stride" in err
+
+    @pytest.mark.parametrize("line", ["3,x", "3", "3,4,5", "nan,4"])
+    def test_malformed_contour_is_format_error(self, stored_field, tmp_path, capsys, line):
+        contour = tmp_path / "c.csv"
+        contour.write_text(f"1,1\n20,1\n{line}\n1,20\n")
+        code, err = self.run(["snake", "--field", str(stored_field), "--out", str(tmp_path / "s"),
+                              "--init-contour", str(contour)], capsys)
+        assert code == EXIT_IO
+        assert "line 3" in err
+
+
 class TestSpectralCommand:
     def test_reports_small_error(self, u64, tmp_path, capsys):
         out = tmp_path / "spec"

@@ -1,15 +1,23 @@
-"""Bit-level fingerprints of the explicit solver.
+"""Bit-level fingerprints of the explicit solver and of the snake.
 
-Each case pins the iteration count and the SHA-256 of the output field
-and of the convergence histories, so a rewrite of the stencil that
-moves any result by one unit in the last place fails here.  The cases
-cover the mirror border on the full rectangle, per-pixel coefficients,
-a multiply connected mask and the periodic border; steady_residual,
-gvf_step and laplacian_5pt are pinned too.
+Each solver case pins the iteration count and the SHA-256 of the output
+field and of the convergence histories, so a rewrite of the stencil
+that moves any result by one unit in the last place fails here.  The
+cases cover the mirror border on the full rectangle, per-pixel
+coefficients, a multiply connected mask and the periodic border;
+steady_residual, gvf_step and laplacian_5pt are pinned too.
+
+Each snake case pins the step count, the stop reason and the SHA-256 of
+the final snaxels and of the displacement history.  The cases cover
+both tensile signs, resampling on and off, a normalized field, a
+contour pinned at the image border and a non-square grid;
+sample_field_bilinear is pinned too, on the clamped last row and column.
 
 The inputs use only correctly rounded IEEE-754 arithmetic: no Gaussian
-smoothing and rational per-pixel weights instead of exp.  The hashes
-therefore do not depend on the platform's transcendental functions.
+smoothing, rational per-pixel weights instead of exp, and initial
+contours on a rational parameterization of the circle instead of sin
+and cos.  The hashes therefore do not depend on the platform's
+transcendental functions (the snake's own hypot aside).
 """
 
 import hashlib
@@ -152,3 +160,101 @@ def test_gvf_step_fingerprint():
 def test_laplacian_fingerprint():
     lap = gv.laplacian_5pt(random_image(23, 17, seed=11))
     assert sha(lap.values) == "442d925ac825b16f83aa3e0a8f50920c92d1aef2b0ddd5db1b281e263da0839e"
+
+
+def scaled_field(make, scale: float) -> gv.VectorField:
+    """The field of one of the solves above, times a power of two."""
+    f, p, mask, per = make()
+    field = gv.gvf_solve(f, p, mask, periodic=per, force=True).field
+    return gv.VectorField.from_arrays(field.u.values * scale, field.v.values * scale)
+
+
+def rational_ring(cx: float, cy: float, r: float, n: int) -> gv.Snake:
+    """n snaxels (a multiple of 4) on a circle, placed by the rational
+    parameterization ((1 - t^2), 2t) / (1 + t^2) for t in [-1, 1)."""
+    q = n // 4
+    t = (np.arange(2 * q) - q) / q
+    c = (1.0 - t * t) / (1.0 + t * t)
+    s = 2.0 * t / (1.0 + t * t)
+    x, y = np.concatenate([c, -c]), np.concatenate([s, -s])
+    return gv.Snake(np.column_stack([cx + r * x, cy + r * y]))
+
+
+@pytest.fixture(scope="module")
+def snake_fields():
+    # peaks about 0.25 px/step on the 64x64 U and 0.35 on the 56x48 box
+    return {"u": scaled_field(u_full, 64.0), "box": scaled_field(box_hole_masked, 32.0)}
+
+
+SNAKES = {
+    "contract-resample": ("u", (31.5, 31.5, 26.0, 64), dict(
+        b=0.1, tensile_sign=-1.0, resample_spacing=2.0, max_iter=1500), {
+        "iterations": 1500, "converged": False,
+        "points": "eb3e79c1614d0f6565d44a2ba0be0f6224da37f291f69c32d854cad82d96aef2",
+        "history": "1c51aa03efe6bcb7e311fa3e47528447473c8c47ba05d1dbd6f2d9f8d5d1e0bd",
+    }),
+    "inflate-no-resample": ("u", (31.5, 40.0, 4.0, 16), dict(
+        b=0.1, tensile_sign=1.0, resample_spacing=0.0, eps=1e-3, max_iter=25), {
+        "iterations": 25, "converged": False,
+        "points": "dcee508a385e344de8780dec81fc3a8df6fc85a630f19ccae54abe2e6f660b64",
+        "history": "fd9d40230175e016ed0d132542a0f1eba04df86986fba948b3bf5d6e79e4e45d",
+    }),
+    "normalize": ("u", (31.5, 31.5, 26.0, 64), dict(
+        b=0.2, gamma=0.3, tensile_sign=-1.0, normalize=True, max_iter=600), {
+        "iterations": 600, "converged": False,
+        "points": "e7bd0c5b392a71d48044e5e063f32e8a84758e6709b9ea350f6e56686a82ab70",
+        "history": "1db7fabb3901f35751b47c5b1c9b23af7076b493781d1f2683e748d286d2d937",
+    }),
+    "border-pinned": ("u", (31.5, 31.5, 28.0, 48), dict(
+        b=0.3, tensile_sign=1.0, resample_spacing=0.0, max_iter=300), {
+        "iterations": 56, "converged": True,
+        "points": "9837ac72d182fecc69bbb3f6e9fd356c63c603336d9610db0179384914e5442c",
+        "history": "854d0a1d878a817437549c5b9dad06dc9851d699ae81316f0709ac5018dbbbf3",
+    }),
+    "non-square": ("box", (28.0, 24.0, 22.0, 48), dict(
+        b=0.1, tensile_sign=-1.0, max_iter=1500), {
+        "iterations": 1500, "converged": False,
+        "points": "52e3c81a735b7c66aed0629da85d6a7bcef1a9f76197ba61a2b812ff80d04253",
+        "history": "980be1666741391f3cbe719be3dd67ffbd01b1d50e92cd1f7cba415b591014d6",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNAKES))
+def test_snake_fingerprint(name, snake_fields):
+    key, ring, kw, expected = SNAKES[name]
+    res = gv.snake_evolve(rational_ring(*ring), snake_fields[key], gv.SnakeParams(**kw))
+    got = {
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "points": sha(res.snake.points),
+        "history": sha(res.displacement_history),
+    }
+    assert got == expected
+
+
+def test_border_pinned_contour_touches_all_four_sides(snake_fields):
+    _, ring, kw, _ = SNAKES["border-pinned"]
+    res = gv.snake_evolve(rational_ring(*ring), snake_fields["u"], gv.SnakeParams(**kw))
+    pts = res.snake.points
+    assert pts.min(axis=0).tolist() == [0.0, 0.0]
+    assert pts.max(axis=0).tolist() == [63.0, 63.0]
+
+
+def test_sample_field_bilinear_fingerprint():
+    # 23 wide, 17 high: the last column is x = 22 and the last row y = 16
+    field = gv.gradient_central(random_image(23, 17, seed=13))
+    points = [(0.0, 0.0), (7.3, 9.9), (22.0, 16.0), (22.0, 10.25), (12.75, 16.0),
+              (21.5, 15.5), (-3.0, 20.0), (30.125, -0.5), (15.0625, 3.875)]
+    got = [tuple(c.hex() for c in gv.sample_field_bilinear(field, x, y)) for x, y in points]
+    assert got == [
+        ("-0x1.37227009c1300p-8", "-0x1.4e4a0cc60fc8ep-3"),
+        ("0x1.eb1f5d9fe72b6p-3", "0x1.74398729d9038p-3"),
+        ("-0x1.7031e42673000p-4", "0x1.7d8e5e75a0650p-5"),
+        ("0x1.59b861b292e93p-3", "-0x1.919a2b6744aeap-4"),
+        ("-0x1.23395edf5d300p-2", "-0x1.b2420fa88db2fp-3"),
+        ("0x1.c2b0e5e1bd3e6p-5", "0x1.536651d7a7fd4p-3"),
+        ("-0x1.745f2248cb924p-3", "0x1.051d073ed27f0p-2"),
+        ("0x1.9ece68f0dc324p-4", "-0x1.7fa3d499ca34cp-3"),
+        ("-0x1.c3d283726aa6fp-7", "-0x1.dccc7c56d942ap-4"),
+    ]

@@ -40,6 +40,11 @@ class TestSnakeType:
         with pytest.raises(ParameterError):
             gv.SnakeParams(**{name: math.nan})
 
+    @pytest.mark.parametrize("name", ["b", "gamma", "step", "eps", "resample_spacing"])
+    def test_params_reject_inf(self, name):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            gv.SnakeParams(**{name: math.inf})
+
 
 class TestTensileForce:
     def test_collinear_midpoint(self):
