@@ -129,15 +129,69 @@ def build_mask(
     return DomainMask.from_rects(image.spec, outer=outer, hole=inner_box)
 
 
+# the type of each config key: that of its flag, bool for a switch, or
+# the tuple of allowed strings
+_CONFIG_TYPES = {
+    **dict.fromkeys(("g", "h", "dt", "delta", "threshold", "k", "sigma", "b", "gamma",
+                     "step", "eps", "spacing", "tensile_sign", "force_peak"), float),
+    **dict.fromkeys(("t_max", "snake_iters", "outer_margin", "stride"), int),
+    **dict.fromkeys(("force", "periodic", "normalize"), bool),
+    "edge_sign": ("attractive", "potential"),
+    "inner_box": _parse_box,
+}
+
+
+def _config_value(key: str, value):
+    """A config-file value checked like its flag.  A JSON string is read
+    as the flag's text; a number must suit the flag's type (an integral
+    one for an integer flag); a switch takes true or false; a box may
+    also be a list of four integers.  Keys whose default is None accept
+    null."""
+    kind = _CONFIG_TYPES[key]
+    if value is None and _DEFAULTS[key] is None:
+        return None
+    try:
+        if kind is bool:
+            ok = isinstance(value, bool)
+        elif isinstance(kind, tuple):
+            ok = value in kind
+        elif isinstance(value, str):
+            return kind(value)
+        elif kind is _parse_box:
+            ok = isinstance(value, list) and all(type(v) is int for v in value)
+            if ok:
+                return _parse_box(",".join(str(v) for v in value))
+        else:
+            ok = type(value) is int or (
+                type(value) is float and (kind is float or value.is_integer()))
+            if ok:
+                value = kind(value)
+    except (ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(f"config key {key!r} has a value of the wrong type: {value!r}")
+    return value
+
+
 def _effective(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Merge defaults <- config file <- explicit flags for the given keys."""
+    """Merge defaults <- config file <- explicit flags for the given keys.
+
+    Every config key must be one of the flag names, with a value of the
+    flag's type; a config file may hold keys that only other commands
+    use."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:
+                raise FormatError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ParameterError("config file must hold a flat JSON object")
-        cfg = loaded
+        unknown = sorted(set(loaded) - set(_DEFAULTS))
+        if unknown:
+            raise ParameterError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+        cfg = {key: _config_value(key, value) for key, value in loaded.items()}
     out = {}
     for key in keys:
         if getattr(args, key, None) is not None:
@@ -174,14 +228,11 @@ def _write_summary(out_dir: Path, summary: dict) -> None:
         fh.write("\n")
 
 
-def _run_snake_stage(field: VectorField, grad_peak: float, cfg: dict, out_dir: Path, init):
-    """Scale the force so a unit source gradient moves a snaxel at most
-    force_peak pixels per step, evolve, and write contour artifacts."""
-    scale = cfg["force_peak"] / grad_peak if grad_peak > 0 else 1.0
-    scaled = VectorField.from_arrays(
-        field.u.values * scale, field.v.values * scale, field.spec.dx, field.spec.dy
-    )
-    params = SnakeParams(
+def _snake_params(cfg: dict) -> SnakeParams:
+    """The snake stage's parameters, checked before any work is done."""
+    if not 0 < cfg["force_peak"] < math.inf:
+        raise ParameterError(f"--force-peak must be finite and > 0, got {cfg['force_peak']!r}")
+    return SnakeParams(
         b=cfg["b"],
         gamma=cfg["gamma"],
         step=cfg["step"],
@@ -190,6 +241,16 @@ def _run_snake_stage(field: VectorField, grad_peak: float, cfg: dict, out_dir: P
         resample_spacing=cfg["spacing"],
         normalize=bool(cfg["normalize"]),
         tensile_sign=float(cfg["tensile_sign"]),
+    )
+
+
+def _run_snake_stage(field: VectorField, grad_peak: float, cfg: dict, params: SnakeParams,
+                     out_dir: Path, init):
+    """Scale the force so a unit source gradient moves a snaxel at most
+    force_peak pixels per step, evolve, and write contour artifacts."""
+    scale = cfg["force_peak"] / grad_peak if grad_peak > 0 else 1.0
+    scaled = VectorField.from_arrays(
+        field.u.values * scale, field.v.values * scale, field.spec.dx, field.spec.dy
     )
     result = snake_evolve(init, scaled, params)
     ioformats.write_contour(result.snake.points, out_dir / "contour.csv")
@@ -225,6 +286,7 @@ def _pipeline(args, generalized: bool) -> int:
     cfg = _effective(args, keys)
     _echo(cfg)
     init = Snake.circle(*_parse_circle(args.snake)) if args.snake else None
+    snake_params = _snake_params(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     image = ioformats.read_pgm(args.image)
@@ -277,7 +339,7 @@ def _pipeline(args, generalized: bool) -> int:
     snake_converged = True
     if init is not None:
         grad_peak = float(clamp_magnitude(gradient_central(f), threshold).magnitude().max())
-        result = _run_snake_stage(report.field, grad_peak, cfg, out_dir, init)
+        result = _run_snake_stage(report.field, grad_peak, cfg, snake_params, out_dir, init)
         snake_converged = result.converged
         summary["snake"] = {
             "iterations": result.iterations,
@@ -297,6 +359,7 @@ def cmd_snake(args) -> int:
             "tensile_sign", "force_peak"]
     cfg = _effective(args, keys)
     _echo(cfg)
+    params = _snake_params(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     field = ioformats.read_field(args.field)
@@ -313,7 +376,7 @@ def cmd_snake(args) -> int:
     else:
         raise ParameterError(f"--force-scale must be finite and > 0, got {args.force_scale!r}")
     t0 = time.perf_counter()
-    result = _run_snake_stage(field, peak, cfg, out_dir, init)
+    result = _run_snake_stage(field, peak, cfg, params, out_dir, init)
     _write_summary(out_dir, {
         "command": "snake",
         "field": str(args.field),

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import DimensionError, ParameterError
 
@@ -198,24 +197,68 @@ def laplacian_5pt(f: ScalarField) -> ScalarField:
     return ScalarField(f.spec, lap)
 
 
+def _symmetric_pass(padded: np.ndarray, kernel: np.ndarray, step: int) -> np.ndarray:
+    """One pass of an odd, symmetric kernel of radius r over a contiguous
+    padded array, along the axis whose elements lie step apart in memory.
+
+    The arithmetic is that of scipy.ndimage's symmetric-kernel loop:
+    out = a[x] * k[r], then for j = r, r-1, ..., 1 (outermost pair
+    first) out += (a[x-j] + a[x+j]) * k[r-j].  As in _neighbor_sum, each
+    term is one contiguous pass over the flattened buffer: a shift of j
+    along the axis is an offset of j*step.  The result has the padded
+    shape; only the entries at least r*step from both ends of the
+    flattened buffer are meaningful.
+    """
+    r = kernel.size // 2
+    flat = padded.reshape(-1)
+    out = np.empty_like(padded)
+    lo, hi = r * step, flat.size - r * step
+    o = out.reshape(-1)[lo:hi]
+    np.multiply(flat[lo:hi], kernel[r], out=o)
+    pair = np.empty_like(o)
+    for j in range(r, 0, -1):
+        np.add(flat[lo - j * step:hi - j * step], flat[lo + j * step:hi + j * step], out=pair)
+        pair *= kernel[r - j]
+        o += pair
+    return out
+
+
 def gaussian_smooth(f: ScalarField, sigma: float) -> ScalarField:
-    """Gaussian blur with a truncated kernel of radius ceil(3*sigma).
+    """Gaussian blur with a truncated kernel of radius r = ceil(3*sigma).
 
     The kernel is renormalized to sum to one; sigma = 0 is the identity.
     Border handling replicates edge pixels, consistent with the mirrored
-    stencils above.
+    stencils above.  The blur is separable: a pass along y (axis 0),
+    then one along x.  Each pass computes, per pixel,
+    a[x]*k[r] + (a[x-r] + a[x+r])*k[0] + ... + (a[x-1] + a[x+1])*k[r-1],
+    accumulated left to right, so the result equals two calls of
+    scipy.ndimage.convolve1d(mode="nearest") to the last bit.
     """
     if sigma < 0:
         raise ParameterError("sigma must be >= 0")
     if sigma == 0:
         return f.copy()
-    radius = int(math.ceil(3.0 * sigma))
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
+    return ScalarField(f.spec, _gaussian_blur(f.values, sigma))
+
+
+def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
+    """gaussian_smooth on a bare (H, W) array, for sigma > 0.
+
+    The array is edge-padded by r on both axes once.  A padding column
+    is a copy of a border column, so after the pass along y it holds
+    that column's result: exactly the edge padding the pass along x
+    needs.
+    """
+    r = int(math.ceil(3.0 * sigma))
+    xs = np.arange(-r, r + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (xs / sigma) ** 2)
     kernel /= kernel.sum()
-    out = convolve1d(f.values, kernel, axis=0, mode="nearest")
-    out = convolve1d(out, kernel, axis=1, mode="nearest")
-    return ScalarField(f.spec, out)
+    h, w = a.shape
+    rows = np.clip(np.arange(-r, h + r), 0, h - 1)
+    cols = np.clip(np.arange(-r, w + r), 0, w - 1)
+    padded = a.take(rows, axis=0).take(cols, axis=1)
+    along_y = _symmetric_pass(padded, kernel, step=w + 2 * r)[r:r + h]
+    return np.ascontiguousarray(_symmetric_pass(along_y, kernel, step=1)[:, r:r + w])
 
 
 def edge_map(image: ScalarField, sigma: float = 0.0, sign: str = "attractive") -> ScalarField:

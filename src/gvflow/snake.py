@@ -191,17 +191,25 @@ def resample_contour(s: Snake, spacing: float) -> Snake:
         raise ParameterError("spacing must be > 0")
     ring = _closed_ring(s.points.T)
     seg = ring[:, 2:] - ring[:, 1:-1]
-    return Snake(np.ascontiguousarray(_resample(ring, seg, np.hypot(*seg), spacing).T))
+    seglen = np.hypot(*seg)
+    perimeter, n_new = _resample_count(seglen, spacing)
+    return Snake(np.ascontiguousarray(_resample(ring, seg, seglen, perimeter, n_new).T))
 
 
-def _resample(ring: np.ndarray, seg: np.ndarray, seglen: np.ndarray,
-              spacing: float) -> np.ndarray:
-    """resample_contour on a closed ring (see _closed_ring), its (2, N)
-    segments and their lengths; returns the new (2, n) points."""
+def _resample_count(seglen: np.ndarray, spacing: float) -> tuple[float, int]:
+    """Perimeter of a closed contour with these segment lengths, and the
+    snaxel count of its resampling at this spacing."""
     perimeter = float(seglen.sum())
     if perimeter < 1e-9:
         raise GeometryError("contour has (near) zero perimeter")
-    n_new = max(4, int(round(perimeter / spacing)))
+    return perimeter, max(4, int(round(perimeter / spacing)))
+
+
+def _resample(ring: np.ndarray, seg: np.ndarray, seglen: np.ndarray,
+              perimeter: float, n_new: int) -> np.ndarray:
+    """resample_contour on a closed ring (see _closed_ring), its (2, N)
+    segments, their lengths and their sum; returns the new (2, n_new)
+    points."""
     targets = perimeter * np.arange(n_new) / n_new
     cum = np.concatenate([[0.0], np.cumsum(seglen)])
     idx = np.searchsorted(cum, targets, side="right") - 1
@@ -229,11 +237,18 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
 
     Updates are simultaneous over snaxels; positions are clamped to the
     image rectangle so an inflating contour cannot escape the grid.
+    Initial snaxels outside it are clamped onto it before the first
+    step, so that clamp does not count as movement.
+
+    A resampling may not raise the snaxel count past the field's pixel
+    count (or the initial count, if larger): a contour that grows past
+    it, such as an inflating one zig-zagging against the image border,
+    raises DivergenceError instead of exhausting memory.
     """
     sample = _Sampler(_unit_field(field) if p.normalize else field)
-    xy = np.array(s.points.T)
-    # where the field is sampled: xy clamped, as every updated xy already is
-    at = sample.clamp(xy)
+    max_snaxels = max(field.spec.width * field.spec.height, len(s))
+    # where the field is sampled; every updated xy is clamped too
+    xy = at = sample.clamp(s.points.T)
     ring = _closed_ring(xy)
     history: list[float] = []
     converged = False
@@ -263,7 +278,13 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
             seg = ring[:, 2:] - ring[:, 1:-1]
             seglen = np.hypot(*seg)
             if _spacing_drifted(seglen, p.resample_spacing):
-                xy = _resample(ring, seg, seglen, p.resample_spacing)
+                perimeter, count = _resample_count(seglen, p.resample_spacing)
+                if count > max_snaxels:
+                    raise DivergenceError(
+                        f"resampling would grow the contour to {count} snaxels, past the "
+                        f"cap of {max_snaxels}", n
+                    )
+                xy = _resample(ring, seg, seglen, perimeter, count)
                 at = sample.clamp(xy)
                 ring = _closed_ring(xy)
     return SnakeResult(Snake(np.ascontiguousarray(xy.T)), iterations, converged,

@@ -37,7 +37,8 @@ Termination: iteration stops once the largest per-pixel change
 |v_new - v|_2 drops below delta.  A converged run's field is an
 approximate steady state; two independent oracles (a direct sparse
 solve and, for periodic borders, a Fourier-domain solution) pin it
-down exactly.
+down exactly.  The direct solve imports scipy.sparse when it is called,
+not with this module, so only a caller of the oracle loads scipy.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .errors import (
     DimensionError,
@@ -572,6 +571,10 @@ def direct_steady_solve(
     with m the number of interior neighbors (the mirror rule drops the
     others).  Limited to small test-scale domains.
     """
+    # imported here so that importing gvflow does not load scipy
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
     spec = f.spec
     if mask is None:
         mask = DomainMask.full(spec)

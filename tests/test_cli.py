@@ -1,6 +1,10 @@
 """Command-line harness: pipelines, sweeps, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +262,95 @@ class TestTypedErrors:
                               "--init-contour", str(contour)], capsys)
         assert code == EXIT_IO
         assert "line 3" in err
+
+    @pytest.mark.parametrize("command", ["gvf", "ggvf", "snake"])
+    @pytest.mark.parametrize("peak", ["0", "-1", "nan", "inf"])
+    def test_bad_force_peak_is_validation_error(self, u64, stored_field, tmp_path, capsys,
+                                                command, peak):
+        out = tmp_path / "x"
+        if command == "snake":
+            argv = ["snake", "--field", str(stored_field), "--init-circle", "16,16,8"]
+        else:
+            argv = [command, "--image", str(u64), "--snake", "31.5,31.5,20"]
+        code, err = self.run(argv + ["--out", str(out), "--force-peak", peak], capsys)
+        assert code == EXIT_VALIDATION
+        assert "--force-peak" in err
+        assert not (out / "field.gvf").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"g": "abc"}, "config key 'g'"),
+        ({"t_max": 2.5}, "config key 't_max'"),
+        ({"force": "yes"}, "config key 'force'"),
+        ({"gg": 3}, "unknown config key(s): 'gg'"),
+    ])
+    def test_bad_config_is_validation_error(self, u64, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, err = self.run(["gvf", "--image", str(u64), "--out", str(tmp_path / "x"),
+                              "--config", str(cfg)], capsys)
+        assert code == EXIT_VALIDATION
+        assert message in err
+
+    def test_config_that_is_not_json_is_format_error(self, u64, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{g: 1")
+        code, err = self.run(["gvf", "--image", str(u64), "--out", str(tmp_path / "x"),
+                              "--config", str(cfg)], capsys)
+        assert code == EXIT_IO
+        assert "not valid JSON" in err
+
+
+class TestConfigRoundTrip:
+    def test_effective_config_of_a_run_is_a_valid_config(self, u64, tmp_path):
+        # the echoed configuration holds "inf", null and string boxes
+        first, second = tmp_path / "a", tmp_path / "b"
+        common = ["--image", str(u64), "--delta", "1e-3", "--inner-box", "28,20,8,12"]
+        assert main(["gvf", "--out", str(first)] + common) == EXIT_OK
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(summary_of(first)["effective_config"]))
+        assert main(["gvf", "--image", str(u64), "--out", str(second),
+                     "--config", str(cfg)]) == EXIT_OK
+        assert (first / "field.gvf").read_bytes() == (second / "field.gvf").read_bytes()
+
+
+class TestColdStart:
+    def test_cli_commands_load_no_scipy(self, tmp_path):
+        # scipy backs only the direct_steady_solve oracle
+        script = f"""
+import sys
+from pathlib import Path
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+from gvflow.cli import main
+if scipy_modules():
+    sys.exit(f"import gvflow.cli loaded {{scipy_modules()[:3]}}")
+d = Path({str(tmp_path)!r})
+runs = [
+    ["synth", "--shape", "ushape", "--width", "32", "--height", "32",
+     "--out-image", str(d / "u.pgm")],
+    ["gvf", "--image", str(d / "u.pgm"), "--out", str(d / "g"), "--t-max", "50",
+     "--snake", "15.5,15.5,10", "--snake-iters", "20"],
+    ["ggvf", "--image", str(d / "u.pgm"), "--out", str(d / "gg"), "--t-max", "50"],
+    ["snake", "--field", str(d / "gg" / "field.gvf"), "--out", str(d / "s"),
+     "--init-circle", "15.5,15.5,10", "--snake-iters", "20"],
+    ["spectral", "--image", str(d / "u.pgm"), "--out", str(d / "sp"), "--t-max", "50"],
+    ["sweep", "--image", str(d / "u.pgm"), "--out", str(d / "sw"), "--t-max", "50"],
+    ["render", "--field", str(d / "g" / "field.gvf"), "--mode", "arrows",
+     "--out-image", str(d / "r.ppm")],
+]
+for argv in runs:
+    code = main(argv)
+    if code not in (0, 4) or scipy_modules():
+        sys.exit(f"{{argv[0]}} exited {{code}} and loaded {{scipy_modules()[:3]}}")
+print("ok")
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(gv.__file__).resolve().parent.parent)]
+            + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "ok"
 
 
 class TestSpectralCommand:

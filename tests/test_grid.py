@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gvflow as gv
+from gvflow import grid
 from gvflow.errors import DimensionError, ParameterError
 
 
@@ -188,3 +189,41 @@ class TestGaussianSmooth:
         rng = np.random.default_rng(9)
         img = gv.ScalarField.from_array(rng.random((6, 6)))
         assert np.array_equal(gv.gaussian_smooth(img, 0.0).values, img.values)
+
+    @staticmethod
+    def scipy_blur(a, sigma):
+        """The two-pass scipy.ndimage blur that gaussian_smooth replaces."""
+        from scipy.ndimage import convolve1d
+
+        r = int(math.ceil(3.0 * sigma))
+        xs = np.arange(-r, r + 1, dtype=np.float64)
+        kernel = np.exp(-0.5 * (xs / sigma) ** 2)
+        kernel /= kernel.sum()
+        out = convolve1d(a, kernel, axis=0, mode="nearest")
+        return convolve1d(out, kernel, axis=1, mode="nearest")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_scipy_convolve1d_bit_for_bit(self, seed):
+        # 1 to 47 px per axis, a 1-px axis in half the cases, radii 1 to 18;
+        # signed zeros count, since the views are compared as int64
+        rng = np.random.default_rng(seed)
+        h, w = (int(n) for n in rng.integers(1, 48, size=2))
+        if seed % 4 == 0:
+            h = 1
+        elif seed % 4 == 1:
+            w = 1
+        sigma = float(rng.uniform(0.1, 6.0))
+        a = rng.standard_normal((h, w)) * 10.0 ** rng.uniform(-3, 3)
+        a[rng.random((h, w)) < 0.2] = -0.0
+        got = grid._gaussian_blur(a, sigma)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), self.scipy_blur(a, sigma).view(np.int64))
+
+    def test_radius_past_both_axes_equals_scipy(self):
+        img = gv.ScalarField.from_array(np.random.default_rng(17).random((3, 5)))
+        got = gv.gaussian_smooth(img, 4.0).values  # radius 12
+        assert np.array_equal(got.view(np.int64), self.scipy_blur(img.values, 4.0).view(np.int64))
+
+    def test_rejects_negative_sigma(self):
+        with pytest.raises(ParameterError):
+            gv.gaussian_smooth(impulse(), -1.0)

@@ -222,6 +222,42 @@ class TestSnakeEvolve:
         # a 0.11 px/step drift converges the moment the contour hits the wall
         assert np.all(res.displacement_history[:-1] >= 0.1)
 
+    def test_snaxel_count_is_capped(self):
+        # tensile +1 with resampling zig-zags against the border and grows
+        # without bound; the cap is the field's pixel count
+        with pytest.raises(DivergenceError, match="past the cap of 1024") as err:
+            gv.snake_evolve(gv.Snake.circle(15.5, 15.5, 8.0, 25),
+                            gv.VectorField.zeros(gv.GridSpec(32, 32)),
+                            gv.SnakeParams(max_iter=400))
+        if not 1 < err.value.iteration < 400:
+            pytest.fail(f"raised at iteration {err.value.iteration}")
+
+    def test_snaxel_cap_admits_the_initial_count(self):
+        # 80 snaxels on an 8x8 grid, bunched so that the first step
+        # resamples them at about the same count
+        t = 2.0 * np.pi * (np.arange(80) / 80) ** 1.3
+        s = gv.Snake(np.column_stack([3.5 + 3.0 * np.cos(t), 3.5 + 3.0 * np.sin(t)]))
+        p = gv.SnakeParams(b=0.01, tensile_sign=-1.0, eps=1e-9, max_iter=3,
+                           resample_spacing=s.perimeter() / 80)
+        res = gv.snake_evolve(s, gv.VectorField.zeros(gv.GridSpec(8, 8)), p)
+        assert res.iterations == 3
+        assert 64 < len(res.snake) <= 80
+
+    def test_initial_points_outside_are_clamped_before_the_loop(self):
+        # radius 34 about the center of a 64x64 grid: the clamp onto the
+        # border is not a step's movement, so no force-bound error
+        spec = gv.GridSpec(64, 64)
+        field = constant_field(spec, 0.01, -0.02)
+        p = gv.SnakeParams(b=0.3, resample_spacing=0.0, max_iter=50)
+        outside = gv.Snake.circle(31.5, 31.5, 34.0, 48)
+        clamped = gv.Snake(np.clip(outside.points, 0.0, 63.0))
+        res = gv.snake_evolve(outside, field, p)
+        ref = gv.snake_evolve(clamped, field, p)
+        assert res.iterations == ref.iterations
+        assert np.array_equal(res.snake.points, ref.snake.points)
+        assert np.array_equal(res.displacement_history, ref.displacement_history)
+        assert res.displacement_history[0] < 0.5
+
 
 class TestDiskConvergence:
     def test_ggvf_snake_locks_onto_disk_boundary(self):
