@@ -74,8 +74,8 @@ def read_pgm(path) -> ScalarField:
     width = tok.int_token("width")
     height = tok.int_token("height")
     maxval = tok.int_token("maxval")
-    if width < 1 or height < 1:
-        raise FormatError(f"bad dimensions {width}x{height}", 0)
+    if width < 3 or height < 3:
+        raise FormatError(f"bad dimensions {width}x{height}: images must be at least 3x3", 0)
     if not (0 < maxval <= 65535):
         raise FormatError(f"unsupported maxval {maxval}", 0)
     count = width * height
@@ -129,10 +129,10 @@ def write_field(field: VectorField, path) -> None:
     spec = field.spec
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{FIELD_MAGIC}\n{spec.width} {spec.height}\n{spec.dx:.17g} {spec.dy:.17g}\n")
-        u = field.u.values.ravel()
-        v = field.v.values.ravel()
-        fh.write("\n".join(f"{a:.17g} {b:.17g}" for a, b in zip(u, v)))
-        fh.write("\n")
+        # one row at a time, formatted from Python floats: fast, and only
+        # one row's text is held in memory
+        for u, v in zip(field.u.values, field.v.values):
+            fh.write("".join(map("%.17g %.17g\n".__mod__, zip(u.tolist(), v.tolist()))))
 
 
 def read_field(path) -> VectorField:
@@ -146,6 +146,10 @@ def read_field(path) -> VectorField:
         dx, dy = (float(t) for t in lines[2].split())
     except (IndexError, ValueError):
         raise FormatError("malformed field-file header") from None
+    if width < 3 or height < 3:
+        raise FormatError(f"bad field dimensions {width}x{height}: grids must be at least 3x3")
+    if not (0 < dx < math.inf and 0 < dy < math.inf):
+        raise FormatError(f"bad grid spacing {lines[2]!r}: dx and dy must be finite and > 0")
     count = width * height
     body = lines[3 : 3 + count]
     if len(body) != count or (len(lines) > 3 + count and any(s.strip() for s in lines[3 + count :])):
@@ -157,6 +161,9 @@ def read_field(path) -> VectorField:
         if len(parts) != 2:
             raise FormatError(f"bad value pair on line {i + 4}")
         u[i], v[i] = float(parts[0]), float(parts[1])
+    bad = np.flatnonzero(~(np.isfinite(u) & np.isfinite(v)))
+    if bad.size:
+        raise FormatError(f"non-finite value pair on line {bad[0] + 4}")
     spec = GridSpec(width, height, dx, dy)
     return VectorField(
         ScalarField(spec, u.reshape(height, width)),

@@ -23,7 +23,10 @@ one-pixel border is refreshed before each sum: edge values give the
 mirror rule, wrapped values the periodic border.  On a masked domain a
 small gather fixes up the sum at the boundary pixels only, and the
 exterior stays at zero.  Every sum adds x+1, x-1, y+1, y-1 in that
-order, so all results are reproducible to the last bit.
+order, so all results are reproducible to the last bit.  Every buffer
+the iteration writes starts its written span on a 64-byte cache line
+(grid._aligned_zeros): numpy aligns to 16 bytes only, and a ufunc whose
+output is split across cache lines runs about half as fast.
 
 The scheme is stable for r < 1/4; the usual working constraints are
 r < 1/4, g*dt < 1, h*dt < 1 and h < g.  Violations can be forced
@@ -59,6 +62,7 @@ from .grid import (
     GridSpec,
     ScalarField,
     VectorField,
+    _aligned_zeros,
     _border_views,
     _neighbor_sum,
     _span,
@@ -317,7 +321,9 @@ class _Stencil:
     All arithmetic runs on the contiguous span of the padded buffers
     that holds every interior pixel, border cells in between included.
     step() writes into a second buffer and swaps, so an iteration
-    allocates nothing.
+    allocates nothing.  The span of every written buffer (neighbor sum,
+    both fields, the coefficients) starts on a 64-byte cache line, since
+    split stores cost about twice as much as aligned ones.
     """
 
     def __init__(self, mask: DomainMask, periodic: bool, field: VectorField):
@@ -326,12 +332,13 @@ class _Stencil:
         self._spec = mask.spec
         hh, ww = mask.spec.shape
         shape = (2, hh + 2, ww + 2)
-        self._nb = np.zeros(shape)
+        # W+3 is the first flat element of the span (grid._span)
+        self._nb = _aligned_zeros(shape, ww + 3)
         self._span = span = _span(self._nb)
         # per field buffer: padded array, its span, its interior, its border views
         self._cur, self._old = (
             (b, b.reshape(-1)[span], b[:, 1:-1, 1:-1], _border_views(b, periodic))
-            for b in (np.zeros(shape), np.zeros(shape))
+            for b in (_aligned_zeros(shape, span.start), _aligned_zeros(shape, span.start))
         )
         self.field[0] = field.u.values
         self.field[1] = field.v.values
@@ -365,7 +372,7 @@ class _Stencil:
         """Span layout; on the full rectangle a scalar passes through."""
         if self._inside is None and np.ndim(a) == 0:
             return a
-        out = np.zeros_like(self._nb)
+        out = _aligned_zeros(self._nb.shape, self._span.start)
         out[:, 1:-1, 1:-1] = a if self._inside is None else np.where(self._inside, a, 0.0)
         return out.reshape(-1)[self._span]
 
@@ -442,7 +449,7 @@ def _iterate(source: VectorField, g, h, dt, delta, max_iter, mask, periodic):
     coeffs = stencil.coeffs(g, h, dt, source)
     # the energy sums interior pixels only, in row-major order
     inside = None if mask.is_full else np.flatnonzero(mask.inside)
-    sq = np.empty(spec.shape)
+    sq = _aligned_zeros(spec.shape)
 
     changes: list[float] = []
     energies: list[float] = []

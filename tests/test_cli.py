@@ -291,6 +291,28 @@ class TestTypedErrors:
         assert code == EXIT_VALIDATION
         assert message in err
 
+    @pytest.mark.parametrize("line_no, text, message", [
+        (3, "nan 0.5", "non-finite value pair on line 4"),
+        (2, "nan 1", "grid spacing"),
+    ])
+    def test_malformed_field_file_is_format_error(self, stored_field, tmp_path, capsys,
+                                                  line_no, text, message):
+        lines = stored_field.read_text().splitlines()
+        lines[line_no] = text
+        stored_field.write_text("\n".join(lines) + "\n")
+        code, err = self.run(["render", "--field", str(stored_field), "--mode", "arrows",
+                              "--out-image", str(tmp_path / "r.ppm")], capsys)
+        assert code == EXIT_IO
+        assert message in err
+
+    def test_image_smaller_than_3x3_is_format_error(self, tmp_path, capsys):
+        image = tmp_path / "tiny.pgm"
+        image.write_bytes(b"P2\n2 2\n255\n0 255 255 0\n")
+        code, err = self.run(["gvf", "--image", str(image), "--out", str(tmp_path / "x")],
+                             capsys)
+        assert code == EXIT_IO
+        assert "at least 3x3" in err
+
     def test_config_that_is_not_json_is_format_error(self, u64, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{g: 1")

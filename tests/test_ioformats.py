@@ -57,6 +57,14 @@ class TestPgm:
         with pytest.raises(FormatError):
             io.read_pgm(path)
 
+    @pytest.mark.parametrize("size", [(2, 2), (2, 5), (5, 2), (1, 1)])
+    def test_smaller_than_3x3_is_format_error(self, tmp_path, size):
+        w, h = size
+        path = tmp_path / "s.pgm"
+        path.write_bytes(f"P2\n{w} {h}\n255\n".encode() + b"1 " * (w * h) + b"\n")
+        with pytest.raises(FormatError, match="at least 3x3"):
+            io.read_pgm(path)
+
     def test_writer_clamps_and_rounds(self, tmp_path):
         img = gv.ScalarField.from_array(np.array([[-5.0, 0.4, 0.6], [300.0, 254.5, 1.0],
                                                   [0.0, 0.0, 0.0]]))
@@ -100,6 +108,45 @@ class TestFieldFile:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(FormatError):
+            io.read_field(path)
+
+    def test_bytes_match_numpy_scalar_formatting(self, tmp_path):
+        # write_field formats Python floats with "%.17g"; the file must be
+        # byte-identical to formatting each numpy scalar with f"{x:.17g}"
+        values = [-0.0, 5e-324, 2.2250738585072014e-308, 1.797e308, -1.797e308,
+                  0.1, 2.0, 1 / 3, 1e16, 1e17, 0.0, -2.5e-7]
+        u = np.array(values).reshape(3, 4)
+        v = -u[::-1, ::-1]
+        field = gv.VectorField.from_arrays(u, v)
+        path = tmp_path / "f.gvf"
+        io.write_field(field, path)
+        expected = "GVF1\n4 3\n1 1\n" + "".join(
+            f"{a:.17g} {b:.17g}\n" for a, b in zip(u.ravel(), v.ravel()))
+        assert path.read_bytes() == expected.encode("ascii")
+
+    @staticmethod
+    def _edited(tmp_path, line_no, text):
+        path = tmp_path / "e.gvf"
+        io.write_field(gv.VectorField.from_arrays(np.ones((4, 5)), np.zeros((4, 5))), path)
+        lines = path.read_text().splitlines()
+        lines[line_no] = text
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("pair", ["nan 0", "0 inf", "-inf 1"])
+    def test_non_finite_value_is_format_error(self, tmp_path, pair):
+        with pytest.raises(FormatError, match="non-finite value pair on line 9"):
+            io.read_field(self._edited(tmp_path, 8, pair))
+
+    @pytest.mark.parametrize("spacing", ["nan 1", "1 inf", "0 1", "1 -2"])
+    def test_bad_spacing_is_format_error(self, tmp_path, spacing):
+        with pytest.raises(FormatError, match="grid spacing"):
+            io.read_field(self._edited(tmp_path, 2, spacing))
+
+    def test_smaller_than_3x3_is_format_error(self, tmp_path):
+        path = tmp_path / "s.gvf"
+        path.write_text("GVF1\n2 2\n1 1\n" + "0 0\n" * 4)
+        with pytest.raises(FormatError, match="at least 3x3"):
             io.read_field(path)
 
     def test_writers_deterministic(self, tmp_path):

@@ -13,6 +13,8 @@ from gvflow.errors import (
     RankError,
     SizeError,
 )
+from gvflow.grid import _aligned_zeros
+from gvflow.solver import _Stencil
 
 
 def impulse(n=8, value=1.0):
@@ -374,3 +376,41 @@ class TestEnergyDecay:
         lo, hi = reps[0.5].energy_history, reps[2.0].energy_history
         n = min(len(lo), len(hi))
         assert np.all(hi[:n] / hi[0] <= lo[:n] / lo[0] * (1 + 1e-9))
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+class TestAlignedBuffers:
+    """Every span the explicit solve writes per iteration starts a 64-byte line."""
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 7), (2, 9, 11)])
+    @pytest.mark.parametrize("lead", range(8))
+    def test_aligned_zeros(self, shape, lead):
+        a = _aligned_zeros(shape, lead)
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.flags.c_contiguous
+        assert np.all(a == 0)
+        assert (_address(a) + 8 * lead) % 64 == 0
+
+    def test_aligned_zeros_default_lead_is_zero(self):
+        assert _address(_aligned_zeros((4, 4))) % 64 == 0
+
+    @pytest.mark.parametrize("kind", ["full", "masked", "periodic"])
+    @pytest.mark.parametrize("width", [*range(3, 13), *range(61, 71)])
+    def test_stencil_spans(self, kind, width):
+        # W+3, the span start, runs through every residue mod 8
+        spec = gv.GridSpec(width, 5)
+        rng = np.random.default_rng(width)
+        field = gv.VectorField.from_arrays(rng.random(spec.shape), rng.random(spec.shape))
+        mask = gv.DomainMask.full(spec)
+        if kind == "masked":
+            mask = gv.DomainMask.from_rects(spec, hole=(1, 2, 1, 1))
+        stencil = _Stencil(mask, kind == "periodic", field)
+        weight = gv.ScalarField(spec, rng.random(spec.shape))
+        coeffs = stencil.coeffs(weight, gv.ScalarField(spec, 1.0 - weight.values), 0.1, field)
+        spans = [stencil._nb_span, stencil._cur[1], stencil._old[1], *coeffs]
+        assert all(_address(s) % 64 == 0 for s in spans)
+        assert np.shares_memory(stencil.field, stencil._cur[0])
+        assert np.array_equal(stencil.field, [field.u.values, field.v.values])
