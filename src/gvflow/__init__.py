@@ -42,13 +42,9 @@ from .solver import (
     gvf_solve,
     gvf_step,
     steady_residual,
-    validate_ggvf_params,
     validate_params,
 )
 from .spectral import (
-    Spectrum,
-    forward_spectrum,
-    inverse_spectrum,
     parseval_energy,
     spectral_steady_state,
     transfer_gain,

@@ -36,7 +36,6 @@ from .solver import (
     GgvfParams,
     GvfParams,
     ggvf_solve,
-    ggvf_weight,
     gvf_solve,
     steady_residual,
 )
@@ -296,32 +295,18 @@ def _pipeline(args, generalized: bool) -> int:
 
     threshold = float(cfg["threshold"])
     t0 = time.perf_counter()
+    run = dict(dt=cfg["dt"], delta=cfg["delta"], cap=threshold, max_iter=int(cfg["t_max"]))
     if generalized:
-        params = GgvfParams(
-            K=cfg["k"], dt=cfg["dt"], delta=cfg["delta"], cap=threshold,
-            max_iter=int(cfg["t_max"]),
-        )
-        report = ggvf_solve(f, params, mask, periodic=cfg["periodic"], force=cfg["force"])
-        weight = ggvf_weight(clamp_magnitude(gradient_central(f), threshold), cfg["k"])
-        res_params = GvfParams(
-            g=weight,
-            h=ScalarField(f.spec, 1.0 - weight.values),
-            dt=cfg["dt"], delta=cfg["delta"], cap=threshold,
-            max_iter=int(cfg["t_max"]),
-        )
+        solve, params = ggvf_solve, GgvfParams(K=cfg["k"], **run)
     else:
-        params = GvfParams(
-            g=cfg["g"], h=cfg["h"], dt=cfg["dt"], delta=cfg["delta"], cap=threshold,
-            max_iter=int(cfg["t_max"]),
-        )
-        report = gvf_solve(f, params, mask, periodic=cfg["periodic"], force=cfg["force"])
-        res_params = params
+        solve, params = gvf_solve, GvfParams(g=cfg["g"], h=cfg["h"], **run)
+    report = solve(f, params, mask, periodic=cfg["periodic"], force=cfg["force"])
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     ioformats.write_field(report.field, out_dir / "field.gvf")
     ioformats.render(report.field, "magnitude-heatmap", out_dir / "field_magnitude.ppm")
     ioformats.render(report.field, "arrows", out_dir / "field_arrows.ppm")
-    residual = steady_residual(report.field, f, res_params, mask)
+    residual = steady_residual(report.field, f, report.params, mask)
 
     summary = {
         "command": "ggvf" if generalized else "gvf",

@@ -32,9 +32,10 @@ The scheme is stable for r < 1/4; the usual working constraints are
 r < 1/4, g*dt < 1, h*dt < 1 and h < g.  Violations can be forced
 through (useful to demonstrate divergence), but are never silent.
 
-The generalized variant (GGVF) replaces the constant coefficients with
-the per-pixel pair g(x) = exp(-|grad_f|^2 / K^2), h(x) = 1 - g(x),
-frozen from the initial gradient.
+The generalized variant (GGVF) is the same solve with the per-pixel
+pair g(x) = exp(-|grad_f|^2 / K^2), h(x) = 1 - g(x), frozen from the
+initial gradient: ggvf_solve resolves its GgvfParams to that GvfParams
+in one place and validates the worst case g = 1, whatever the image.
 
 Termination: iteration stops once the largest per-pixel change
 |v_new - v|_2 drops below delta.  A converged run's field is an
@@ -79,6 +80,18 @@ _DIVERGENCE_GROWTH = 1e12
 _DENSE_ORACLE_LIMIT = 4096
 
 
+def _check_run(p) -> None:
+    """The checks that GvfParams and GgvfParams share."""
+    if not p.dt > 0:
+        raise ParameterError("dt must be > 0")
+    if not p.delta > 0:
+        raise ParameterError("delta must be > 0")
+    if not p.cap > 0:
+        raise ParameterError("cap must be > 0 (inf disables clamping)")
+    if p.max_iter < 1:
+        raise ParameterError("max_iter must be >= 1")
+
+
 @dataclass(frozen=True)
 class GvfParams:
     """Coefficients for the constant/per-pixel diffusion-reaction solve.
@@ -96,14 +109,7 @@ class GvfParams:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ParameterError("dt must be > 0")
-        if not self.delta > 0:
-            raise ParameterError("delta must be > 0")
-        if not self.cap > 0:
-            raise ParameterError("cap must be > 0 (inf disables clamping)")
-        if self.max_iter < 1:
-            raise ParameterError("max_iter must be >= 1")
+        _check_run(self)
         for name, c in (("g", self.g), ("h", self.h)):
             if not isinstance(c, ScalarField):
                 if not np.isfinite(c) or c < 0:
@@ -119,7 +125,8 @@ class GvfParams:
 
 @dataclass(frozen=True)
 class GgvfParams:
-    """Parameters of the generalized (edge-weighted) solve."""
+    """Parameters of the generalized (edge-weighted) solve: a GvfParams
+    with the per-pixel pair g = ggvf_weight(grad_f, K), h = 1 - g."""
 
     K: float = 100.0
     dt: float = 0.12
@@ -130,14 +137,7 @@ class GgvfParams:
     def __post_init__(self):
         if not self.K > 0:
             raise ParameterError("K must be > 0")
-        if not self.dt > 0:
-            raise ParameterError("dt must be > 0")
-        if not self.delta > 0:
-            raise ParameterError("delta must be > 0")
-        if not self.cap > 0:
-            raise ParameterError("cap must be > 0 (inf disables clamping)")
-        if self.max_iter < 1:
-            raise ParameterError("max_iter must be >= 1")
+        _check_run(self)
 
 
 class DomainMask:
@@ -200,14 +200,14 @@ class DomainMask:
         return self.inside & ~nb_all
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     """Outcome of an explicit solve.
 
     change_history[n] is the largest per-pixel step |v^{n+1} - v^n|_2 of
     iteration n+1; energy_history[n] is the cell-area-weighted sum of
-    squared steps of that iteration.  pixel_updates counts interior
-    pixel writes (iterations * |domain|).
+    squared steps of that iteration.  params are the coefficients the
+    solve iterated; for GGVF, the resolved per-pixel pair.
     """
 
     field: VectorField
@@ -216,11 +216,12 @@ class SolveReport:
     change_history: np.ndarray
     energy_history: np.ndarray
     inside_count: int
-    pixel_updates: int = 0
+    params: GvfParams
 
-    def __post_init__(self):
-        if self.pixel_updates == 0:
-            self.pixel_updates = self.iterations * self.inside_count
+    @property
+    def pixel_updates(self) -> int:
+        """Interior pixel writes: iterations * |domain|."""
+        return self.iterations * self.inside_count
 
 
 # --- parameter validation ------------------------------------------------------
@@ -246,8 +247,10 @@ def _coeff_grid(c: float | ScalarField, spec: GridSpec):
 def validate_params(p: GvfParams, spec: GridSpec) -> list[str]:
     """Return the list of violated scheme constraints (empty = ok).
 
-    Per-pixel coefficients are checked through their pixelwise maxima.
-    Violations are data, not errors: a solve may force through them.
+    Per-pixel coefficients are checked through their pixelwise maxima;
+    ggvf_solve checks the image-independent worst case g = 1, h = 0 of
+    its pair instead.  Violations are data, not errors: a solve may
+    force through them.
     """
     gmax = _coeff_max(p.g)
     hmax = _coeff_max(p.h)
@@ -262,21 +265,6 @@ def validate_params(p: GvfParams, spec: GridSpec) -> list[str]:
         violations.append(f"h*dt < 1 violated: h*dt = {hmax * p.dt:.6g}")
     if not hmax < gmax:
         violations.append(f"h < g violated: h = {hmax:.6g}, g = {gmax:.6g}")
-    if spec.dx != 1.0 or spec.dy != 1.0:
-        violations.append(
-            f"dx = dy = 1 required by the stencil, got dx = {spec.dx}, dy = {spec.dy}"
-        )
-    return violations
-
-
-def validate_ggvf_params(p: GgvfParams, spec: GridSpec) -> list[str]:
-    """Stability constraints for the edge-weighted solve (worst case g = 1)."""
-    violations = []
-    r = p.dt / spec.cell_area
-    if not r < 0.25:
-        violations.append(f"r < 1/4 violated (worst case g = 1): dt/(dx*dy) = {r:.6g}")
-    if not p.dt < 1.0:
-        violations.append(f"dt < 1 violated (worst case h = 1): dt = {p.dt:.6g}")
     if spec.dx != 1.0 or spec.dy != 1.0:
         violations.append(
             f"dx = dy = 1 required by the stencil, got dx = {spec.dx}, dy = {spec.dy}"
@@ -415,6 +403,15 @@ def _unstack(spec: GridSpec, values: np.ndarray) -> VectorField:
     return VectorField(ScalarField(spec, values[0].copy()), ScalarField(spec, values[1].copy()))
 
 
+def _domain(mask: DomainMask | None, spec: GridSpec) -> DomainMask:
+    """The mask, or the full rectangle for None; its grid must be spec."""
+    if mask is None:
+        return DomainMask.full(spec)
+    if mask.spec != spec:
+        raise DimensionError("mask grid does not match field grid")
+    return mask
+
+
 def gvf_step(
     v: VectorField,
     grad_f: VectorField,
@@ -426,10 +423,7 @@ def gvf_step(
     spec = v.spec
     if grad_f.spec != spec:
         raise DimensionError("field and gradient grids differ")
-    if mask is None:
-        mask = DomainMask.full(spec)
-    elif mask.spec != spec:
-        raise DimensionError("mask grid does not match field grid")
+    mask = _domain(mask, spec)
     stencil = _Stencil(mask, periodic, v)
     stencil.step(*stencil.coeffs(p.g, p.h, p.dt, grad_f))
     out = _unstack(spec, stencil.field)
@@ -438,15 +432,15 @@ def gvf_step(
     return out
 
 
-def _iterate(source: VectorField, g, h, dt, delta, max_iter, mask, periodic):
+def _iterate(source: VectorField, p: GvfParams, mask: DomainMask, periodic: bool):
     """Run the explicit iteration from v(0) = source until the largest
-    per-pixel change drops below delta; shared by both solvers.
+    per-pixel change drops below p.delta; shared by both solvers.
 
     source must be zero outside the domain."""
     spec = source.spec
     area = spec.cell_area
     stencil = _Stencil(mask, periodic, source)
-    coeffs = stencil.coeffs(g, h, dt, source)
+    coeffs = stencil.coeffs(p.g, p.h, p.dt, source)
     # the energy sums interior pixels only, in row-major order
     inside = None if mask.is_full else np.flatnonzero(mask.inside)
     sq = _aligned_zeros(spec.shape)
@@ -456,7 +450,7 @@ def _iterate(source: VectorField, g, h, dt, delta, max_iter, mask, periodic):
     converged = False
     iterations = 0
     first_change = None
-    for n in range(1, max_iter + 1):
+    for n in range(1, p.max_iter + 1):
         stencil.step(*coeffs)
         stencil.squared_change(sq)
         change = math.sqrt(float(sq.max()))
@@ -474,7 +468,7 @@ def _iterate(source: VectorField, g, h, dt, delta, max_iter, mask, periodic):
                 f"initial value ({change:.3g} vs {first_change:.3g})",
                 n,
             )
-        if change < delta:
+        if change < p.delta:
             converged = True
             break
 
@@ -485,6 +479,7 @@ def _iterate(source: VectorField, g, h, dt, delta, max_iter, mask, periodic):
         change_history=np.asarray(changes),
         energy_history=np.asarray(energies),
         inside_count=mask.inside_count,
+        params=p,
     )
 
 
@@ -512,20 +507,13 @@ def gvf_solve(
     force=True; divergence always raises.
     """
     spec = f.spec
-    if mask is None:
-        mask = DomainMask.full(spec)
-    elif mask.spec != spec:
-        raise DimensionError("mask grid does not match field grid")
+    mask = _domain(mask, spec)
     violations = validate_params(p, spec)
     if violations and not force:
         raise ParameterError("; ".join(violations))
-    if isinstance(p.g, ScalarField) or isinstance(p.h, ScalarField):
-        g_arr = p.g.values if isinstance(p.g, ScalarField) else np.full(spec.shape, p.g)
-        h_arr = p.h.values if isinstance(p.h, ScalarField) else np.full(spec.shape, p.h)
-        if np.any((g_arr == 0) & (h_arr == 0) & mask.inside):
-            raise ParameterError("g and h both vanish at an interior pixel")
-    source = _masked_source(f, p.cap, mask)
-    return _iterate(source, p.g, p.h, p.dt, p.delta, p.max_iter, mask, periodic)
+    if np.any((_coeff_grid(p.g, spec) == 0) & (_coeff_grid(p.h, spec) == 0) & mask.inside):
+        raise ParameterError("g and h both vanish at an interior pixel")
+    return _iterate(_masked_source(f, p.cap, mask), p, mask, periodic)
 
 
 def ggvf_weight(grad_f: VectorField, K: float) -> ScalarField:
@@ -534,6 +522,16 @@ def ggvf_weight(grad_f: VectorField, K: float) -> ScalarField:
         raise ParameterError("K must be > 0")
     mag2 = grad_f.u.values ** 2 + grad_f.v.values ** 2
     return ScalarField(grad_f.spec, np.exp(-mag2 / (K * K)))
+
+
+def _resolve(p: GgvfParams, source: VectorField) -> GvfParams:
+    """The GvfParams a GGVF solve iterates: g = ggvf_weight(source, K)
+    and h = 1 - g, from the capped source zeroed outside the domain."""
+    weight = ggvf_weight(source, p.K)
+    return GvfParams(
+        g=weight, h=ScalarField(source.spec, 1.0 - weight.values),
+        dt=p.dt, delta=p.delta, cap=p.cap, max_iter=p.max_iter,
+    )
 
 
 def ggvf_solve(
@@ -548,19 +546,16 @@ def ggvf_solve(
     The weight g(x) is frozen from the (capped) initial gradient; near
     strong edges g ~ 0 pins the field to grad_f, far away g ~ 1 gives
     pure diffusion, which preserves forces inside thin concavities.
+    The scheme constraints are checked for the worst case g = 1, h = 0,
+    whatever the image; report.params holds the resolved pair.
     """
     spec = f.spec
-    if mask is None:
-        mask = DomainMask.full(spec)
-    elif mask.spec != spec:
-        raise DimensionError("mask grid does not match field grid")
-    violations = validate_ggvf_params(p, spec)
+    mask = _domain(mask, spec)
+    violations = validate_params(GvfParams(g=1.0, h=0.0, dt=p.dt), spec)
     if violations and not force:
-        raise ParameterError("; ".join(violations))
+        raise ParameterError("; ".join(violations) + " (GGVF worst case g = 1, h = 0)")
     source = _masked_source(f, p.cap, mask)
-    weight = ggvf_weight(source, p.K)
-    one_minus = ScalarField(spec, 1.0 - weight.values)
-    return _iterate(source, weight, one_minus, p.dt, p.delta, p.max_iter, mask, periodic)
+    return _iterate(source, _resolve(p, source), mask, periodic)
 
 
 # --- steady-state oracles -----------------------------------------------------------
@@ -583,10 +578,7 @@ def direct_steady_solve(
     from scipy.sparse.linalg import spsolve
 
     spec = f.spec
-    if mask is None:
-        mask = DomainMask.full(spec)
-    elif mask.spec != spec:
-        raise DimensionError("mask grid does not match field grid")
+    mask = _domain(mask, spec)
     center = np.flatnonzero(mask.inside)
     m = center.size
     if m > _DENSE_ORACLE_LIMIT:
@@ -647,10 +639,7 @@ def steady_residual(
     spec = v.spec
     if f.spec != spec:
         raise DimensionError("field and edge map grids differ")
-    if mask is None:
-        mask = DomainMask.full(spec)
-    elif mask.spec != spec:
-        raise DimensionError("mask grid does not match field grid")
+    mask = _domain(mask, spec)
     g = _coeff_grid(p.g, spec)
     h = _coeff_grid(p.h, spec)
     grad = _masked_source(f, p.cap, mask)

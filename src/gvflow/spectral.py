@@ -17,15 +17,11 @@ the steady state's energy by the source energy (Parseval).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .grid import GridSpec, ScalarField, VectorField
-
-# Residual imaginary part allowed when inverting the spectrum of a real field.
-_IMAG_TOL = 1e-10
+from .grid import ScalarField, VectorField
 
 
 def transfer_gain(
@@ -53,39 +49,6 @@ def transfer_gain(
     else:
         sym = w1 * w1 + w2 * w2
     return 1.0 / (sigma * sym + 1.0)
-
-
-@dataclass
-class Spectrum:
-    """Discrete Fourier transform of a vector field, split into real and
-    imaginary parts per component, row-major like the fields."""
-
-    spec: GridSpec
-    u_re: np.ndarray
-    u_im: np.ndarray
-    v_re: np.ndarray
-    v_im: np.ndarray
-
-
-def forward_spectrum(field: VectorField) -> Spectrum:
-    fu = np.fft.fft2(field.u.values)
-    fv = np.fft.fft2(field.v.values)
-    return Spectrum(field.spec, fu.real, fu.imag, fv.real, fv.imag)
-
-
-def inverse_spectrum(sp: Spectrum) -> VectorField:
-    """Invert a spectrum that came from a real field; the residual
-    imaginary part must stay below 1e-10 of the field scale."""
-    out = []
-    for re, im in ((sp.u_re, sp.u_im), (sp.v_re, sp.v_im)):
-        z = np.fft.ifft2(re + 1j * im)
-        scale = max(1.0, float(np.abs(z.real).max()))
-        if np.abs(z.imag).max() > _IMAG_TOL * scale:
-            raise ParameterError("spectrum is not the transform of a real field")
-        out.append(z.real)
-    return VectorField(
-        ScalarField(sp.spec, out[0]), ScalarField(sp.spec, out[1])
-    )
 
 
 def spectral_steady_state(grad_f: VectorField, g: float, h: float) -> VectorField:

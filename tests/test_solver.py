@@ -14,6 +14,7 @@ from gvflow.errors import (
     SizeError,
 )
 from gvflow.grid import _aligned_zeros
+from gvflow.ioformats import synth_ushape
 from gvflow.solver import _Stencil
 
 
@@ -70,11 +71,6 @@ class TestValidateParams:
         p = gv.GvfParams(g=1.0, h=0.02, dt=0.12)
         violations = gv.validate_params(p, gv.GridSpec(8, 8, dx=0.5, dy=0.5))
         assert any("dx = dy = 1" in v for v in violations)
-
-    def test_ggvf_worst_case(self):
-        assert gv.validate_ggvf_params(gv.GgvfParams(dt=0.12), gv.GridSpec(8, 8)) == []
-        bad = gv.validate_ggvf_params(gv.GgvfParams(dt=0.3), gv.GridSpec(8, 8))
-        assert any("r < 1/4" in v for v in bad)
 
 
 class TestGvfStep:
@@ -300,6 +296,45 @@ class TestGgvf:
         f = gv.ScalarField.from_array(np.full((8, 8), 2.0))
         with pytest.raises(ParameterError, match="r < 1/4"):
             gv.ggvf_solve(f, gv.GgvfParams(K=100.0, dt=0.3))
+
+    def test_worst_case_rule_is_image_independent(self):
+        # |grad f| = 1000 * sqrt(2) everywhere, so the largest weight is
+        # about 1.9e-22: a rule on the image's own weights would pass r < 1/4
+        y, x = np.mgrid[0:12, 0:12]
+        f = gv.ScalarField.from_array(1000.0 * (x + y))
+        assert gv.ggvf_weight(gv.gradient_central(f), 100.0).values.max() < 1e-21
+        assert gv.ggvf_solve(f, gv.GgvfParams(K=100.0, dt=0.12)).converged
+        with pytest.raises(ParameterError, match=r"r < 1/4.*worst case g = 1"):
+            gv.ggvf_solve(f, gv.GgvfParams(K=100.0, dt=0.3))
+
+    @pytest.mark.parametrize("cap, window, periodic", [
+        (math.inf, False, False),
+        (20.0, False, False),
+        (math.inf, False, True),
+        (math.inf, True, False),
+    ], ids=["full", "capped", "periodic", "window-minus-hole"])
+    def test_is_gvf_solve_on_resolved_pair(self, cap, window, periodic):
+        size = (48, 40) if window else (64, 64)
+        f = gv.edge_map(synth_ushape(*size), sigma=2.0)
+        mask = None
+        if window:
+            mask = gv.DomainMask.from_rects(f.spec, outer=(2, 2, 44, 36), hole=(20, 16, 8, 8))
+        P = gv.GgvfParams(K=100.0, dt=0.12, delta=0.02, cap=cap, max_iter=20000)
+        grad = gv.clamp_magnitude(gv.gradient_central(f), cap)
+        if mask is not None:
+            grad.u.values[~mask.inside] = 0.0
+            grad.v.values[~mask.inside] = 0.0
+        w = gv.ggvf_weight(grad, P.K)
+        pair = gv.GvfParams(g=w, h=gv.ScalarField(f.spec, 1.0 - w.values), dt=P.dt,
+                            delta=P.delta, cap=cap, max_iter=P.max_iter)
+        rep = gv.ggvf_solve(f, P, mask, periodic)
+        ref = gv.gvf_solve(f, pair, mask, periodic, force=True)
+        assert rep.iterations == ref.iterations > 1
+        for a, b in ((rep.field.u, ref.field.u), (rep.field.v, ref.field.v),
+                     (rep.params.g, w), (rep.params.h, pair.h)):
+            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(rep.change_history, ref.change_history)
+        assert np.array_equal(rep.energy_history, ref.energy_history)
 
     def test_reaction_pins_field_near_strong_edges(self):
         a = np.zeros((16, 16))

@@ -37,15 +37,6 @@ class TestTransferGain:
         assert c == pytest.approx(d, rel=1e-6)
 
 
-class TestSpectrumRoundTrip:
-    def test_real_field_round_trip(self):
-        rng = np.random.default_rng(13)
-        field = gv.VectorField.from_arrays(rng.random((16, 16)), rng.random((16, 16)))
-        back = gv.inverse_spectrum(gv.forward_spectrum(field))
-        assert np.abs(back.u.values - field.u.values).max() < 1e-10
-        assert np.abs(back.v.values - field.v.values).max() < 1e-10
-
-
 class TestSpectralSteadyState:
     def test_zero_field(self):
         z = gv.VectorField.zeros(gv.GridSpec(8, 8))
