@@ -94,8 +94,21 @@ def _parse_circle(text: str):
     if len(parts) not in (3, 4) or not all(math.isfinite(p) for p in parts):
         raise ParameterError(f"expected finite cx,cy,r[,n] but got {text!r}")
     cx, cy, r = parts[:3]
+    if len(parts) == 4 and not parts[3].is_integer():
+        raise ParameterError(f"circle snaxel count n must be an integer, got {parts[3]:g}")
     n = int(parts[3]) if len(parts) == 4 else max(16, int(round(2.0 * math.pi * r / 2.0)))
     return cx, cy, r, n
+
+
+def _circle_snake(circle, spec) -> Snake:
+    """The Snake of a parsed circle, with at most one snaxel per pixel of
+    the grid, the cap snake_evolve applies; checked before allocating."""
+    cx, cy, r, n = circle
+    if n > spec.width * spec.height:
+        raise ParameterError(
+            f"circle snaxel count {n:.6g} exceeds the {spec.width}x{spec.height} grid's "
+            f"{spec.width * spec.height} pixels")
+    return Snake.circle(cx, cy, r, n)
 
 
 def foreground_bbox(image: ScalarField) -> tuple[int, int, int, int] | None:
@@ -284,11 +297,12 @@ def _pipeline(args, generalized: bool) -> int:
     ]
     cfg = _effective(args, keys)
     _echo(cfg)
-    init = Snake.circle(*_parse_circle(args.snake)) if args.snake else None
+    circle = _parse_circle(args.snake) if args.snake else None
     snake_params = _snake_params(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     image = ioformats.read_pgm(args.image)
+    init = _circle_snake(circle, image.spec) if circle else None
     f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
     inner = _parse_box(cfg["inner_box"]) if isinstance(cfg["inner_box"], str) else cfg["inner_box"]
     mask = build_mask(image, cfg["outer_margin"], inner)
@@ -349,7 +363,7 @@ def cmd_snake(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     field = ioformats.read_field(args.field)
     if args.init_circle:
-        init = Snake.circle(*_parse_circle(args.init_circle))
+        init = _circle_snake(_parse_circle(args.init_circle), field.spec)
     elif args.init_contour:
         init = Snake(ioformats.read_contour(args.init_contour))
     else:

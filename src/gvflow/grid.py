@@ -171,6 +171,31 @@ def _aligned_zeros(shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
     return raw[skip:skip + n].reshape(shape)
 
 
+def _neighbor_offsets(wp: int) -> tuple[int, int, int, int]:
+    """Flat offsets of the x+1, x-1, y+1, y-1 neighbors in a buffer whose
+    rows are wp elements long: the one order every neighbor sum adds."""
+    return (1, -1, wp, -wp)
+
+
+def _neighbor_terms(padded: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four shifted views, in _neighbor_offsets order, of the span of
+    a contiguous padded (..., H+2, W+2) buffer: element k of each view is
+    that neighbor of span element k."""
+    flat = padded.reshape(-1)
+    span = _span(padded)
+    lo, hi = span.start, span.stop
+    return tuple(flat[lo + d:hi + d] for d in _neighbor_offsets(padded.shape[-1]))
+
+
+def _sum_terms(terms, out: np.ndarray) -> np.ndarray:
+    """out = ((t0 + t1) + t2) + t3, left to right."""
+    t0, t1, t2, t3 = terms
+    np.add(t0, t1, out=out)
+    np.add(out, t2, out=out)
+    np.add(out, t3, out=out)
+    return out
+
+
 def _neighbor_sum(padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Four-neighbor sums of the interior pixels of a contiguous padded
     (..., H+2, W+2) buffer whose border is already filled.
@@ -181,16 +206,9 @@ def _neighbor_sum(padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     +-1 and +-(W+2) address the four neighbors, and the border cells in
     between are computed too and simply ignored.
     """
-    wp = padded.shape[-1]
-    flat = padded.reshape(-1)
     if out is None:
         out = np.zeros_like(padded)
-    span = _span(padded)
-    lo, hi = span.start, span.stop
-    o = out.reshape(-1)[span]
-    np.add(flat[lo + 1:hi + 1], flat[lo - 1:hi - 1], out=o)
-    np.add(o, flat[lo + wp:hi + wp], out=o)
-    np.add(o, flat[lo - wp:hi - wp], out=o)
+    _sum_terms(_neighbor_terms(padded), out.reshape(-1)[_span(padded)])
     return out
 
 

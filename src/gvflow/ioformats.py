@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -135,40 +136,62 @@ def write_field(field: VectorField, path) -> None:
             fh.write("".join(map("%.17g %.17g\n".__mod__, zip(u.tolist(), v.tolist()))))
 
 
+def _check_ascii(data: bytes, what: str) -> None:
+    """FormatError at the first byte of data outside ASCII, if any."""
+    if not data.isascii():
+        offset = next(i for i, c in enumerate(data) if c > 127)
+        raise FormatError(f"non-ASCII byte in {what}", offset)
+
+
 def read_field(path) -> VectorField:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not lines or lines[0] != FIELD_MAGIC:
-        raise FormatError(f"bad field-file magic {lines[0]!r}" if lines else "empty file", 0)
+    """Read a write_field container; values come back bit for bit.
+
+    The body is parsed in one pass that builds no per-line objects: the
+    tokens of every line stream through float() into one array.  Only a
+    malformed body goes back over the lines, to name the first bad one.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _check_ascii(data, "field file")
+    lines = data.splitlines()
+    header = [line.decode("ascii") for line in lines[:3]]
+    if not header or header[0] != FIELD_MAGIC:
+        raise FormatError(f"bad field-file magic {header[0]!r}" if header else "empty file", 0)
     try:
-        width, height = (int(t) for t in lines[1].split())
-        dx, dy = (float(t) for t in lines[2].split())
+        width, height = (int(t) for t in header[1].split())
+        dx, dy = (float(t) for t in header[2].split())
     except (IndexError, ValueError):
         raise FormatError("malformed field-file header") from None
     if width < 3 or height < 3:
         raise FormatError(f"bad field dimensions {width}x{height}: grids must be at least 3x3")
     if not (0 < dx < math.inf and 0 < dy < math.inf):
-        raise FormatError(f"bad grid spacing {lines[2]!r}: dx and dy must be finite and > 0")
+        raise FormatError(f"bad grid spacing {header[2]!r}: dx and dy must be finite and > 0")
     count = width * height
     body = lines[3 : 3 + count]
-    if len(body) != count or (len(lines) > 3 + count and any(s.strip() for s in lines[3 + count :])):
+    if len(body) != count or any(s.strip() for s in lines[3 + count :]):
         raise FormatError(f"expected {count} value lines, got {len(lines) - 3}")
-    u = np.empty(count)
-    v = np.empty(count)
-    for i, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad value pair on line {i + 4}")
-        u[i], v[i] = float(parts[0]), float(parts[1])
-    bad = np.flatnonzero(~(np.isfinite(u) & np.isfinite(v)))
+    # at most one split per line: a third token stays glued to the second
+    # and fails float(), a missing one leaves the iterator short
+    tokens = chain.from_iterable(map(bytes.split, body, repeat(None), repeat(1)))
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, 2 * count).reshape(count, 2)
+    except ValueError:
+        bad = next(i for i, line in enumerate(body) if not _is_float_pair(line.split()))
+        raise FormatError(f"bad value pair on line {bad + 4}") from None
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise FormatError(f"non-finite value pair on line {bad[0] + 4}")
     spec = GridSpec(width, height, dx, dy)
-    return VectorField(
-        ScalarField(spec, u.reshape(height, width)),
-        ScalarField(spec, v.reshape(height, width)),
-    )
+    u, v = np.ascontiguousarray(values.T).reshape(2, height, width)
+    return VectorField(ScalarField(spec, u), ScalarField(spec, v))
+
+
+def _is_float_pair(tokens: list) -> bool:
+    try:
+        _, _ = map(float, tokens)
+    except ValueError:
+        return False
+    return True
 
 
 # --- contour CSV ----------------------------------------------------------------------
@@ -183,19 +206,21 @@ def write_contour(points: np.ndarray, path) -> None:
 
 
 def read_contour(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _check_ascii(data, "contour file")
     pts = []
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                x, y = (float(p) for p in line.split(","))
-            except ValueError:
-                raise FormatError(f"bad contour pair on line {ln}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise FormatError(f"non-finite contour point on line {ln}")
-            pts.append((x, y))
+    for ln, line in enumerate(data.decode("ascii").splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            x, y = (float(p) for p in line.split(","))
+        except ValueError:
+            raise FormatError(f"bad contour pair on line {ln}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise FormatError(f"non-finite contour point on line {ln}")
+        pts.append((x, y))
     if not pts:
         raise FormatError("empty contour file")
     return np.asarray(pts, dtype=np.float64)

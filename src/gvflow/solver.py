@@ -18,13 +18,17 @@ periodic variant wraps instead and backs the spectral oracle.
 One stencil operator (_Stencil) serves the iteration, gvf_step and
 steady_residual, and grid.laplacian_5pt shares its neighbor sum.  Both
 components sit in one (2, H, W) array inside a padded buffer, and the
-neighbor sum is four shifted slices of it.  On the full rectangle the
-one-pixel border is refreshed before each sum: edge values give the
-mirror rule, wrapped values the periodic border.  On a masked domain a
-small gather fixes up the sum at the boundary pixels only, and the
-exterior stays at zero.  Every sum adds x+1, x-1, y+1, y-1 in that
-order, so all results are reproducible to the last bit.  Every buffer
-the iteration writes starts its written span on a 64-byte cache line
+neighbor sum is four shifted views of it.  The stencil builds those
+views, and every other view an iteration touches, once: on a small
+grid a solve's cost is numpy's per-call overhead, so an iteration makes
+only the calls of its arithmetic.  On the full rectangle the one-pixel
+border is refreshed before each sum by one gather and one scatter: edge
+values give the mirror rule, wrapped values the periodic border.  On a
+masked domain one gather of a (4, n) neighbor table fixes up the sum at
+the boundary pixels only, and the exterior stays at zero.  Every sum
+adds x+1, x-1, y+1, y-1 in that order (grid._neighbor_offsets), so all
+results are reproducible to the last bit.  Every buffer the iteration
+writes starts its written span on a 64-byte cache line
 (grid._aligned_zeros): numpy aligns to 16 bytes only, and a ufunc whose
 output is split across cache lines runs about half as fast.
 
@@ -41,14 +45,16 @@ Termination: iteration stops once the largest per-pixel change
 |v_new - v|_2 drops below delta.  A converged run's field is an
 approximate steady state; two independent oracles (a direct sparse
 solve and, for periodic borders, a Fourier-domain solution) pin it
-down exactly.  The direct solve imports scipy.sparse when it is called,
-not with this module, so only a caller of the oracle loads scipy.
+down exactly.  The direct solve factors its matrix once for both
+components, and imports scipy.sparse when it is called, not with this
+module, so only a caller of the oracle loads scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +71,10 @@ from .grid import (
     VectorField,
     _aligned_zeros,
     _border_views,
-    _neighbor_sum,
+    _neighbor_offsets,
+    _neighbor_terms,
     _span,
+    _sum_terms,
     clamp_magnitude,
     gradient_central,
     laplacian_5pt,
@@ -288,27 +296,43 @@ def _mirror_neighbors(padded: np.ndarray, at: np.ndarray) -> np.ndarray:
     or off the grid is replaced by the pixel itself."""
     flat = padded.reshape(-1)
     nbrs = np.empty((4, at.size), dtype=np.intp)
-    for a, step in enumerate((1, -1, padded.shape[1], -padded.shape[1])):
+    for a, step in enumerate(_neighbor_offsets(padded.shape[1])):
         nbrs[a] = at + step * flat[at + step]
     return nbrs
+
+
+class _Buffer(NamedTuple):
+    """A padded (2, H+2, W+2) field buffer and the views of it that the
+    stencil reads or writes, all built once."""
+
+    padded: np.ndarray
+    span: np.ndarray      # the flat span holding every interior pixel
+    flat: np.ndarray      # the whole buffer, flattened
+    interior: np.ndarray  # the (2, H, W) field
+    terms: tuple          # the four neighbor views of the span
 
 
 class _Stencil:
     """Five-point stencil on both components of a field at once.
 
     The (2, H, W) field lives inside a padded (2, H+2, W+2) buffer, and
-    the neighbor sum is grid._neighbor_sum: four shifted slices of the
-    flattened buffer, added x+1, x-1, y+1, y-1.  On the full rectangle
-    the one-pixel border is refreshed before each sum, with edge values
-    for the mirror rule or wrapped values for periodic borders.  On a
-    masked domain the slice sum is wrong only at mask.boundary() pixels,
-    which count the grid border as exterior; a small gather in the same
-    order overwrites it there.  Coefficients are zero outside the domain
-    (coeffs), so exterior pixels and the border stay exactly zero.
+    the neighbor sum adds four shifted views of its flattened span in
+    the order x+1, x-1, y+1, y-1 (grid._neighbor_terms).  There are two
+    such buffers, and every view of them, the border index pairs and
+    the planes squared_change adds are built once, in __init__: an
+    iteration makes no view, reshape or slice.  On the full rectangle
+    the one-pixel border is refreshed before each sum by one gather and
+    one scatter, with edge values for the mirror rule or wrapped values
+    for periodic borders.  On a masked domain the view sum is wrong only
+    at mask.boundary() pixels, which count the grid border as exterior;
+    one gather of a (4, 2n) table of their mirror-rule neighbors, summed
+    in the same order and scattered back, overwrites it there.
+    Coefficients are zero outside the domain (coeffs), so exterior
+    pixels and the border stay exactly zero.
 
     All arithmetic runs on the contiguous span of the padded buffers
     that holds every interior pixel, border cells in between included.
-    step() writes into a second buffer and swaps, so an iteration
+    step() writes into the other buffer and swaps, so an iteration
     allocates nothing.  The span of every written buffer (neighbor sum,
     both fields, the coefficients) starts on a 64-byte cache line, since
     split stores cost about twice as much as aligned ones.
@@ -323,28 +347,37 @@ class _Stencil:
         # W+3 is the first flat element of the span (grid._span)
         self._nb = _aligned_zeros(shape, ww + 3)
         self._span = span = _span(self._nb)
-        # per field buffer: padded array, its span, its interior, its border views
+        self._nb_flat = self._nb.reshape(-1)
+        self._nb_span = self._nb_flat[span]
+        self._nb_planes = (self._nb[0, 1:-1, 1:-1], self._nb[1, 1:-1, 1:-1])
+        self._inside = None if mask.is_full else mask.inside
         self._cur, self._old = (
-            (b, b.reshape(-1)[span], b[:, 1:-1, 1:-1], _border_views(b, periodic))
+            _Buffer(b, b.reshape(-1)[span], b.reshape(-1), b[:, 1:-1, 1:-1], _neighbor_terms(b))
             for b in (_aligned_zeros(shape, span.start), _aligned_zeros(shape, span.start))
         )
         self.field[0] = field.u.values
         self.field[1] = field.v.values
-        self._nb_span = self._nb.reshape(-1)[span]
-        self._inside = None
-        if not mask.is_full:
-            self._inside = mask.inside
+        if mask.is_full:
+            # flat indices of the border cells and of the pixels they copy
+            index = np.arange(self._nb.size).reshape(shape)
+            pairs = _border_views(index, periodic)
+            self._border_at = np.concatenate([dst.ravel() for dst, _ in pairs])
+            self._border_from = np.concatenate([src.ravel() for _, src in pairs])
+            self._border_vals = np.empty(self._border_from.size)
+        else:
             padded = _pad_mask(mask.inside)
             at = np.flatnonzero(_pad_mask(mask.boundary()))
-            src = _mirror_neighbors(padded, at)
             plane = padded.size
             self._fix_at = np.concatenate([at, at + plane])
-            self._fix_from = tuple(np.concatenate([s, s + plane]) for s in src)
+            src = _mirror_neighbors(padded, at)
+            self._fix_table = np.concatenate([src, src + plane], axis=1)
+            self._fix_vals = np.empty(self._fix_table.shape)
+            self._fix_rows = tuple(self._fix_vals)
 
     @property
     def field(self) -> np.ndarray:
         """The current (2, H, W) field, a view into the padded buffer."""
-        return self._cur[2]
+        return self._cur.interior
 
     def coeffs(self, g, h, dt: float, src: VectorField):
         """The coefficients of step() for g, h (scalars or ScalarFields)
@@ -366,22 +399,23 @@ class _Stencil:
 
     def neighbor_sum(self) -> np.ndarray:
         """Padded four-neighbor sum of the current field (interior valid)."""
-        buf, _, _, border = self._cur
+        # "clip" lets take write straight into out; every index is in range
+        cur = self._cur
         if self._inside is None:
-            for dst, src in border:
-                np.copyto(dst, src)
-        _neighbor_sum(buf, out=self._nb)
+            cur.flat[self._border_at] = cur.flat.take(
+                self._border_from, out=self._border_vals, mode="clip")
+        _sum_terms(cur.terms, self._nb_span)
         if self._inside is not None:
-            flat = buf.reshape(-1)
-            t0, t1, t2, t3 = self._fix_from
-            self._nb.reshape(-1)[self._fix_at] = flat[t0] + flat[t1] + flat[t2] + flat[t3]
+            cur.flat.take(self._fix_table, out=self._fix_vals, mode="clip")
+            rows = self._fix_rows
+            self._nb_flat[self._fix_at] = _sum_terms(rows, rows[0])
         return self._nb
 
     def step(self, keep, hsrc, rc) -> None:
         """One explicit update keep*c + hsrc + rc*(nb - 4c) of the field,
         with hsrc = h*dt*grad_f; coefficients from coeffs()."""
         # the other buffer receives the new field; until then it is scratch
-        old, new, nb = self._cur[1], self._old[1], self._nb_span
+        old, new, nb = self._cur.span, self._old.span, self._nb_span
         self.neighbor_sum()
         np.multiply(old, 4.0, out=new)
         np.subtract(nb, new, out=nb)
@@ -394,9 +428,9 @@ class _Stencil:
     def squared_change(self, out: np.ndarray) -> np.ndarray:
         """|v_new - v_old|^2 per pixel of the last step, into out (H, W);
         overwrites the neighbor sum."""
-        d = np.subtract(self._cur[1], self._old[1], out=self._nb_span)
+        d = np.subtract(self._cur.span, self._old.span, out=self._nb_span)
         np.multiply(d, d, out=d)
-        return np.add(self._nb[0, 1:-1, 1:-1], self._nb[1, 1:-1, 1:-1], out=out)
+        return np.add(*self._nb_planes, out=out)
 
 
 def _unstack(spec: GridSpec, values: np.ndarray) -> VectorField:
@@ -444,6 +478,9 @@ def _iterate(source: VectorField, p: GvfParams, mask: DomainMask, periodic: bool
     # the energy sums interior pixels only, in row-major order
     inside = None if mask.is_full else np.flatnonzero(mask.inside)
     sq = _aligned_zeros(spec.shape)
+    # the calls of every iteration, bound once
+    step, squared_change = stencil.step, stencil.squared_change
+    sq_max, sq_sum, sq_take = sq.max, sq.sum, sq.take
 
     changes: list[float] = []
     energies: list[float] = []
@@ -451,10 +488,10 @@ def _iterate(source: VectorField, p: GvfParams, mask: DomainMask, periodic: bool
     iterations = 0
     first_change = None
     for n in range(1, p.max_iter + 1):
-        stencil.step(*coeffs)
-        stencil.squared_change(sq)
-        change = math.sqrt(float(sq.max()))
-        energy = float((sq if inside is None else sq.take(inside)).sum()) * area
+        step(*coeffs)
+        squared_change(sq)
+        change = math.sqrt(float(sq_max()))
+        energy = float(sq_sum() if inside is None else sq_take(inside).sum()) * area
         iterations = n
         changes.append(change)
         energies.append(energy)
@@ -615,17 +652,16 @@ def direct_steady_solve(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
     )
 
+    # one factorization serves both components: b's columns are u and v
     source = _masked_source(f, p.cap, mask)
-    out = VectorField.zeros(spec)
-    for comp, target in ((source.u, out.u), (source.v, out.v)):
-        b = h_in * comp.values.ravel()[center]
-        x = spsolve(A, b)
-        if not np.all(np.isfinite(x)):
-            raise RankError("steady-state system is singular")
-        flat = target.values.ravel()
-        flat[center] = x
-        target.values = flat.reshape(spec.shape)
-    return out
+    b = np.column_stack([h_in * source.u.values.ravel()[center],
+                         h_in * source.v.values.ravel()[center]])
+    x = spsolve(A, b)
+    if not np.all(np.isfinite(x)):
+        raise RankError("steady-state system is singular")
+    out = np.zeros((2, spec.height * spec.width))
+    out[:, center] = x.T
+    return _unstack(spec, out.reshape((2,) + spec.shape))
 
 
 def steady_residual(

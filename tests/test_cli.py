@@ -305,6 +305,59 @@ class TestTypedErrors:
         assert code == EXIT_IO
         assert message in err
 
+    @pytest.mark.parametrize("body, message", [
+        (b"abc 1", "bad value pair on line 4"),
+        (b"1 0.5 2", "bad value pair on line 4"),
+        (b"1 \xc3\xa9", "non-ASCII byte in field file"),
+    ])
+    def test_bad_field_value_is_format_error(self, stored_field, tmp_path, capsys, body,
+                                             message):
+        lines = stored_field.read_bytes().splitlines()
+        lines[3] = body
+        stored_field.write_bytes(b"\n".join(lines) + b"\n")
+        code, err = self.run(["render", "--field", str(stored_field), "--mode", "arrows",
+                              "--out-image", str(tmp_path / "r.ppm")], capsys)
+        assert code == EXIT_IO
+        assert message in err
+
+    def test_non_ascii_contour_is_format_error(self, stored_field, tmp_path, capsys):
+        contour = tmp_path / "c.csv"
+        contour.write_bytes(b"1,1\n20,1\n20,\xff20\n1,20\n")
+        code, err = self.run(["snake", "--field", str(stored_field), "--out", str(tmp_path / "s"),
+                              "--init-contour", str(contour)], capsys)
+        assert code == EXIT_IO
+        assert "non-ASCII byte in contour file (byte offset 12)" in err
+
+    @pytest.mark.parametrize("circle, message", [
+        ("16,16,8,6.7", "must be an integer, got 6.7"),
+        ("16,16,8,1e12", "count 1e+12 exceeds the 32x32 grid's 1024 pixels"),
+        ("16,16,1e300", "exceeds the 32x32 grid's 1024 pixels"),
+    ])
+    def test_bad_init_circle_count_is_validation_error(self, stored_field, tmp_path, capsys,
+                                                       circle, message):
+        code, err = self.run(["snake", "--field", str(stored_field), "--out", str(tmp_path / "s"),
+                              "--init-circle", circle], capsys)
+        assert code == EXIT_VALIDATION
+        assert message in err
+
+    @pytest.mark.parametrize("circle, message", [
+        ("31.5,31.5,20,6.7", "must be an integer"),
+        ("31.5,31.5,20,4097", "count 4097 exceeds the 64x64 grid's 4096 pixels"),
+    ])
+    def test_bad_snake_circle_count_fails_before_the_solve(self, u64, tmp_path, capsys, circle,
+                                                          message):
+        out = tmp_path / "x"
+        code, err = self.run(["ggvf", "--image", str(u64), "--out", str(out),
+                              "--snake", circle], capsys)
+        assert code == EXIT_VALIDATION
+        assert message in err
+        assert not (out / "field.gvf").exists()
+
+    def test_integral_circle_count_is_accepted(self, stored_field, tmp_path, capsys):
+        code, _ = self.run(["snake", "--field", str(stored_field), "--out", str(tmp_path / "s"),
+                            "--init-circle", "16,16,8,24.0", "--snake-iters", "1"], capsys)
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+
     def test_image_smaller_than_3x3_is_format_error(self, tmp_path, capsys):
         image = tmp_path / "tiny.pgm"
         image.write_bytes(b"P2\n2 2\n255\n0 255 255 0\n")

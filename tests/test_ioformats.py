@@ -123,6 +123,9 @@ class TestFieldFile:
         expected = "GVF1\n4 3\n1 1\n" + "".join(
             f"{a:.17g} {b:.17g}\n" for a, b in zip(u.ravel(), v.ravel()))
         assert path.read_bytes() == expected.encode("ascii")
+        back = io.read_field(path)
+        assert np.array_equal(back.u.values.view(np.int64), u.view(np.int64))
+        assert np.array_equal(back.v.values.view(np.int64), v.view(np.int64))
 
     @staticmethod
     def _edited(tmp_path, line_no, text):
@@ -142,6 +145,26 @@ class TestFieldFile:
     def test_bad_spacing_is_format_error(self, tmp_path, spacing):
         with pytest.raises(FormatError, match="grid spacing"):
             io.read_field(self._edited(tmp_path, 2, spacing))
+
+    @pytest.mark.parametrize("pair", ["abc 1", "1 0x1p3", "1", "1 2 3", ""])
+    def test_bad_value_pair_is_format_error(self, tmp_path, pair):
+        with pytest.raises(FormatError, match="bad value pair on line 9"):
+            io.read_field(self._edited(tmp_path, 8, pair))
+
+    def test_non_ascii_byte_is_format_error(self, tmp_path):
+        path = self._edited(tmp_path, 8, "1 0")
+        data = path.read_bytes()
+        at = data.index(b"1 0\n", 40)
+        path.write_bytes(data[:at] + b"\xe9" + data[at:])
+        with pytest.raises(FormatError, match=f"non-ASCII byte in field file \\(byte offset {at}\\)"):
+            io.read_field(path)
+
+    def test_components_are_contiguous(self, tmp_path):
+        path = tmp_path / "f.gvf"
+        io.write_field(gv.VectorField.from_arrays(np.ones((4, 5)), np.zeros((4, 5))), path)
+        back = io.read_field(path)
+        assert back.u.values.flags.c_contiguous and back.v.values.flags.c_contiguous
+        assert np.all(back.u.values == 1) and np.all(back.v.values == 0)
 
     def test_smaller_than_3x3_is_format_error(self, tmp_path):
         path = tmp_path / "s.gvf"
@@ -169,6 +192,12 @@ class TestContourCsv:
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3;4\n")
         with pytest.raises(FormatError):
+            io.read_contour(path)
+
+    def test_non_ascii_byte_is_format_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n3,\xc3\xa94\n")
+        with pytest.raises(FormatError, match=r"non-ASCII byte in contour file \(byte offset 6\)"):
             io.read_contour(path)
 
 

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvflow as gv
 from gvflow.errors import (
@@ -15,7 +18,7 @@ from gvflow.errors import (
 )
 from gvflow.grid import _aligned_zeros
 from gvflow.ioformats import synth_ushape
-from gvflow.solver import _Stencil
+from gvflow.solver import _mirror_neighbors, _pad_mask, _Stencil
 
 
 def impulse(n=8, value=1.0):
@@ -449,3 +452,94 @@ class TestAlignedBuffers:
         assert all(_address(s) % 64 == 0 for s in spans)
         assert np.shares_memory(stencil.field, stencil._cur[0])
         assert np.array_equal(stencil.field, [field.u.values, field.v.values])
+
+
+@st.composite
+def stencil_domains(draw):
+    """A grid of 3-40 px per axis with either a window-minus-hole mask
+    (the window may be the whole grid, the hole may be absent) or the
+    periodic full rectangle."""
+    w, h = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    spec = gv.GridSpec(w, h)
+    if draw(st.booleans()):
+        return spec, gv.DomainMask.full(spec), True
+    inside = np.zeros(spec.shape, dtype=bool)
+    x0, y0 = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+    inside[y0:y0 + draw(st.integers(1, h - y0)), x0:x0 + draw(st.integers(1, w - x0))] = True
+    if draw(st.booleans()):
+        hx, hy = draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1))
+        inside[hy:hy + draw(st.integers(1, h - hy)), hx:hx + draw(st.integers(1, w - hx))] = False
+    inside[y0, x0] = True
+    return spec, gv.DomainMask(spec, inside), False
+
+
+class TestStencilNeighborSum:
+    """The prebuilt views, the border gather and the one-gather fix-up add
+    each pixel's four neighbors in the order x+1, x-1, y+1, y-1."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stencil_domains(), st.integers(0, 2**32 - 1))
+    def test_equals_four_gather_reference(self, domain, seed):
+        spec, mask, periodic = domain
+        rng = np.random.default_rng(seed)
+        # magnitudes spread over 16 decades, so any other order changes last bits
+        shape = (2,) + spec.shape
+        u, v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        stencil = _Stencil(mask, periodic, gv.VectorField.from_arrays(u, v))
+        got = stencil.neighbor_sum()[:, 1:-1, 1:-1][:, mask.inside]
+
+        padded = _pad_mask(mask.inside)
+        at = np.flatnonzero(padded)
+        if periodic:
+            # the wrapped neighbor of each pixel, as a flat index into padded
+            ys, xs = np.divmod(at, padded.shape[1])
+            ys, xs = ys - 1, xs - 1
+            h, w = spec.shape
+            nbrs = [(y % h + 1) * padded.shape[1] + x % w + 1
+                    for y, x in ((ys, xs + 1), (ys, xs - 1), (ys + 1, xs), (ys - 1, xs))]
+        else:
+            nbrs = _mirror_neighbors(padded, at)
+        for comp, values in enumerate((u, v)):
+            flat = np.zeros(padded.shape)
+            flat[1:-1, 1:-1] = values
+            flat = flat.reshape(-1)
+            t0, t1, t2, t3 = (flat[n] for n in nbrs)
+            expected = ((t0 + t1) + t2) + t3
+            assert np.array_equal(got[comp].view(np.int64), expected.view(np.int64))
+
+
+class TestDirectSolveFactorsOnce:
+    """direct_steady_solve makes one spsolve call for both components."""
+
+    @pytest.mark.parametrize("kind", ["full", "masked", "per-pixel"])
+    def test_one_call_with_two_columns(self, kind, monkeypatch):
+        rng = np.random.default_rng(17)
+        f = gv.ScalarField.from_array(rng.random((20, 23)) * 50.0)
+        p, mask = gv.GvfParams(g=0.9, h=0.2), None
+        if kind == "masked":
+            mask = gv.DomainMask.from_rects(f.spec, (1, 2, 20, 17), (6, 7, 5, 4))
+        elif kind == "per-pixel":
+            g = rng.uniform(0.05, 1.0, f.spec.shape)
+            p = gv.GvfParams(g=gv.ScalarField(f.spec, g), h=gv.ScalarField(f.spec, 1.0 - g))
+        real = scipy.sparse.linalg.spsolve
+        calls = []
+
+        def spy(A, b, *args, **kwargs):
+            x = real(A, b, *args, **kwargs)
+            calls.append((A, b, x))
+            return x
+
+        # direct_steady_solve imports spsolve when it is called
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spy)
+        out = gv.direct_steady_solve(f, p, mask)
+        monkeypatch.undo()
+
+        assert len(calls) == 1
+        A, b, x = calls[0]
+        m = f.spec.width * f.spec.height if mask is None else mask.inside_count
+        assert b.shape == (m, 2) and x.shape == (m, 2)
+        inside = np.ones(f.spec.shape, bool) if mask is None else mask.inside
+        for col, comp in enumerate((out.u, out.v)):
+            alone = real(A, b[:, col])
+            assert np.array_equal(alone.view(np.int64), x[:, col].view(np.int64))
+            assert np.array_equal(comp.values[inside].view(np.int64), alone.view(np.int64))
