@@ -1,11 +1,16 @@
 """Command-line orchestration: field computation, snake runs, spectral
 verification, and parameter sweeps.
 
-Subcommands: synth, gvf, ggvf, snake, spectral, sweep, render.  Flag
-values override config-file values (JSON, flat keys named after the
-flags with dashes replaced by underscores), which override built-in
-defaults; the effective configuration is echoed to stdout and embedded
-in the run summary so a run is reconstructible from its artifacts.
+Subcommands: synth, gvf, ggvf, snake, spectral, sweep, render.  Each
+takes only the flags it reads (build_parser lists them); a flag of the
+solve, domain or snake stage is declared once, in _FLAGS.  Flag values
+override config-file values (JSON, flat keys named after the flags with
+dashes replaced by underscores; keys that only other commands read are
+accepted), which override built-in defaults; the effective configuration
+of the keys the command reads is echoed to stdout and embedded in the
+run summary so a run is reconstructible from its artifacts.  Flags have
+no abbreviations, and a malformed command line is a parameter
+validation failure.
 
 Exit codes: 0 success, 1 parameter validation failure, 2 I/O or format
 error, 3 divergence, 4 non-convergence at the iteration cap.
@@ -46,34 +51,6 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_DIVERGENCE = 3
 EXIT_NO_CONVERGENCE = 4
-
-_DEFAULTS = {
-    "g": 2.0,
-    "h": 0.02,
-    "dt": 0.12,
-    "delta": 1e-4,
-    "threshold": math.inf,
-    "t_max": 20000,
-    "k": 100.0,
-    "sigma": 2.0,
-    "edge_sign": "attractive",
-    "outer_margin": None,
-    "inner_box": None,
-    "force": False,
-    "periodic": False,
-    # snake stage
-    "b": 0.2,
-    "gamma": 1.0,
-    "step": 1.0,
-    "eps": 0.01,
-    "snake_iters": 2000,
-    "spacing": 2.0,
-    "normalize": False,
-    "tensile_sign": 1.0,
-    "force_peak": 0.3,
-    "stride": 8,
-}
-
 
 def _parse_box(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
@@ -141,16 +118,36 @@ def build_mask(
     return DomainMask.from_rects(image.spec, outer=outer, hole=inner_box)
 
 
-# the type of each config key: that of its flag, bool for a switch, or
-# the tuple of allowed strings
-_CONFIG_TYPES = {
-    **dict.fromkeys(("g", "h", "dt", "delta", "threshold", "k", "sigma", "b", "gamma",
-                     "step", "eps", "spacing", "tensile_sign", "force_peak"), float),
-    **dict.fromkeys(("t_max", "snake_iters", "outer_margin", "stride"), int),
-    **dict.fromkeys(("force", "periodic", "normalize"), bool),
-    "edge_sign": ("attractive", "potential"),
-    "inner_box": _parse_box,
+# Every flag a config file may set: name -> (type, default, help).  A bool
+# type marks a switch and a tuple lists the allowed strings.
+_FLAGS = {
+    "g": (float, 2.0, "diffusion coefficient"),
+    "h": (float, 0.02, "reaction coefficient"),
+    "k": (float, 100.0, "edge sensitivity K of the per-pixel weight"),
+    "dt": (float, 0.12, "time step"),
+    "delta": (float, 1e-4, "termination threshold"),
+    "threshold": (float, math.inf, "source gradient magnitude cap T"),
+    "t_max": (int, 20000, "iteration cap"),
+    "sigma": (float, 2.0, "edge map Gaussian sigma"),
+    "edge_sign": (("attractive", "potential"), "attractive", "edge map sign"),
+    "force": (bool, False, "solve despite constraint violations"),
+    "periodic": (bool, False, "periodic borders instead of mirrored ones"),
+    "outer_margin": (int, None, "active window margin around the foreground box"),
+    "inner_box": (_parse_box, None, "rectangular hole x,y,w,h"),
+    "b": (float, 0.2, "tensile scale"),
+    "gamma": (float, 1.0, "external force scale"),
+    "step": (float, 1.0, "evolution step"),
+    "eps": (float, 0.01, "snake termination threshold"),
+    "snake_iters": (int, 2000, "snake iteration cap"),
+    "spacing": (float, 2.0, "resampling arc spacing (0 disables)"),
+    "normalize": (bool, False, "use unit force vectors"),
+    "tensile_sign": (float, 1.0, "+1 as defined (inflating), -1 smoothing"),
+    "force_peak": (float, 0.3, "largest per-step displacement for a unit gamma"),
 }
+_SOLVE = ("dt", "delta", "threshold", "t_max", "sigma", "edge_sign")
+_DOMAIN = ("force", "periodic", "outer_margin", "inner_box")
+_SNAKE = ("b", "gamma", "step", "eps", "snake_iters", "spacing", "normalize",
+          "tensile_sign", "force_peak")
 
 
 def _config_value(key: str, value):
@@ -159,8 +156,8 @@ def _config_value(key: str, value):
     one for an integer flag); a switch takes true or false; a box may
     also be a list of four integers.  Keys whose default is None accept
     null."""
-    kind = _CONFIG_TYPES[key]
-    if value is None and _DEFAULTS[key] is None:
+    kind, default, _ = _FLAGS[key]
+    if value is None and default is None:
         return None
     try:
         if kind is bool:
@@ -185,14 +182,15 @@ def _config_value(key: str, value):
     return value
 
 
-def _effective(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Merge defaults <- config file <- explicit flags for the given keys.
+def _effective(args: argparse.Namespace) -> dict:
+    """Merge defaults <- config file <- explicit flags over the _FLAGS
+    names the command's parser registered.
 
-    Every config key must be one of the flag names, with a value of the
+    Every config key must be one of the _FLAGS names, with a value of the
     flag's type; a config file may hold keys that only other commands
     use."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
@@ -200,18 +198,15 @@ def _effective(args: argparse.Namespace, keys: list[str]) -> dict:
                 raise FormatError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ParameterError("config file must hold a flat JSON object")
-        unknown = sorted(set(loaded) - set(_DEFAULTS))
+        unknown = sorted(set(loaded) - set(_FLAGS))
         if unknown:
             raise ParameterError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
         cfg = {key: _config_value(key, value) for key, value in loaded.items()}
     out = {}
-    for key in keys:
-        if getattr(args, key, None) is not None:
-            out[key] = getattr(args, key)
-        elif key in cfg:
-            out[key] = cfg[key]
-        else:
-            out[key] = _DEFAULTS[key]
+    for key, (_, default, _) in _FLAGS.items():
+        if hasattr(args, key):
+            flag = getattr(args, key)
+            out[key] = flag if flag is not None else cfg.get(key, default)
     return out
 
 
@@ -275,8 +270,7 @@ def cmd_synth(args) -> int:
     if args.shape == "ushape":
         img = ioformats.synth_ushape(args.width, args.height)
     elif args.shape == "box-hole":
-        hole = _parse_box(args.hole_box) if args.hole_box else None
-        img = ioformats.synth_box_with_hole(args.width, args.height, hole)
+        img = ioformats.synth_box_with_hole(args.width, args.height, args.hole_box)
     elif args.shape == "disk":
         if args.cx is None or args.cy is None or args.radius is None:
             raise ParameterError("disk needs --cx, --cy and --radius")
@@ -288,14 +282,8 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _pipeline(args, generalized: bool) -> int:
-    keys = [
-        "g", "h", "dt", "delta", "threshold", "t_max", "k", "sigma", "edge_sign",
-        "outer_margin", "inner_box", "force", "periodic",
-        "b", "gamma", "step", "eps", "snake_iters", "spacing", "normalize",
-        "tensile_sign", "force_peak",
-    ]
-    cfg = _effective(args, keys)
+def _pipeline(args) -> int:
+    cfg = _effective(args)
     _echo(cfg)
     circle = _parse_circle(args.snake) if args.snake else None
     snake_params = _snake_params(cfg)
@@ -304,13 +292,12 @@ def _pipeline(args, generalized: bool) -> int:
     image = ioformats.read_pgm(args.image)
     init = _circle_snake(circle, image.spec) if circle else None
     f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
-    inner = _parse_box(cfg["inner_box"]) if isinstance(cfg["inner_box"], str) else cfg["inner_box"]
-    mask = build_mask(image, cfg["outer_margin"], inner)
+    mask = build_mask(image, cfg["outer_margin"], cfg["inner_box"])
 
     threshold = float(cfg["threshold"])
     t0 = time.perf_counter()
     run = dict(dt=cfg["dt"], delta=cfg["delta"], cap=threshold, max_iter=int(cfg["t_max"]))
-    if generalized:
+    if args.command == "ggvf":
         solve, params = ggvf_solve, GgvfParams(K=cfg["k"], **run)
     else:
         solve, params = gvf_solve, GvfParams(g=cfg["g"], h=cfg["h"], **run)
@@ -323,7 +310,7 @@ def _pipeline(args, generalized: bool) -> int:
     residual = steady_residual(report.field, f, report.params, mask)
 
     summary = {
-        "command": "ggvf" if generalized else "gvf",
+        "command": args.command,
         "image": str(args.image),
         "effective_config": cfg,
         "NI": report.iterations,
@@ -354,9 +341,7 @@ def _pipeline(args, generalized: bool) -> int:
 
 
 def cmd_snake(args) -> int:
-    keys = ["b", "gamma", "step", "eps", "snake_iters", "spacing", "normalize",
-            "tensile_sign", "force_peak"]
-    cfg = _effective(args, keys)
+    cfg = _effective(args)
     _echo(cfg)
     params = _snake_params(cfg)
     out_dir = Path(args.out)
@@ -390,8 +375,7 @@ def cmd_snake(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    keys = ["g", "h", "dt", "delta", "threshold", "t_max", "sigma", "edge_sign"]
-    cfg = _effective(args, keys)
+    cfg = _effective(args)
     _echo(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -433,15 +417,18 @@ def _floats(text: str) -> list[float]:
         raise ParameterError(f"expected comma-separated numbers but got {text!r}") from None
 
 
-def cmd_sweep(args) -> int:
-    keys = ["g", "h", "dt", "delta", "threshold", "t_max", "sigma", "edge_sign", "force"]
-    cfg = _effective(args, keys)
-    _echo(cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    image = ioformats.read_pgm(args.image)
-    f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
+def _margin(tok: str) -> int | None:
+    if tok == "none":
+        return None
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParameterError(f"--outer-list expects integers or 'none' but got {tok!r}") from None
 
+
+def cmd_sweep(args) -> int:
+    cfg = _effective(args)
+    _echo(cfg)
     gs = _floats(args.g_list) if args.g_list else [cfg["g"]]
     hs = _floats(args.h_list) if args.h_list else [cfg["h"]]
     dts = _floats(args.dt_list) if args.dt_list else [cfg["dt"]]
@@ -452,11 +439,11 @@ def cmd_sweep(args) -> int:
         if args.inner_list
         else [None]
     )
-    outers = (
-        [None if tok == "none" else int(tok) for tok in args.outer_list.split(";")]
-        if args.outer_list
-        else [None]
-    )
+    outers = [_margin(tok) for tok in args.outer_list.split(";")] if args.outer_list else [None]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    image = ioformats.read_pgm(args.image)
+    f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
 
     rows = []
     for g, h, dt, delta, t_cap, d_out, d_in in itertools.product(
@@ -499,117 +486,103 @@ def cmd_sweep(args) -> int:
 def cmd_render(args) -> int:
     field = ioformats.read_field(args.field)
     contour = ioformats.read_contour(args.contour) if args.contour else None
-    stride = args.stride if args.stride is not None else _DEFAULTS["stride"]
     ioformats.render(field, args.mode, args.out_image, snake_points=contour,
-                     arrow_stride=stride)
+                     arrow_stride=args.stride)
     print(json.dumps({"wrote": str(args.out_image), "mode": args.mode}, sort_keys=True))
     return EXIT_OK
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--g", type=float, help="diffusion coefficient")
-    p.add_argument("--h", type=float, help="reaction coefficient")
-    p.add_argument("--dt", type=float, help="time step")
-    p.add_argument("--delta", type=float, help="termination threshold")
-    p.add_argument("--threshold", type=float, help="source gradient magnitude cap T")
-    p.add_argument("--t-max", dest="t_max", type=int, help="iteration cap")
-    p.add_argument("--k", type=float, help="edge sensitivity (generalized solve)")
-    p.add_argument("--sigma", type=float, help="edge map Gaussian sigma")
-    p.add_argument("--edge-sign", dest="edge_sign", choices=["attractive", "potential"])
-    p.add_argument("--force", action="store_const", const=True,
-                   help="solve despite constraint violations")
-    p.add_argument("--periodic", action="store_const", const=True,
-                   help="periodic borders instead of mirrored ones")
-    p.add_argument("--outer-margin", dest="outer_margin", type=int,
-                   help="active window margin around the foreground box")
-    p.add_argument("--inner-box", dest="inner_box", help="rectangular hole x,y,w,h")
-    p.add_argument("--config", help="JSON config file (flat flag-name keys)")
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated flags, and a malformed command line is a
+    ParameterError instead of a SystemExit."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
 
 
-def _add_snake_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--b", type=float, help="tensile scale")
-    p.add_argument("--gamma", type=float, help="external force scale")
-    p.add_argument("--step", type=float, help="evolution step")
-    p.add_argument("--eps", type=float, help="snake termination threshold")
-    p.add_argument("--snake-iters", dest="snake_iters", type=int, help="snake iteration cap")
-    p.add_argument("--spacing", type=float, help="resampling arc spacing (0 disables)")
-    p.add_argument("--normalize", action="store_const", const=True,
-                   help="use unit force vectors")
-    p.add_argument("--tensile-sign", dest="tensile_sign", type=float, choices=[1.0, -1.0],
-                   help="+1 as defined (inflating), -1 smoothing")
-    p.add_argument("--force-peak", dest="force_peak", type=float,
-                   help="largest per-step displacement for a unit gamma")
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Register the named _FLAGS entries, and --config to set them from a file."""
+    for name in names:
+        kind, _, text = _FLAGS[name]
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, action="store_const", const=True, help=text)
+        elif isinstance(kind, tuple):
+            p.add_argument(flag, choices=kind, help=text)
+        else:
+            p.add_argument(flag, type=kind, help=text)
+    p.add_argument("--config", help="JSON config file (flat keys named after the flags)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gvflow", description=__doc__)
+    parser = _Parser(prog="gvflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic test image")
     p.add_argument("--shape", required=True, choices=["ushape", "box-hole", "disk"])
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--hole-box", dest="hole_box", help="hole rectangle x,y,w,h")
+    p.add_argument("--hole-box", type=_parse_box, help="hole rectangle x,y,w,h")
     p.add_argument("--cx", type=float)
     p.add_argument("--cy", type=float)
     p.add_argument("--radius", type=float)
-    p.add_argument("--out-image", dest="out_image", required=True)
+    p.add_argument("--out-image", required=True)
     p.set_defaults(func=cmd_synth)
 
-    for name, generalized in (("gvf", False), ("ggvf", True)):
+    for name, coefficients in (("gvf", ("g", "h")), ("ggvf", ("k",))):
         p = sub.add_parser(name, help=f"compute the {name} field from an image")
         p.add_argument("--image", required=True)
         p.add_argument("--out", required=True, help="artifact directory")
         p.add_argument("--snake", help="also run a snake from circle cx,cy,r[,n]")
-        _add_solver_flags(p)
-        _add_snake_flags(p)
-        p.set_defaults(func=lambda a, gen=generalized: _pipeline(a, gen))
+        _add_flags(p, *coefficients, *_SOLVE, *_DOMAIN, *_SNAKE)
+        p.set_defaults(func=_pipeline)
 
     p = sub.add_parser("snake", help="evolve a snake on a stored field")
     p.add_argument("--field", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--init-circle", dest="init_circle", help="cx,cy,r[,n]")
-    p.add_argument("--init-contour", dest="init_contour", help="contour CSV path")
-    p.add_argument("--force-scale", dest="force_scale", type=float,
+    p.add_argument("--init-circle", help="cx,cy,r[,n]")
+    p.add_argument("--init-contour", help="contour CSV path")
+    p.add_argument("--force-scale", type=float,
                    help="reference force magnitude (defaults to the field peak)")
-    p.add_argument("--config", help="JSON config file")
-    _add_snake_flags(p)
+    _add_flags(p, *_SNAKE)
     p.set_defaults(func=cmd_snake)
 
     p = sub.add_parser("spectral", help="verify the periodic solve against the DFT oracle")
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
-    _add_solver_flags(p)
+    _add_flags(p, "g", "h", *_SOLVE)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("sweep", help="run a parameter grid and write a CSV table")
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--g-list", dest="g_list")
-    p.add_argument("--h-list", dest="h_list")
-    p.add_argument("--dt-list", dest="dt_list")
-    p.add_argument("--delta-list", dest="delta_list")
-    p.add_argument("--t-list", dest="t_list")
-    p.add_argument("--outer-list", dest="outer_list", help="margins, ';' separated, 'none' allowed")
-    p.add_argument("--inner-list", dest="inner_list", help="holes x,y,w,h, ';' separated, 'none' allowed")
-    _add_solver_flags(p)
+    p.add_argument("--g-list")
+    p.add_argument("--h-list")
+    p.add_argument("--dt-list")
+    p.add_argument("--delta-list")
+    p.add_argument("--t-list")
+    p.add_argument("--outer-list", help="margins, ';' separated, 'none' allowed")
+    p.add_argument("--inner-list", help="holes x,y,w,h, ';' separated, 'none' allowed")
+    _add_flags(p, "g", "h", *_SOLVE, "force")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("render", help="rasterize a stored field to PPM")
     p.add_argument("--field", required=True)
     p.add_argument("--mode", required=True, choices=list(ioformats.RENDER_MODES))
-    p.add_argument("--out-image", dest="out_image", required=True)
+    p.add_argument("--out-image", required=True)
     p.add_argument("--contour", help="overlay contour CSV")
-    p.add_argument("--stride", type=int, help="arrow subsampling stride")
+    p.add_argument("--stride", type=int, default=8, help="arrow subsampling stride")
     p.set_defaults(func=cmd_render)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -265,16 +265,23 @@ def gaussian_smooth(f: ScalarField, sigma: float) -> ScalarField:
 
     The kernel is renormalized to sum to one; sigma = 0 is the identity.
     Border handling replicates edge pixels, consistent with the mirrored
-    stencils above.  The blur is separable: a pass along y (axis 0),
+    stencils above.  The radius may not exceed the image's larger side or
+    64, whichever is larger: a wider kernel only adds copies of the edge
+    pixels, at a cost that grows with the square of the radius.  The blur is separable: a pass along y (axis 0),
     then one along x.  Each pass computes, per pixel,
     a[x]*k[r] + (a[x-r] + a[x+r])*k[0] + ... + (a[x-1] + a[x+1])*k[r-1],
     accumulated left to right, so the result equals two calls of
     scipy.ndimage.convolve1d(mode="nearest") to the last bit.
     """
-    if sigma < 0:
-        raise ParameterError("sigma must be >= 0")
+    if not 0 <= sigma < math.inf:
+        raise ParameterError(f"sigma must be finite and >= 0, got {sigma!r}")
     if sigma == 0:
         return f.copy()
+    limit = max(f.spec.width, f.spec.height, 64)
+    if 3.0 * sigma > limit:
+        raise ParameterError(
+            f"sigma {sigma:g} gives a blur radius above {limit}, the larger of the "
+            f"image's sides and 64")
     return ScalarField(f.spec, _gaussian_blur(f.values, sigma))
 
 

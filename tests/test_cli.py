@@ -1,15 +1,22 @@
 """Command-line harness: pipelines, sweeps, exit codes, determinism."""
 
+import argparse
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvflow as gv
+from gvflow import cli
 from gvflow import ioformats as io
 from gvflow.cli import (
     EXIT_DIVERGENCE,
@@ -18,6 +25,7 @@ from gvflow.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     build_mask,
+    build_parser,
     foreground_bbox,
     main,
 )
@@ -28,6 +36,19 @@ def u64(tmp_path_factory):
     path = tmp_path_factory.mktemp("img") / "u64.pgm"
     io.write_pgm(io.synth_ushape(64, 64), path)
     return path
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A 16x16 image with a bright rectangle, and a stored field of it."""
+    d = tmp_path_factory.mktemp("tiny")
+    a = np.zeros((16, 16))
+    a[5:11, 4:12] = 255.0
+    io.write_pgm(gv.ScalarField.from_array(a), d / "tiny.pgm")
+    rng = np.random.default_rng(11)
+    io.write_field(gv.VectorField.from_arrays(rng.random((16, 16)), rng.random((16, 16))),
+                   d / "field.gvf")
+    return d / "tiny.pgm", d / "field.gvf"
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +266,24 @@ class TestTypedErrors:
         assert code == EXIT_VALIDATION
         assert "'1,x'" in err
 
+    @pytest.mark.parametrize("margins", ["abc", "none;1.5"])
+    def test_malformed_outer_list_is_validation_error(self, u64, tmp_path, capsys, margins):
+        out = tmp_path / "sw"
+        code, err = self.run(["sweep", "--image", str(u64), "--out", str(out),
+                              "--outer-list", margins], capsys)
+        assert code == EXIT_VALIDATION
+        assert "--outer-list" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-1", "1e300"])
+    def test_bad_sigma_is_validation_error(self, tiny, tmp_path, capsys, sigma):
+        out = tmp_path / "x"
+        code, err = self.run(["gvf", "--image", str(tiny[0]), "--out", str(out),
+                              "--sigma", sigma], capsys)
+        assert code == EXIT_VALIDATION
+        assert "sigma" in err
+        assert not (out / "field.gvf").exists()
+
     @pytest.mark.parametrize("stride", ["0", "-4"])
     def test_nonpositive_render_stride_is_validation_error(self, stored_field, tmp_path, capsys,
                                                            stride):
@@ -282,6 +321,7 @@ class TestTypedErrors:
         ({"t_max": 2.5}, "config key 't_max'"),
         ({"force": "yes"}, "config key 'force'"),
         ({"gg": 3}, "unknown config key(s): 'gg'"),
+        ({"stride": 8}, "unknown config key(s): 'stride'"),
     ])
     def test_bad_config_is_validation_error(self, u64, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"
@@ -290,6 +330,7 @@ class TestTypedErrors:
                               "--config", str(cfg)], capsys)
         assert code == EXIT_VALIDATION
         assert message in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("line_no, text, message", [
         (3, "nan 0.5", "non-finite value pair on line 4"),
@@ -375,9 +416,144 @@ class TestTypedErrors:
         assert "not valid JSON" in err
 
 
+SOLVE = {"dt", "delta", "threshold", "t_max", "sigma", "edge_sign"}
+DOMAIN = {"force", "periodic", "outer_margin", "inner_box"}
+SNAKE = {"b", "gamma", "step", "eps", "snake_iters", "spacing", "normalize", "tensile_sign",
+         "force_peak"}
+# the configurable flags each command reads, and so echoes
+READS = {
+    "gvf": {"g", "h"} | SOLVE | DOMAIN | SNAKE,
+    "ggvf": {"k"} | SOLVE | DOMAIN | SNAKE,
+    "snake": SNAKE,
+    "spectral": {"g", "h"} | SOLVE,
+    "sweep": {"g", "h", "force"} | SOLVE,
+}
+# flags that name files; the fuzzing below leaves them alone
+PATH_FLAGS = {"image", "out", "field", "config", "init_contour", "out_image", "contour"}
+
+
+def subparser(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def base_argv(command, tiny, out):
+    image, field = tiny
+    if command == "snake":
+        return ["snake", "--field", str(field), "--out", str(out), "--init-circle", "7.5,7.5,5"]
+    if command == "render":
+        return ["render", "--field", str(field), "--mode", "arrows",
+                "--out-image", str(out / "r.ppm")]
+    return [command, "--image", str(image), "--out", str(out)]
+
+
+def short_run(command):
+    """Caps that keep a run on the 16x16 image short, for the flags the command has."""
+    dests = {a.dest for a in subparser(command)._actions}
+    return (["--t-max", "5"] if "t_max" in dests else []) + (
+        ["--snake-iters", "5"] if "snake_iters" in dests else [])
+
+
+class TestCommandLine:
+    """Each command takes exactly the flags it reads, without abbreviations;
+    a malformed command line is a validation error, not a SystemExit."""
+
+    def run(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_echo_holds_exactly_the_registered_flags(self, tiny, tmp_path, capsys, command):
+        registered = {a.dest for a in subparser(command)._actions} & set(cli._FLAGS)
+        assert registered == READS[command]
+        out = tmp_path / "run"
+        code, captured = self.run(base_argv(command, tiny, out) + short_run(command), capsys)
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+        echoed = json.loads(captured.out.splitlines()[0])["effective_config"]
+        assert set(echoed) == registered
+        if command != "sweep":
+            assert set(summary_of(out)["effective_config"]) == registered
+
+    @pytest.mark.parametrize("command, flags", [
+        # flags the command does not read
+        ("gvf", ["--k", "5"]),
+        ("ggvf", ["--g", "3"]),
+        ("ggvf", ["--h", "0.5"]),
+        ("spectral", ["--k", "5"]),
+        ("spectral", ["--periodic"]),
+        ("spectral", ["--force"]),
+        ("spectral", ["--outer-margin", "3"]),
+        ("spectral", ["--inner-box", "1,1,2,2"]),
+        ("sweep", ["--k", "5"]),
+        ("sweep", ["--periodic"]),
+        ("sweep", ["--outer-margin", "3"]),
+        ("sweep", ["--inner-box", "1,1,2,2"]),
+        ("render", ["--config", "cfg.json"]),
+        # prefixes of flags: --gamma, --help, --eps, --threshold
+        ("snake", ["--g", "3"]),
+        ("snake", ["--h", "0.5"]),
+        ("gvf", ["--ep", "0.5", "--thr", "4"]),
+        # unknown flags and values that do not parse
+        ("gvf", ["--bogus"]),
+        ("gvf", ["--g", "abc"]),
+        ("snake", ["--snake-iters", "2.5"]),
+        ("gvf", ["--edge-sign", "up"]),
+        ("render", ["--stride", "x"]),
+    ])
+    def test_malformed_command_line_is_validation_error(self, tiny, tmp_path, capsys, command,
+                                                        flags):
+        out = tmp_path / "x"
+        code, captured = self.run(base_argv(command, tiny, out) + flags, capsys)
+        assert code == EXIT_VALIDATION
+        assert captured.err.startswith("error: gvflow")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [[], ["gvf"], ["spectral", "--image", "x.pgm"]])
+    def test_missing_command_or_required_flag_is_validation_error(self, capsys, argv):
+        code, captured = self.run(argv, capsys)
+        assert code == EXIT_VALIDATION
+        assert "required" in captured.err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ggvf", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "--k" in text and "--g " not in text
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_any_argv_ends_in_a_documented_exit_code(self, tiny, data):
+        command = data.draw(st.sampled_from(["gvf", "ggvf", "snake", "spectral", "sweep",
+                                             "render"]))
+        actions = [a for a in subparser(command)._actions
+                   if a.option_strings and a.dest not in PATH_FLAGS | {"help"}]
+        token = st.one_of(
+            st.text(max_size=8),
+            st.floats().map(repr),
+            st.integers().map(str),
+            st.lists(st.integers(-40, 40), min_size=1, max_size=5).map(
+                lambda v: ",".join(map(str, v))),
+        )
+        flags = []
+        for action in data.draw(st.lists(st.sampled_from(actions), max_size=4)):
+            flags.append(action.option_strings[0])
+            if action.nargs != 0:
+                flags.append(data.draw(token))
+        with tempfile.TemporaryDirectory() as d:
+            argv = base_argv(command, tiny, Path(d) / "out") + flags + short_run(command)
+            err = StringIO()
+            with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in range(5)
+        assert "Traceback" not in err.getvalue()
+
+
 class TestConfigRoundTrip:
     def test_effective_config_of_a_run_is_a_valid_config(self, u64, tmp_path):
-        # the echoed configuration holds "inf", null and string boxes
+        # the echoed configuration holds "inf", null and a box as a list
         first, second = tmp_path / "a", tmp_path / "b"
         common = ["--image", str(u64), "--delta", "1e-3", "--inner-box", "28,20,8,12"]
         assert main(["gvf", "--out", str(first)] + common) == EXIT_OK

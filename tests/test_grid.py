@@ -227,3 +227,15 @@ class TestGaussianSmooth:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ParameterError):
             gv.gaussian_smooth(impulse(), -1.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 21.34, 1e300])
+    def test_rejects_non_finite_or_wider_than_image_sigma(self, sigma):
+        # the 8x8 image allows a radius of 64: sigma 21.33 at most
+        img = gv.ScalarField.from_array(np.ones((8, 8)))
+        with pytest.raises(ParameterError, match="sigma"):
+            gv.gaussian_smooth(img, sigma)
+
+    def test_radius_up_to_the_larger_side_is_accepted(self):
+        img = gv.ScalarField.from_array(np.random.default_rng(5).random((4, 90)))
+        got = gv.gaussian_smooth(img, 30.0).values  # radius 90
+        assert np.array_equal(got.view(np.int64), self.scipy_blur(img.values, 30.0).view(np.int64))
