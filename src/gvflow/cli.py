@@ -523,8 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic test image")
     p.add_argument("--shape", required=True, choices=["ushape", "box-hole", "disk"])
-    p.add_argument("--width", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
+    size = f"at least 3; width * height at most {ioformats.SYNTH_MAX_PIXELS}"
+    p.add_argument("--width", type=int, required=True, help=size)
+    p.add_argument("--height", type=int, required=True, help=size)
     p.add_argument("--hole-box", type=_parse_box, help="hole rectangle x,y,w,h")
     p.add_argument("--cx", type=float)
     p.add_argument("--cy", type=float)

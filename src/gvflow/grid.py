@@ -295,7 +295,10 @@ def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     """
     r = int(math.ceil(3.0 * sigma))
     xs = np.arange(-r, r + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (xs / sigma) ** 2)
+    # below sigma ~ 1e-154, (xs / sigma)**2 overflows to inf away from
+    # the center and exp gives 0 there: the impulse kernel, as it should
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-0.5 * (xs / sigma) ** 2)
     kernel /= kernel.sum()
     h, w = a.shape
     rows = np.clip(np.arange(-r, h + r), 0, h - 1)

@@ -22,6 +22,10 @@ FIELD_MAGIC = "GVF1"
 # Smallest clearance between a synthetic shape and the grid border.
 _SHAPE_MARGIN = 8
 
+# Largest synthetic image, in pixels: 2048 x 2048, 32 MiB as float64.
+# It bounds the memory a synth_* call (and `gvflow synth`) may allocate.
+SYNTH_MAX_PIXELS = 2048 * 2048
+
 
 # --- PGM ------------------------------------------------------------------------
 
@@ -250,6 +254,16 @@ def ushape_geometry(width: int, height: int) -> UShapeGeometry:
     return UShapeGeometry(shape=(mx, my, sw, sh), notch=(nx, my, nw, nd))
 
 
+def _check_synth_size(width: int, height: int) -> None:
+    """ParameterError unless width, height >= 3 and the image holds at
+    most SYNTH_MAX_PIXELS pixels; checked before anything is allocated."""
+    if width < 3 or height < 3:
+        raise ParameterError(f"synthetic images must be at least 3x3, got {width}x{height}")
+    if width * height > SYNTH_MAX_PIXELS:
+        raise ParameterError(
+            f"synthetic image {width}x{height} exceeds {SYNTH_MAX_PIXELS} pixels")
+
+
 def _fill_rect(values: np.ndarray, rect: tuple[int, int, int, int], value: float):
     x, y, w, h = rect
     values[y : y + h, x : x + w] = value
@@ -257,6 +271,7 @@ def _fill_rect(values: np.ndarray, rect: tuple[int, int, int, int], value: float
 
 def synth_ushape(width: int, height: int) -> ScalarField:
     """Binary U: a filled rectangle with an upward-opening notch."""
+    _check_synth_size(width, height)
     geo = ushape_geometry(width, height)
     values = np.zeros((height, width))
     _fill_rect(values, geo.shape, 255.0)
@@ -268,6 +283,7 @@ def synth_box_with_hole(
     width: int, height: int, hole_rect: tuple[int, int, int, int] | None = None
 ) -> ScalarField:
     """Binary rectangle with a rectangular hole (default: centered third)."""
+    _check_synth_size(width, height)
     mx, my = width // 4, height // 4
     if mx < _SHAPE_MARGIN or my < _SHAPE_MARGIN:
         raise ParameterError(f"grid {width}x{height} too small for the box shape")
@@ -287,6 +303,7 @@ def synth_box_with_hole(
 
 def synth_disk(width: int, height: int, cx: float, cy: float, r: float) -> ScalarField:
     """Binary filled disk; pixel centers within radius r are foreground."""
+    _check_synth_size(width, height)
     if r <= 0:
         raise ParameterError("disk radius must be > 0")
     if (

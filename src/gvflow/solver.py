@@ -43,11 +43,13 @@ in one place and validates the worst case g = 1, whatever the image.
 
 Termination: iteration stops once the largest per-pixel change
 |v_new - v|_2 drops below delta.  A converged run's field is an
-approximate steady state; two independent oracles (a direct sparse
-solve and, for periodic borders, a Fourier-domain solution) pin it
-down exactly.  The direct solve factors its matrix once for both
-components, and imports scipy.sparse when it is called, not with this
-module, so only a caller of the oracle loads scipy.
+approximate steady state; two independent oracles (a direct solve and,
+for periodic borders, a Fourier-domain solution) pin it down exactly.
+The direct solve is block LU of the block-tridiagonal steady-state
+system with numpy.linalg alone, one block per grid line (across the
+shorter side of a rectangle): O(L * S^3) for L lines of S pixels, and
+one factorization serves both components.  No code in gvflow imports
+scipy.
 """
 
 from __future__ import annotations
@@ -85,7 +87,9 @@ from .grid import (
 # run crosses it long before float overflow.
 _DIVERGENCE_GROWTH = 1e12
 
-_DENSE_ORACLE_LIMIT = 4096
+_ORACLE_LIMIT = 4096
+# the bound on cond(A) above which direct_steady_solve refines its solution
+_REFINE_ABOVE = 1e3
 
 
 def _check_run(p) -> None:
@@ -201,11 +205,8 @@ class DomainMask:
 
     def boundary(self) -> np.ndarray:
         """Interior pixels with at least one exterior/off-grid 4-neighbor."""
-        padded = _pad_mask(self.inside)
-        nb_all = (
-            padded[1:-1, 2:] & padded[1:-1, :-2] & padded[2:, 1:-1] & padded[:-2, 1:-1]
-        )
-        return self.inside & ~nb_all
+        east, west, down, up = _neighbor_flags(self.inside)
+        return self.inside & ~(east & west & down & up)
 
 
 @dataclass(frozen=True)
@@ -287,6 +288,13 @@ def _pad_mask(inside: np.ndarray) -> np.ndarray:
     padded = np.zeros((inside.shape[0] + 2, inside.shape[1] + 2), dtype=bool)
     padded[1:-1, 1:-1] = inside
     return padded
+
+
+def _neighbor_flags(inside: np.ndarray) -> tuple:
+    """Per pixel, whether its x+1, x-1, y+1, y-1 neighbor is in the
+    domain: four (H, W) views of the padded mask."""
+    padded = _pad_mask(inside)
+    return padded[1:-1, 2:], padded[1:-1, :-2], padded[2:, 1:-1], padded[:-2, 1:-1]
 
 
 def _mirror_neighbors(padded: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -598,70 +606,183 @@ def ggvf_solve(
 # --- steady-state oracles -----------------------------------------------------------
 
 
+def _check_reaction(inside: np.ndarray, react: np.ndarray) -> None:
+    """RankError unless every 4-connected component of the domain holds a
+    pixel where react (h > 0) is set.
+
+    On a component without reaction every row of the system sums to
+    zero and couples only to the component, so any constant may be added
+    there: the steady state is not unique.  The reach of the reaction
+    pixels grows one neighbor step at a time until it stops; a pixel it
+    never reaches lies on such a component.
+    """
+    reached = inside & react
+    frontier = reached
+    while frontier.any():
+        east, west, down, up = _neighbor_flags(frontier)
+        frontier = inside & ~reached & (east | west | down | up)
+        reached |= frontier
+    if not np.array_equal(reached, inside):
+        raise RankError(
+            "h vanishes on a whole connected part of the domain; "
+            "the steady state is not unique"
+        )
+
+
+class _LineBlocks:
+    """The steady-state system of a domain, factored by block elimination
+    with one block per row of inside.
+
+    Row i of the system reads diag_i x_i - sum_j c_i x_j = b_i, summed
+    over the interior 4-neighbors j of pixel i (the flags of the padded
+    mask), with c = g/(dx*dy) and diag = h + c * (their count).  Block k
+    holds the interior pixels of grid row k, in row-major order, and
+    couples only to rows k-1 and k+1: the system is block tridiagonal,
+
+        -U_k x_{k-1} + D_k x_k - L_k x_{k+1} = b_k,
+
+    with D_k tridiagonal and U_k, L_k holding at most one weight per row
+    and column.  Block LU (Golub & Van Loan, Matrix Computations, 4.5)
+    turns it into x_k = y_k + S_k^-1 L_k x_{k+1} with
+
+        S_k = D_k - U_k S_{k-1}^-1 L_{k-1},   y_k = S_k^-1 (b_k + U_k y_{k-1}),
+
+    and back substitution runs from the last row up.  The factorization
+    keeps the S_k^-1 only, so solve() serves any right-hand side, both
+    components at once.  Rows without interior pixels are empty blocks.
+    With s_k interior pixels in row k it costs O(sum s_k^3) time and
+    keeps sum s_k^2 doubles.
+    """
+
+    def __init__(self, inside: np.ndarray, c: np.ndarray, h: np.ndarray):
+        east, west, below, above = (nb[inside] for nb in _neighbor_flags(inside))
+        c = c[inside]
+        self._diag = h[inside] + c * (east.astype(np.intp) + west + below + above)
+        # weights to the x+1, x-1, y+1, y-1 neighbors: zero where that
+        # neighbor is exterior, so every pixel may read a neighbor entry
+        # unconditionally, at any valid index where there is none
+        self._east, self._west, self._below, self._above = (
+            c * flag for flag in (east, west, below, above))
+        ys, xs = np.nonzero(inside)
+        index = np.cumsum(inside).reshape(inside.shape) - 1
+        self._above_at = index[ys - 1, xs]
+        self._below_at = index[np.minimum(ys + 1, inside.shape[0] - 1), xs]
+        # for U_k S_{k-1}^-1 L_{k-1}: the pixel above as a position in its
+        # row, and the weight from above, c of that pixel
+        above_in_row = (np.cumsum(inside, axis=1) - 1)[ys - 1, xs]
+        from_above = c[self._above_at] * above
+
+        starts = np.concatenate([[0], np.cumsum(inside.sum(axis=1))]).tolist()
+        self._spans = list(zip(starts[:-1], starts[1:]))
+        self._inverses = []
+        inverse = np.zeros((0, 0))
+        east, west, above = -self._east, -self._west, self._above[:, None]
+        for lo, hi in self._spans:
+            s = hi - lo
+            S = np.zeros((s, s))
+            S.flat[::s + 1] = self._diag[lo:hi]
+            S.flat[1::s + 1] = east[lo:hi - 1]
+            S.flat[s::s + 1] = west[lo + 1:hi]
+            if len(inverse):
+                j = above_in_row[lo:hi]
+                S -= above[lo:hi] * from_above[lo:hi] * inverse.take(j, 0).take(j, 1)
+            inverse = np.linalg.inv(S)
+            self._inverses.append(inverse)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with A x = b, for b of shape (n, 2)."""
+        x = np.zeros_like(b)
+        above, above_at = self._above[:, None], self._above_at
+        below, below_at = self._below[:, None], self._below_at
+        for (lo, hi), inverse in zip(self._spans, self._inverses):
+            x[lo:hi] = inverse @ (b[lo:hi] + above[lo:hi] * x[above_at[lo:hi]])
+        for (lo, hi), inverse in zip(reversed(self._spans), reversed(self._inverses)):
+            x[lo:hi] += inverse @ (below[lo:hi] * x[below_at[lo:hi]])
+        return x
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x, for x of shape (n, 2)."""
+        ax = (self._diag[:, None] * x - self._above[:, None] * x[self._above_at]
+              - self._below[:, None] * x[self._below_at])
+        ax[:-1] -= self._east[:-1, None] * x[1:]
+        ax[1:] -= self._west[1:, None] * x[:-1]
+        return ax
+
+
 def direct_steady_solve(
     f: ScalarField, p: GvfParams, mask: DomainMask | None = None
 ) -> VectorField:
-    """Exact steady state by sparse elimination; the brute-force oracle.
+    """Exact steady state by block elimination; the brute-force oracle.
 
     Solves, per component and per interior pixel,
 
         (h + m*g/(dx*dy)) v_ij - (g/(dx*dy)) * sum(interior neighbors) = h * grad_f
 
     with m the number of interior neighbors (the mirror rule drops the
-    others).  Limited to small test-scale domains.
-    """
-    # imported here so that importing gvflow does not load scipy
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import spsolve
+    others).  The unknowns of one grid line couple only to the lines
+    next to it, so the system is block tridiagonal, and block LU
+    (_LineBlocks) solves it with numpy.linalg alone, one dense inverse
+    per line for both components.  The lines run along the axis that
+    makes sum(s^3) over their interior counts s smaller: on a full
+    W x H rectangle they cross the shorter side, for O(max(W, H) *
+    min(W, H)^3) time and, at the 4096-pixel limit, at most 2 MiB of
+    inverses.  Where g and h allow an ill-conditioned system, one step
+    of iterative refinement restores the digits elimination loses.  The
+    coefficients come from the mask's neighbor flags, not from the
+    stencil's neighbor table, so the oracle shares no code with the
+    solver it checks.  Limited to small test-scale domains.
 
+    Raises RankError when the steady state is not unique: g and h both
+    vanish at a pixel, or h vanishes on a whole connected component.
+    """
     spec = f.spec
     mask = _domain(mask, spec)
-    center = np.flatnonzero(mask.inside)
-    m = center.size
-    if m > _DENSE_ORACLE_LIMIT:
+    m = mask.inside_count
+    if m > _ORACLE_LIMIT:
         raise SizeError(
-            f"{m} interior pixels exceed the oracle limit of {_DENSE_ORACLE_LIMIT}"
+            f"{m} interior pixels exceed the oracle limit of {_ORACLE_LIMIT}"
         )
-    g_in = np.broadcast_to(_coeff_grid(p.g, spec), spec.shape).ravel()[center]
-    h_in = np.broadcast_to(_coeff_grid(p.h, spec), spec.shape).ravel()[center]
-    if np.any((g_in == 0) & (h_in == 0)):
-        raise RankError("g and h both vanish at an interior pixel")
-    if not np.any(h_in > 0):
-        raise RankError("h vanishes everywhere; the steady state is not unique")
-
-    # the neighbor table indexes the padded mask, whose interior pixels
-    # come in the same row-major order as center
-    padded = _pad_mask(mask.inside)
-    at = np.flatnonzero(padded)
-    nbrs = _mirror_neighbors(padded, at)
-    pos = np.full(padded.size, -1, dtype=np.intp)
-    pos[at] = np.arange(m)
-    area = spec.cell_area
-    rows = [np.arange(m)]
-    cols = [np.arange(m)]
-    # mirrored neighbors cancel out of the Laplacian, so the diagonal
-    # counts only true interior neighbors
-    m_count = (nbrs != at[None, :]).sum(axis=0)
-    vals = [h_in + g_in * m_count / area]
-    for a in range(4):
-        real = nbrs[a] != at
-        rows.append(np.nonzero(real)[0])
-        cols.append(pos[nbrs[a][real]])
-        vals.append(-g_in[real] / area)
-    A = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(m, m)
-    )
-
-    # one factorization serves both components: b's columns are u and v
+    g = _coeff_grid(p.g, spec)
+    h = _coeff_grid(p.h, spec)
     source = _masked_source(f, p.cap, mask)
-    b = np.column_stack([h_in * source.u.values.ravel()[center],
-                         h_in * source.v.values.ravel()[center]])
-    x = spsolve(A, b)
+    # every unknown lies in the bounding box of the domain
+    ys, xs = np.nonzero(mask.inside)
+    box = (slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1))
+    inside = mask.inside[box]
+    grids = np.stack([
+        np.broadcast_to(a, spec.shape)[box]
+        for a in (g / spec.cell_area, h, h * source.u.values, h * source.v.values)
+    ])
+    if np.any((grids[0] == 0) & (grids[1] == 0) & inside):
+        raise RankError("g and h both vanish at an interior pixel")
+    _check_reaction(inside, grids[1] > 0)
+
+    # the stencil is symmetric in x and y, so the transposed system is
+    # the same system, with lines along the other axis
+    transpose = (inside.sum(axis=0) ** 3).sum() < (inside.sum(axis=1) ** 3).sum()
+    if transpose:
+        inside, grids = inside.T, grids.transpose(0, 2, 1)
+    c, h, bu, bv = grids
+    b = np.stack([bu[inside], bv[inside]], axis=1)
+    try:
+        system = _LineBlocks(inside, c, h)
+    except np.linalg.LinAlgError:
+        raise RankError("steady-state system is singular") from None
+    x = system.solve(b)
+    # Rows are diagonally dominant by h, so cond(A) <= (max h + 8 max c)
+    # / min h (Varah's bound), and elimination loses about that many
+    # digits where g spans decades more than h.  One step of iterative
+    # refinement from the float64 residual wins them back.
+    h_in = h[inside]
+    if not h_in.max() + 8.0 * c[inside].max() <= _REFINE_ABOVE * h_in.min():
+        x += system.solve(b - system.apply(x))
     if not np.all(np.isfinite(x)):
         raise RankError("steady-state system is singular")
-    out = np.zeros((2, spec.height * spec.width))
-    out[:, center] = x.T
-    return _unstack(spec, out.reshape((2,) + spec.shape))
+    window = np.zeros((2,) + inside.shape)
+    window[:, inside] = x.T
+    out = np.zeros((2,) + spec.shape)
+    out[:, box[0], box[1]] = window.transpose(0, 2, 1) if transpose else window
+    return _unstack(spec, out)
 
 
 def steady_residual(

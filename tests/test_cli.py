@@ -82,6 +82,19 @@ class TestSynth:
         assert main(["synth", "--shape", "disk", "--width", "64", "--height", "64",
                      "--out-image", str(tmp_path / "d.pgm")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("shape", ["ushape", "box-hole", "disk"])
+    @pytest.mark.parametrize("width, height", [(10**12, 10**12), (2049, 2048), (2, 64),
+                                               (64, -5), (-4, -4)])
+    def test_size_out_of_range_is_validation_error(self, tmp_path, capsys, shape, width,
+                                                   height):
+        # checked before the image is allocated: 10**24 pixels would not fit
+        out = tmp_path / "x.pgm"
+        code = main(["synth", "--shape", shape, "--width", str(width), "--height", str(height),
+                     "--cx", "32", "--cy", "32", "--radius", "10", "--out-image", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "synthetic image" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_gvf_artifacts_and_summary(self, u64, tmp_path):
@@ -439,6 +452,9 @@ def subparser(command):
 
 def base_argv(command, tiny, out):
     image, field = tiny
+    if command == "synth":
+        return ["synth", "--shape", "disk", "--width", "48", "--height", "48",
+                "--cx", "24", "--cy", "24", "--radius", "10", "--out-image", str(out)]
     if command == "snake":
         return ["snake", "--field", str(field), "--out", str(out), "--init-circle", "7.5,7.5,5"]
     if command == "render":
@@ -526,8 +542,8 @@ class TestCommandLine:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_any_argv_ends_in_a_documented_exit_code(self, tiny, data):
-        command = data.draw(st.sampled_from(["gvf", "ggvf", "snake", "spectral", "sweep",
-                                             "render"]))
+        command = data.draw(st.sampled_from(["synth", "gvf", "ggvf", "snake", "spectral",
+                                             "sweep", "render"]))
         actions = [a for a in subparser(command)._actions
                    if a.option_strings and a.dest not in PATH_FLAGS | {"help"}]
         token = st.one_of(
@@ -566,7 +582,7 @@ class TestConfigRoundTrip:
 
 class TestColdStart:
     def test_cli_commands_load_no_scipy(self, tmp_path):
-        # scipy backs only the direct_steady_solve oracle
+        # no gvflow code imports scipy; only the test suite uses it, as a reference
         script = f"""
 import sys
 from pathlib import Path

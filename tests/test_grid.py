@@ -1,6 +1,7 @@
 """Field primitives: stencils, edge maps, magnitude clamping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,14 @@ class TestGaussianSmooth:
         img = gv.ScalarField.from_array(np.random.default_rng(17).random((3, 5)))
         got = gv.gaussian_smooth(img, 4.0).values  # radius 12
         assert np.array_equal(got.view(np.int64), self.scipy_blur(img.values, 4.0).view(np.int64))
+
+    @pytest.mark.parametrize("sigma", [1e-160, 5e-324])
+    def test_tiny_sigma_returns_the_image_without_warning(self, sigma):
+        img = gv.ScalarField.from_array(np.random.default_rng(6).random((7, 9)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gv.gaussian_smooth(img, sigma).values
+        assert np.array_equal(got, img.values)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ParameterError):

@@ -1,10 +1,13 @@
 """Explicit solvers, parameter validation, steady-state oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,6 +213,32 @@ class TestDirectSteadySolve:
             gv.direct_steady_solve(f, gv.GvfParams(g=gfield, h=hfield))
         with pytest.raises(RankError):
             gv.direct_steady_solve(f, gv.GvfParams(g=1.0, h=0.0))
+
+    def test_component_without_reaction_is_singular(self):
+        # a full-height hole at x = 4-5 cuts the domain in two; h vanishes
+        # on the left part only, whose steady state is then not unique
+        spec = gv.GridSpec(10, 8)
+        mask = gv.DomainMask.from_rects(spec, None, (4, 0, 2, 8))
+        h = np.full(spec.shape, 0.1)
+        h[:, :4] = 0.0
+        f = gv.ScalarField.from_array(np.random.default_rng(4).random(spec.shape))
+        p = gv.GvfParams(g=1.0, h=gv.ScalarField(spec, h))
+        with pytest.raises(RankError, match="connected"):
+            gv.direct_steady_solve(f, p, mask)
+        # one reaction pixel on the left part makes it unique again
+        h[3, 0] = 0.1
+        out = gv.direct_steady_solve(f, p, mask)
+        assert gv.steady_residual(out, f, p, mask) < 1e-12
+
+    def test_domain_split_by_a_full_width_hole(self):
+        # the rows of the hole are empty blocks of the elimination
+        spec = gv.GridSpec(9, 12)
+        mask = gv.DomainMask.from_rects(spec, None, (0, 4, 9, 3))
+        f = gv.ScalarField.from_array(np.random.default_rng(5).random(spec.shape))
+        p = gv.GvfParams(g=1.0, h=0.1)
+        out = gv.direct_steady_solve(f, p, mask)
+        assert gv.steady_residual(out, f, p, mask) < 1e-12
+        assert np.all(out.u.values[4:7] == 0) and np.all(out.v.values[4:7] == 0)
 
 
 class TestSteadyResidual:
@@ -508,38 +537,136 @@ class TestStencilNeighborSum:
             assert np.array_equal(got[comp].view(np.int64), expected.view(np.int64))
 
 
-class TestDirectSolveFactorsOnce:
-    """direct_steady_solve makes one spsolve call for both components."""
+def spsolve_steady_state(f, p, inside, x=None):
+    """The steady state by scipy's sparse LU, with the system assembled
+    pixel by pixel from the equation in direct_steady_solve's docstring:
+    an independent reference for the block elimination.  Given a
+    solution x, it returns the correction from x's residual instead."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
 
-    @pytest.mark.parametrize("kind", ["full", "masked", "per-pixel"])
-    def test_one_call_with_two_columns(self, kind, monkeypatch):
-        rng = np.random.default_rng(17)
-        f = gv.ScalarField.from_array(rng.random((20, 23)) * 50.0)
-        p, mask = gv.GvfParams(g=0.9, h=0.2), None
-        if kind == "masked":
-            mask = gv.DomainMask.from_rects(f.spec, (1, 2, 20, 17), (6, 7, 5, 4))
-        elif kind == "per-pixel":
-            g = rng.uniform(0.05, 1.0, f.spec.shape)
-            p = gv.GvfParams(g=gv.ScalarField(f.spec, g), h=gv.ScalarField(f.spec, 1.0 - g))
-        real = scipy.sparse.linalg.spsolve
-        calls = []
+    height, width = inside.shape
+    g, h = (np.broadcast_to(c.values if isinstance(c, gv.ScalarField) else c, inside.shape)
+            for c in (p.g, p.h))
+    index = np.full(inside.shape, -1)
+    index[inside] = np.arange(inside.sum())
+    ys, xs = np.nonzero(inside)
+    # diag gains g for each interior neighbor in the loop below
+    diag = h[ys, xs].copy()
+    rows, cols, vals = [index[ys, xs]], [index[ys, xs]], [diag]
+    for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        ny, nx = ys + dy, xs + dx
+        real = (ny >= 0) & (ny < height) & (nx >= 0) & (nx < width)
+        real[real] = inside[ny[real], nx[real]]
+        rows.append(index[ys[real], xs[real]])
+        cols.append(index[ny[real], nx[real]])
+        vals.append(-g[ys[real], xs[real]])
+        diag[real] += g[ys[real], xs[real]]
+    n = len(ys)
+    A = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    grad = gv.clamp_magnitude(gv.gradient_central(f), p.cap)
+    b = np.stack([h[ys, xs] * grad.u.values[ys, xs], h[ys, xs] * grad.v.values[ys, xs]], 1)
+    if x is not None:
+        b = b - A @ x[:, ys, xs].T
+    out = np.zeros((2,) + inside.shape)
+    out[:, ys, xs] = spsolve(A, b).T
+    return out
 
-        def spy(A, b, *args, **kwargs):
-            x = real(A, b, *args, **kwargs)
-            calls.append((A, b, x))
-            return x
 
-        # direct_steady_solve imports spsolve when it is called
-        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spy)
-        out = gv.direct_steady_solve(f, p, mask)
-        monkeypatch.undo()
+@st.composite
+def steady_problems(draw):
+    """A grid of 3-40 px per axis, the full rectangle or a window minus a
+    hole that touches the window's border, and constant or per-pixel
+    coefficients, per-pixel g spanning six decades."""
+    width, height = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    spec = gv.GridSpec(width, height)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = gv.ScalarField(spec, rng.random((height, width)) * 100.0)
+    mask = None
+    if draw(st.booleans()):
+        x0, y0 = draw(st.integers(0, width - 2)), draw(st.integers(0, height - 2))
+        w, h = draw(st.integers(2, width - x0)), draw(st.integers(2, height - y0))
+        hw, hh = draw(st.integers(1, w - 1)), draw(st.integers(1, h - 1))
+        hx = x0 + draw(st.integers(0, w - hw))
+        hy = y0 + draw(st.integers(0, h - hh))
+        side = draw(st.sampled_from(["left", "right", "top", "bottom"]))
+        hx = {"left": x0, "right": x0 + w - hw}.get(side, hx)
+        hy = {"top": y0, "bottom": y0 + h - hh}.get(side, hy)
+        mask = gv.DomainMask.from_rects(spec, (x0, y0, w, h), (hx, hy, hw, hh))
+    if draw(st.booleans()):
+        g = gv.ScalarField(spec, 10.0 ** rng.uniform(-4.0, 2.0, spec.shape))
+        p = gv.GvfParams(g=g, h=gv.ScalarField(spec, rng.uniform(0.01, 1.0, spec.shape)))
+    else:
+        p = gv.GvfParams(g=float(rng.uniform(0.1, 2.0)), h=float(rng.uniform(0.01, 1.0)))
+    return f, p, mask
 
-        assert len(calls) == 1
-        A, b, x = calls[0]
-        m = f.spec.width * f.spec.height if mask is None else mask.inside_count
-        assert b.shape == (m, 2) and x.shape == (m, 2)
+
+class TestDirectSolveAgreesWithSpsolve:
+    """The block elimination against scipy's sparse LU on the same system."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=steady_problems())
+    def test_agrees_to_1e_12_of_the_peak(self, problem):
+        f, p, mask = problem
         inside = np.ones(f.spec.shape, bool) if mask is None else mask.inside
-        for col, comp in enumerate((out.u, out.v)):
-            alone = real(A, b[:, col])
-            assert np.array_equal(alone.view(np.int64), x[:, col].view(np.int64))
-            assert np.array_equal(comp.values[inside].view(np.int64), alone.view(np.int64))
+        out = gv.direct_steady_solve(f, p, mask)
+        got = np.stack([out.u.values, out.v.values])
+        ref = spsolve_steady_state(f, p, inside)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.all(got[:, ~inside] == 0)
+
+    @pytest.mark.parametrize("shape", [(3, 40), (40, 3), (3, 3), (7, 33), (33, 7)])
+    def test_strips_both_orientations(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        f = gv.ScalarField.from_array(rng.random(shape) * 100.0)
+        g = gv.ScalarField(f.spec, 10.0 ** rng.uniform(-4.0, 2.0, shape))
+        p = gv.GvfParams(g=g, h=gv.ScalarField(f.spec, rng.uniform(0.01, 1.0, shape)))
+        out = gv.direct_steady_solve(f, p)
+        ref = spsolve_steady_state(f, p, np.ones(shape, bool))
+        got = np.stack([out.u.values, out.v.values])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+    def test_ill_conditioned_coefficients_keep_full_accuracy(self):
+        # g over nine decades and h over three: unrefined elimination is
+        # off by about 1e-10 of the peak here, and spsolve by up to 1e-12
+        rng = np.random.default_rng(8)
+        shape = (30, 36)
+        f = gv.ScalarField.from_array(rng.random(shape) * 100.0)
+        g = gv.ScalarField(f.spec, 10.0 ** rng.uniform(-6.0, 3.0, shape))
+        p = gv.GvfParams(g=g, h=gv.ScalarField(f.spec, 10.0 ** rng.uniform(-3.0, 0.0, shape)))
+        out = gv.direct_steady_solve(f, p)
+        got = np.stack([out.u.values, out.v.values])
+        # the reference, refined to convergence from its float64 residual
+        ref = spsolve_steady_state(f, p, np.ones(shape, bool))
+        for _ in range(3):
+            ref += spsolve_steady_state(f, p, np.ones(shape, bool), ref)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestOracleWithoutScipy:
+    def test_direct_solve_runs_with_scipy_blocked(self):
+        # a None entry in sys.modules makes every import of scipy fail
+        script = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import gvflow as gv
+rng = np.random.default_rng(3)
+f = gv.ScalarField.from_array(rng.random((20, 23)) * 50.0)
+p = gv.GvfParams(g=0.9, h=0.2)
+for mask in (None, gv.DomainMask.from_rects(f.spec, (1, 2, 20, 17), (6, 7, 5, 4))):
+    out = gv.direct_steady_solve(f, p, mask)
+    residual = gv.steady_residual(out, f, p, mask)
+    if not residual < 1e-12:
+        sys.exit(f"residual {residual}")
+print("ok")
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(gv.__file__).resolve().parent.parent)]
+            + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "ok"
