@@ -2,9 +2,10 @@
 
 Field values are float64 arrays of shape (height, width); element
 [y, x] is the pixel in column x of row y, so the x axis runs along
-array axis 1.  Grid spacing is carried by GridSpec, but the stencils
-here are exact only for dx = dy = 1; solver-side parameter validation
-rejects any other spacing.
+array axis 1.  Pixels are unit squares: the stencils use grid spacing
+1 along both axes.  Square cells of side s pose the same discrete
+problem with the diffusion coefficient g / s^2 in place of g, so no
+spacing is carried.
 
 Every stencil uses the mirrored-neighbor border rule: a neighbor that
 would fall off the grid is replaced by the border pixel itself.  This
@@ -31,29 +32,21 @@ _CACHE_LINE = 64
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid dimensions and spacing. Stencils need width, height >= 3."""
+    """Grid dimensions in unit pixels. Stencils need width, height >= 3."""
 
     width: int
     height: int
-    dx: float = 1.0
-    dy: float = 1.0
 
     def __post_init__(self):
         if self.width < 3 or self.height < 3:
             raise DimensionError(
                 f"grid must be at least 3x3, got {self.width}x{self.height}"
             )
-        if not (self.dx > 0 and self.dy > 0):
-            raise ParameterError("grid spacing must be positive")
 
     @property
     def shape(self) -> tuple[int, int]:
         """Numpy array shape (rows, cols) = (height, width)."""
         return (self.height, self.width)
-
-    @property
-    def cell_area(self) -> float:
-        return self.dx * self.dy
 
 
 @dataclass
@@ -78,11 +71,11 @@ class ScalarField:
         return cls(spec, np.zeros(spec.shape))
 
     @classmethod
-    def from_array(cls, arr, dx: float = 1.0, dy: float = 1.0) -> "ScalarField":
+    def from_array(cls, arr) -> "ScalarField":
         a = np.asarray(arr, dtype=np.float64)
         if a.ndim != 2:
             raise DimensionError("expected a 2D array")
-        return cls(GridSpec(a.shape[1], a.shape[0], dx, dy), a)
+        return cls(GridSpec(a.shape[1], a.shape[0]), a)
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.spec, self.values.copy())
@@ -108,8 +101,8 @@ class VectorField:
         return cls(ScalarField.zeros(spec), ScalarField.zeros(spec))
 
     @classmethod
-    def from_arrays(cls, u, v, dx: float = 1.0, dy: float = 1.0) -> "VectorField":
-        return cls(ScalarField.from_array(u, dx, dy), ScalarField.from_array(v, dx, dy))
+    def from_arrays(cls, u, v) -> "VectorField":
+        return cls(ScalarField.from_array(u), ScalarField.from_array(v))
 
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.u.values, self.v.values)
@@ -217,21 +210,16 @@ def _neighbor_sum(padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 def gradient_central(f: ScalarField) -> VectorField:
     """Central-difference gradient; mirrored neighbors at the borders."""
     p = _pad_border(f.values)
-    u = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * f.spec.dx)
-    v = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * f.spec.dy)
+    u = (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0
+    v = (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
     return VectorField(ScalarField(f.spec, u), ScalarField(f.spec, v))
 
 
 def laplacian_5pt(f: ScalarField) -> ScalarField:
-    """Five-point Laplacian scaled by 1/(dx*dy), mirrored at the borders.
-
-    The single dx*dy divisor matches the diffusion stencil used by the
-    solvers and is only meaningful for square cells.
-    """
+    """Five-point Laplacian nb_sum - 4*a, mirrored at the borders."""
     a = f.values
     nb = _neighbor_sum(_pad_border(a))[1:-1, 1:-1]
-    lap = (nb - 4.0 * a) / f.spec.cell_area
-    return ScalarField(f.spec, lap)
+    return ScalarField(f.spec, nb - 4.0 * a)
 
 
 def _symmetric_pass(padded: np.ndarray, kernel: np.ndarray, step: int) -> np.ndarray:

@@ -99,9 +99,18 @@ def read_pgm(path) -> ScalarField:
         dtype = ">u2" if maxval > 255 else np.uint8
         values = np.frombuffer(raster, dtype=dtype).astype(np.float64)
     else:
+        # every sample takes a byte at least: a header that claims more
+        # samples than there are bytes left is refused before allocating
+        left = len(data) - tok.pos
+        if count > left:
+            raise FormatError(
+                f"truncated raster: {count} samples, only {left} bytes left", len(data))
         values = np.empty(count, dtype=np.float64)
-        for i in range(count):
-            values[i] = tok.int_token("sample")
+        try:
+            for i in range(count):
+                values[i] = tok.int_token("sample")
+        except OverflowError:
+            raise FormatError(f"sample exceeds maxval {maxval}", tok.pos) from None
     if np.any(values > maxval):
         raise FormatError(f"sample exceeds maxval {maxval}", 0)
     return ScalarField(GridSpec(width, height), values.reshape(height, width))
@@ -129,11 +138,12 @@ def write_pgm(field: ScalarField, path, maxval: int = 255, binary: bool = True) 
 
 
 def write_field(field: VectorField, path) -> None:
-    """Plain-text container: magic, dimensions, spacing, then one "u v"
-    pair per pixel in row-major order at full float64 precision."""
+    """Plain-text container: magic, dimensions, the grid spacing "1 1"
+    (pixels are unit squares), then one "u v" pair per pixel in
+    row-major order at full float64 precision."""
     spec = field.spec
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{FIELD_MAGIC}\n{spec.width} {spec.height}\n{spec.dx:.17g} {spec.dy:.17g}\n")
+        fh.write(f"{FIELD_MAGIC}\n{spec.width} {spec.height}\n1 1\n")
         # one row at a time, formatted from Python floats: fast, and only
         # one row's text is held in memory
         for u, v in zip(field.u.values, field.v.values):
@@ -168,8 +178,8 @@ def read_field(path) -> VectorField:
         raise FormatError("malformed field-file header") from None
     if width < 3 or height < 3:
         raise FormatError(f"bad field dimensions {width}x{height}: grids must be at least 3x3")
-    if not (0 < dx < math.inf and 0 < dy < math.inf):
-        raise FormatError(f"bad grid spacing {header[2]!r}: dx and dy must be finite and > 0")
+    if not (dx == 1 and dy == 1):
+        raise FormatError(f"bad grid spacing {header[2]!r}: pixels are unit squares, spacing 1 1")
     count = width * height
     body = lines[3 : 3 + count]
     if len(body) != count or any(s.strip() for s in lines[3 + count :]):
@@ -185,7 +195,7 @@ def read_field(path) -> VectorField:
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise FormatError(f"non-finite value pair on line {bad[0] + 4}")
-    spec = GridSpec(width, height, dx, dy)
+    spec = GridSpec(width, height)
     u, v = np.ascontiguousarray(values.T).reshape(2, height, width)
     return VectorField(ScalarField(spec, u), ScalarField(spec, v))
 
@@ -304,6 +314,8 @@ def synth_box_with_hole(
 def synth_disk(width: int, height: int, cx: float, cy: float, r: float) -> ScalarField:
     """Binary filled disk; pixel centers within radius r are foreground."""
     _check_synth_size(width, height)
+    if not all(map(math.isfinite, (cx, cy, r))):
+        raise ParameterError(f"disk geometry must be finite, got cx={cx!r}, cy={cy!r}, r={r!r}")
     if r <= 0:
         raise ParameterError("disk radius must be > 0")
     if (

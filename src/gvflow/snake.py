@@ -186,30 +186,35 @@ def _unit_field(field: VectorField) -> VectorField:
 def resample_contour(s: Snake, spacing: float) -> Snake:
     """Redistribute snaxels at uniform arc length along the closed
     polyline, anchored at the current first point; the count is
-    max(4, round(perimeter / spacing))."""
+    max(4, round(perimeter / spacing)), which must be finite."""
     if not spacing > 0:
         raise ParameterError("spacing must be > 0")
     ring = _closed_ring(s.points.T)
     seg = ring[:, 2:] - ring[:, 1:-1]
     seglen = np.hypot(*seg)
-    perimeter, n_new = _resample_count(seglen, spacing)
-    return Snake(np.ascontiguousarray(_resample(ring, seg, seglen, perimeter, n_new).T))
+    perimeter, count = _resample_count(seglen, spacing)
+    if not np.isfinite(count):
+        raise ParameterError(
+            f"spacing {spacing:.6g} is too small for a contour of perimeter {perimeter:.6g}")
+    return Snake(np.ascontiguousarray(_resample(ring, seg, seglen, perimeter, count).T))
 
 
-def _resample_count(seglen: np.ndarray, spacing: float) -> tuple[float, int]:
-    """Perimeter of a closed contour with these segment lengths, and the
-    snaxel count of its resampling at this spacing."""
+def _resample_count(seglen: np.ndarray, spacing: float) -> tuple[float, float]:
+    """Perimeter of a closed contour with these segment lengths, and
+    perimeter / spacing, the unrounded snaxel count of its resampling
+    at this spacing; inf where the division overflows."""
     perimeter = float(seglen.sum())
     if perimeter < 1e-9:
         raise GeometryError("contour has (near) zero perimeter")
-    return perimeter, max(4, int(round(perimeter / spacing)))
+    return perimeter, perimeter / spacing
 
 
 def _resample(ring: np.ndarray, seg: np.ndarray, seglen: np.ndarray,
-              perimeter: float, n_new: int) -> np.ndarray:
+              perimeter: float, count: float) -> np.ndarray:
     """resample_contour on a closed ring (see _closed_ring), its (2, N)
-    segments, their lengths and their sum; returns the new (2, n_new)
-    points."""
+    segments, their lengths and their sum, for a finite unrounded count;
+    returns the new (2, n_new) points, n_new = max(4, round(count))."""
+    n_new = max(4, int(round(count)))
     targets = perimeter * np.arange(n_new) / n_new
     cum = np.concatenate([[0.0], np.cumsum(seglen)])
     idx = np.searchsorted(cum, targets, side="right") - 1
@@ -279,10 +284,11 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
             seglen = np.hypot(*seg)
             if _spacing_drifted(seglen, p.resample_spacing):
                 perimeter, count = _resample_count(seglen, p.resample_spacing)
-                if count > max_snaxels:
+                # compared unrounded, so that an overflow to inf is caught too
+                if not count < max_snaxels + 0.5:
                     raise DivergenceError(
-                        f"resampling would grow the contour to {count} snaxels, past the "
-                        f"cap of {max_snaxels}", n
+                        f"resampling would grow the contour to {count:.6g} snaxels, past "
+                        f"the cap of {max_snaxels}", n
                     )
                 xy = _resample(ring, seg, seglen, perimeter, count)
                 at = sample.clamp(xy)

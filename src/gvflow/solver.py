@@ -10,10 +10,11 @@ constants or per-pixel fields.  One explicit Jacobi step reads
 
     v_new = (1 - h*dt) * v + h*dt * grad_f + r * (nb_sum - 4 * v),
 
-with r = g*dt/(dx*dy) and nb_sum the four-neighbor sum.  Neighbors that
-leave the domain are mirrored onto the center pixel (zero-flux rule),
-both at the grid border and at the boundary of a masked domain; a
-periodic variant wraps instead and backs the spectral oracle.
+with r = g*dt (pixels are unit squares; see grid) and nb_sum the
+four-neighbor sum.  Neighbors that leave the domain are mirrored onto
+the center pixel (zero-flux rule), both at the grid border and at the
+boundary of a masked domain; a periodic variant wraps instead and backs
+the spectral oracle.
 
 One stencil operator (_Stencil) serves the iteration, gvf_step and
 steady_residual, and grid.laplacian_5pt shares its neighbor sum.  Both
@@ -92,6 +93,14 @@ _ORACLE_LIMIT = 4096
 _REFINE_ABOVE = 1e3
 
 
+def _check_k(K: float) -> None:
+    """ParameterError unless K > 0 and K*K > 0: below about 1.6e-162 K*K
+    underflows to 0, and the weight's exponent |grad_f|^2 / K^2 turns
+    to inf, or to NaN where the gradient vanishes."""
+    if not (K > 0 and K * K > 0):
+        raise ParameterError(f"K must be > 0 with K*K > 0, got K = {K!r}")
+
+
 def _check_run(p) -> None:
     """The checks that GvfParams and GgvfParams share."""
     if not p.dt > 0:
@@ -147,8 +156,7 @@ class GgvfParams:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not self.K > 0:
-            raise ParameterError("K must be > 0")
+        _check_k(self.K)
         _check_run(self)
 
 
@@ -214,9 +222,10 @@ class SolveReport:
     """Outcome of an explicit solve.
 
     change_history[n] is the largest per-pixel step |v^{n+1} - v^n|_2 of
-    iteration n+1; energy_history[n] is the cell-area-weighted sum of
-    squared steps of that iteration.  params are the coefficients the
-    solve iterated; for GGVF, the resolved per-pixel pair.
+    iteration n+1; energy_history[n] is the sum of the squared steps
+    |v^{n+1} - v^n|_2^2 over the domain's pixels.  params are the
+    coefficients the solve iterated; for GGVF, the resolved per-pixel
+    pair.
     """
 
     field: VectorField
@@ -253,7 +262,7 @@ def _coeff_grid(c: float | ScalarField, spec: GridSpec):
     return float(c)
 
 
-def validate_params(p: GvfParams, spec: GridSpec) -> list[str]:
+def validate_params(p: GvfParams) -> list[str]:
     """Return the list of violated scheme constraints (empty = ok).
 
     Per-pixel coefficients are checked through their pixelwise maxima;
@@ -263,21 +272,16 @@ def validate_params(p: GvfParams, spec: GridSpec) -> list[str]:
     """
     gmax = _coeff_max(p.g)
     hmax = _coeff_max(p.h)
-    area = spec.cell_area
     violations = []
-    r = gmax * p.dt / area
+    r = gmax * p.dt
     if not r < 0.25:
-        violations.append(f"r < 1/4 violated: r = g*dt/(dx*dy) = {r:.6g}")
+        violations.append(f"r < 1/4 violated: r = g*dt = {r:.6g}")
     if not gmax * p.dt < 1.0:
         violations.append(f"g*dt < 1 violated: g*dt = {gmax * p.dt:.6g}")
     if not hmax * p.dt < 1.0:
         violations.append(f"h*dt < 1 violated: h*dt = {hmax * p.dt:.6g}")
     if not hmax < gmax:
         violations.append(f"h < g violated: h = {hmax:.6g}, g = {gmax:.6g}")
-    if spec.dx != 1.0 or spec.dy != 1.0:
-        violations.append(
-            f"dx = dy = 1 required by the stencil, got dx = {spec.dx}, dy = {spec.dy}"
-        )
     return violations
 
 
@@ -390,12 +394,11 @@ class _Stencil:
     def coeffs(self, g, h, dt: float, src: VectorField):
         """The coefficients of step() for g, h (scalars or ScalarFields)
         and the source field: keep = 1 - h*dt, hsrc = h*dt*src and
-        rc = g*dt/(dx*dy), zero outside the domain and on the border."""
+        rc = g*dt, zero outside the domain and on the border."""
         g = _coeff_grid(g, self._spec)
         hdt = _coeff_grid(h, self._spec) * dt
         hsrc = np.stack([hdt * src.u.values, hdt * src.v.values])
-        return (self._spread(1.0 - hdt), self._spread(hsrc),
-                self._spread(g * dt / self._spec.cell_area))
+        return self._spread(1.0 - hdt), self._spread(hsrc), self._spread(g * dt)
 
     def _spread(self, a):
         """Span layout; on the full rectangle a scalar passes through."""
@@ -474,13 +477,14 @@ def gvf_step(
     return out
 
 
+# a forced run may overflow, which the loop reports as a DivergenceError
+@np.errstate(over="ignore", invalid="ignore")
 def _iterate(source: VectorField, p: GvfParams, mask: DomainMask, periodic: bool):
     """Run the explicit iteration from v(0) = source until the largest
     per-pixel change drops below p.delta; shared by both solvers.
 
     source must be zero outside the domain."""
     spec = source.spec
-    area = spec.cell_area
     stencil = _Stencil(mask, periodic, source)
     coeffs = stencil.coeffs(p.g, p.h, p.dt, source)
     # the energy sums interior pixels only, in row-major order
@@ -499,7 +503,7 @@ def _iterate(source: VectorField, p: GvfParams, mask: DomainMask, periodic: bool
         step(*coeffs)
         squared_change(sq)
         change = math.sqrt(float(sq_max()))
-        energy = float(sq_sum() if inside is None else sq_take(inside).sum()) * area
+        energy = float(sq_sum() if inside is None else sq_take(inside).sum())
         iterations = n
         changes.append(change)
         energies.append(energy)
@@ -553,7 +557,7 @@ def gvf_solve(
     """
     spec = f.spec
     mask = _domain(mask, spec)
-    violations = validate_params(p, spec)
+    violations = validate_params(p)
     if violations and not force:
         raise ParameterError("; ".join(violations))
     if np.any((_coeff_grid(p.g, spec) == 0) & (_coeff_grid(p.h, spec) == 0) & mask.inside):
@@ -562,11 +566,15 @@ def gvf_solve(
 
 
 def ggvf_weight(grad_f: VectorField, K: float) -> ScalarField:
-    """Edge-sensitive diffusion weight exp(-|grad_f|^2 / K^2)."""
-    if not K > 0:
-        raise ParameterError("K must be > 0")
-    mag2 = grad_f.u.values ** 2 + grad_f.v.values ** 2
-    return ScalarField(grad_f.spec, np.exp(-mag2 / (K * K)))
+    """Edge-sensitive diffusion weight exp(-|grad_f|^2 / K^2).
+
+    Where the exponent overflows to -inf the weight is exp(-inf) = 0,
+    the right limit, so that overflow is not reported.
+    """
+    _check_k(K)
+    with np.errstate(over="ignore"):
+        mag2 = grad_f.u.values ** 2 + grad_f.v.values ** 2
+        return ScalarField(grad_f.spec, np.exp(-mag2 / (K * K)))
 
 
 def _resolve(p: GgvfParams, source: VectorField) -> GvfParams:
@@ -596,7 +604,7 @@ def ggvf_solve(
     """
     spec = f.spec
     mask = _domain(mask, spec)
-    violations = validate_params(GvfParams(g=1.0, h=0.0, dt=p.dt), spec)
+    violations = validate_params(GvfParams(g=1.0, h=0.0, dt=p.dt))
     if violations and not force:
         raise ParameterError("; ".join(violations) + " (GGVF worst case g = 1, h = 0)")
     source = _masked_source(f, p.cap, mask)
@@ -635,9 +643,9 @@ class _LineBlocks:
 
     Row i of the system reads diag_i x_i - sum_j c_i x_j = b_i, summed
     over the interior 4-neighbors j of pixel i (the flags of the padded
-    mask), with c = g/(dx*dy) and diag = h + c * (their count).  Block k
-    holds the interior pixels of grid row k, in row-major order, and
-    couples only to rows k-1 and k+1: the system is block tridiagonal,
+    mask), with c = g and diag = h + c * (their count).  Block k holds
+    the interior pixels of grid row k, in row-major order, and couples
+    only to rows k-1 and k+1: the system is block tridiagonal,
 
         -U_k x_{k-1} + D_k x_k - L_k x_{k+1} = b_k,
 
@@ -716,7 +724,7 @@ def direct_steady_solve(
 
     Solves, per component and per interior pixel,
 
-        (h + m*g/(dx*dy)) v_ij - (g/(dx*dy)) * sum(interior neighbors) = h * grad_f
+        (h + m*g) v_ij - g * sum(interior neighbors) = h * grad_f
 
     with m the number of interior neighbors (the mirror rule drops the
     others).  The unknowns of one grid line couple only to the lines
@@ -751,7 +759,7 @@ def direct_steady_solve(
     inside = mask.inside[box]
     grids = np.stack([
         np.broadcast_to(a, spec.shape)[box]
-        for a in (g / spec.cell_area, h, h * source.u.values, h * source.v.values)
+        for a in (g, h, h * source.u.values, h * source.v.values)
     ])
     if np.any((grids[0] == 0) & (grids[1] == 0) & inside):
         raise RankError("g and h both vanish at an interior pixel")
@@ -785,13 +793,15 @@ def direct_steady_solve(
     return _unstack(spec, out)
 
 
+@np.errstate(over="ignore")
 def steady_residual(
     v: VectorField, f: ScalarField, p: GvfParams, mask: DomainMask | None = None
 ) -> float:
     """Largest interior residual |g*Lap(v) + h*(grad_f - v)|_2.
 
     Zero exactly at the steady state; one explicit step moves the field
-    by dt times this quantity, so the fixed-point identity is exact.
+    by dt times this quantity, so the fixed-point identity is exact.  A
+    residual past the float range (g near 1e308, say) is inf.
     """
     spec = v.spec
     if f.spec != spec:
@@ -803,11 +813,10 @@ def steady_residual(
     source = np.stack([grad.u.values, grad.v.values])
     stencil = _Stencil(mask, False, v)
     c = stencil.field
-    lap = (stencil.neighbor_sum()[:, 1:-1, 1:-1] - 4.0 * c) / spec.cell_area
+    lap = stencil.neighbor_sum()[:, 1:-1, 1:-1] - 4.0 * c
     r = g * lap + h * (source - c)
     res_sq = r[0] * r[0] + r[1] * r[1]
-    worst = math.sqrt(float(res_sq[mask.inside].max()))
-    return worst
+    return math.sqrt(float(res_sq[mask.inside].max()))
 
 
 # --- expansion consistency check ---------------------------------------------------

@@ -72,7 +72,7 @@ def test_criterion_01_oracle_equivalence():
             h=float(rng.uniform(0.05, 0.4)),
             dt=DT, delta=1e-10, max_iter=200000,
         )
-        assert gv.validate_params(p, f.spec) == []
+        assert gv.validate_params(p) == []
         it = gv.gvf_solve(f, p)
         direct = gv.direct_steady_solve(f, p)
         gap = max(
@@ -203,7 +203,7 @@ def test_criterion_09_stability():
     f.values[4, 4] = 1.0
     f = gv.ScalarField(f.spec, f.values)
     p = gv.GvfParams(g=1.5, h=0.0, dt=0.2, delta=1e-12, max_iter=1000)  # r = 0.3
-    violations = gv.validate_params(p, f.spec)
+    violations = gv.validate_params(p)
     rejected = any("r < 1/4" in v for v in violations)
     with pytest.raises(gv.ParameterError):
         gv.gvf_solve(f, p)

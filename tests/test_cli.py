@@ -3,16 +3,18 @@
 import argparse
 import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gvflow as gv
@@ -146,6 +148,13 @@ class TestPipeline:
     def test_divergence_exit_code(self, u64, tmp_path):
         code = main(["gvf", "--image", str(u64), "--out", str(tmp_path / "x"),
                      "--g", "1.5", "--h", "0.0", "--dt", "0.2", "--force"])
+        assert code == EXIT_DIVERGENCE
+
+    def test_forced_overflow_is_divergence_without_a_warning(self, tiny, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gvf", "--image", str(tiny[0]), "--out", str(tmp_path / "x"),
+                         "--g", "1e300", "--dt", "0.1", "--t-max", "5", "--force"])
         assert code == EXIT_DIVERGENCE
 
     def test_nonconvergence_exit_code(self, u64, tmp_path):
@@ -420,6 +429,55 @@ class TestTypedErrors:
         assert code == EXIT_IO
         assert "at least 3x3" in err
 
+    def test_huge_p2_header_is_format_error(self, tmp_path, capsys):
+        # 10**10 samples would take 74.5 GiB; refused before the raster is allocated
+        image = tmp_path / "huge.pgm"
+        image.write_bytes(b"P2\n100000 100000\n255\n0 255 255 0\n")
+        out = tmp_path / "x"
+        code, err = self.run(["gvf", "--image", str(image), "--out", str(out)], capsys)
+        assert code == EXIT_IO
+        assert "truncated raster" in err
+        assert not (out / "field.gvf").exists()
+
+    def test_overflowing_snake_spacing_is_divergence(self, tmp_path, capsys):
+        # perimeter / spacing is inf: past the snaxel cap, not an OverflowError
+        image = tmp_path / "u32.pgm"
+        io.write_pgm(io.synth_ushape(32, 32), image)
+        code, err = self.run(["gvf", "--image", str(image), "--out", str(tmp_path / "x"),
+                              "--snake", "16,16,10", "--spacing", "1e-320"], capsys)
+        assert code == EXIT_DIVERGENCE
+        assert "past the cap of 1024" in err
+
+    @pytest.mark.parametrize("cx, cy, radius", [("nan", "24", "10"), ("24", "nan", "10"),
+                                               ("24", "24", "nan")])
+    def test_non_finite_disk_geometry_is_validation_error(self, tmp_path, capsys, cx, cy,
+                                                          radius):
+        out = tmp_path / "d.pgm"
+        code, err = self.run(["synth", "--shape", "disk", "--width", "48", "--height", "48",
+                              "--cx", cx, "--cy", cy, "--radius", radius,
+                              "--out-image", str(out)], capsys)
+        assert code == EXIT_VALIDATION
+        assert "disk geometry must be finite" in err
+        assert not out.exists()
+
+    def test_tiny_ggvf_k_leaks_no_warning(self, tiny, tmp_path, capsys):
+        # |grad f|^2 / K^2 overflows to inf off the flat pixels: weight 0 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = self.run(["ggvf", "--image", str(tiny[0]), "--out", str(tmp_path / "x"),
+                                "--k", "1e-158", "--t-max", "5"], capsys)
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
+
+    def test_ggvf_k_whose_square_underflows_is_validation_error(self, tiny, tmp_path, capsys):
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.run(["ggvf", "--image", str(tiny[0]), "--out", str(out),
+                                  "--k", "1e-200"], capsys)
+        assert code == EXIT_VALIDATION
+        assert "K must be > 0 with K*K > 0" in err
+        assert not (out / "field.gvf").exists()
+
     def test_config_that_is_not_json_is_format_error(self, u64, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{g: 1")
@@ -563,6 +621,44 @@ class TestCommandLine:
             err = StringIO()
             with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv)
+        assert code in range(5)
+        assert "Traceback" not in err.getvalue()
+
+
+def json_values():
+    """Arbitrary JSON values, with the floats that break arithmetic drawn often."""
+    edge = st.sampled_from([5e-324, 1e-320, 1e-200, 1e-158, -0.0, 1e308, math.inf, -math.inf,
+                            math.nan, 2**63, -(2**63), 10**30])
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), edge,
+                        st.text(max_size=8), edge.map(repr))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                        max_leaves=6)
+
+
+class TestConfigFuzz:
+    """A config file of _FLAGS keys, unknown keys and arbitrary JSON values
+    ends every command in a documented exit code, never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["gvf", "ggvf", "snake", "spectral", "sweep"]),
+           config=st.dictionaries(st.one_of(st.sampled_from(sorted(cli._FLAGS)),
+                                            st.text(max_size=6)),
+                                  json_values(), max_size=4))
+    # perimeter / spacing overflows to inf at the first resampling
+    @example(command="gvf", config={"spacing": 5e-324})
+    @example(command="snake", config={"spacing": 5e-324})
+    @example(command="ggvf", config={"k": 1e-200})
+    def test_any_config_ends_in_a_documented_exit_code(self, tiny, command, config):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = base_argv(command, tiny, Path(d) / "out") + short_run(command)
+            if command == "gvf":
+                argv += ["--snake", "7.5,7.5,5"]
+            err = StringIO()
+            with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--config", str(path)])
         assert code in range(5)
         assert "Traceback" not in err.getvalue()
 

@@ -24,10 +24,6 @@ class TestGridSpec:
         with pytest.raises(DimensionError):
             gv.GridSpec(5, 2)
 
-    def test_rejects_bad_spacing(self):
-        with pytest.raises(ParameterError):
-            gv.GridSpec(5, 5, dx=0.0)
-
     def test_shape_is_rows_cols(self):
         assert gv.GridSpec(4, 7).shape == (7, 4)
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvflow as gv
 from gvflow import ioformats as io
@@ -49,6 +51,12 @@ class TestPgm:
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 10)
         with pytest.raises(FormatError, match="byte offset"):
+            io.read_pgm(path)
+
+    def test_p2_sample_beyond_float_range_is_format_error(self, tmp_path):
+        path = tmp_path / "big.pgm"
+        path.write_bytes(b"P2\n3 3\n255\n1 2 3 4 5 6 7 8 " + b"9" * 400 + b"\n")
+        with pytest.raises(FormatError, match="exceeds maxval 255"):
             io.read_pgm(path)
 
     def test_bad_magic(self, tmp_path):
@@ -141,7 +149,7 @@ class TestFieldFile:
         with pytest.raises(FormatError, match="non-finite value pair on line 9"):
             io.read_field(self._edited(tmp_path, 8, pair))
 
-    @pytest.mark.parametrize("spacing", ["nan 1", "1 inf", "0 1", "1 -2"])
+    @pytest.mark.parametrize("spacing", ["nan 1", "1 inf", "0 1", "1 -2", "0.5 0.5", "2 1"])
     def test_bad_spacing_is_format_error(self, tmp_path, spacing):
         with pytest.raises(FormatError, match="grid spacing"):
             io.read_field(self._edited(tmp_path, 2, spacing))
@@ -201,6 +209,83 @@ class TestContourCsv:
             io.read_contour(path)
 
 
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A small valid file of each kind the readers take: kind -> (reader, bytes)."""
+    d = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(41)
+    img8 = gv.ScalarField.from_array(rng.integers(0, 256, (4, 5)).astype(float))
+    img16 = gv.ScalarField.from_array(rng.integers(0, 65536, (4, 5)).astype(float))
+    io.write_pgm(img8, d / "p2.pgm", binary=False)
+    io.write_pgm(img8, d / "p5.pgm")
+    io.write_pgm(img16, d / "p5-16.pgm", maxval=65535)
+    io.write_field(gv.VectorField.from_arrays(rng.normal(size=(4, 3)), rng.normal(size=(4, 3))),
+                   d / "field.gvf")
+    io.write_contour(rng.normal(size=(5, 2)) * 10.0, d / "contour.csv")
+    readers = {"p2.pgm": io.read_pgm, "p5.pgm": io.read_pgm, "p5-16.pgm": io.read_pgm,
+               "field.gvf": io.read_field, "contour.csv": io.read_contour}
+    return d, {name: (reader, (d / name).read_bytes()) for name, reader in readers.items()}
+
+
+_POSITION = st.integers(0, 2**16)
+_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), _POSITION, st.integers(0, 7)),
+    st.tuples(st.just("insert"), _POSITION, st.one_of(
+        st.binary(min_size=1, max_size=4),
+        st.sampled_from([b"9" * 12, b"-", b".", b"nan", b"inf", b"e999", b"#", b",", b"\n",
+                         b" ", b"\r", b"\x00", b"\xff"]))),
+    st.tuples(st.just("delete"), _POSITION, st.integers(1, 8)),
+    st.tuples(st.just("truncate"), _POSITION, st.none()),
+)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    """data with each (kind, position, argument) mutation applied in turn;
+    positions wrap around the current length."""
+    for kind, at, arg in mutations:
+        at %= len(data) + 1
+        if kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ (1 << arg)]) + data[at + 1:]
+        elif kind == "insert":
+            data = data[:at] + arg + data[at:]
+        elif kind == "delete":
+            data = data[:at] + data[at + arg:]
+        elif kind == "truncate":
+            data = data[:at]
+    return data
+
+
+class TestMutatedFiles:
+    """Every read of a damaged file either succeeds or raises FormatError."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(name=st.sampled_from(["p2.pgm", "p5.pgm", "p5-16.pgm", "field.gvf", "contour.csv"]),
+           mutations=st.lists(_MUTATION, min_size=1, max_size=4))
+    def test_read_succeeds_or_raises_format_error(self, valid_files, name, mutations):
+        d, files = valid_files
+        reader, data = files[name]
+        path = d / ("mutated-" + name)
+        path.write_bytes(_mutate(data, mutations))
+        try:
+            reader(path)
+        except FormatError:
+            pass
+
+    @pytest.mark.parametrize("name, message", [
+        ("p2.pgm", "truncated raster"), ("p5.pgm", "truncated raster"),
+        ("p5-16.pgm", "truncated raster"), ("field.gvf", "expected 10000000000 value lines")])
+    def test_huge_dimensions_are_format_error(self, valid_files, name, message):
+        # 10**10 float64 samples would take 74.5 GiB: refused before allocating
+        d, files = valid_files
+        reader, data = files[name]
+        lines = data.split(b"\n")
+        lines[1] = b"100000 100000"
+        path = d / ("huge-" + name)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match=message):
+            reader(path)
+
+
 class TestSynthCorpus:
     def test_disk_probe_pixels(self):
         img = io.synth_disk(64, 64, 32, 32, 10)
@@ -231,6 +316,12 @@ class TestSynthCorpus:
         assert (img.values == 0).any() and (img.values == 255).any()
         inner = io.synth_box_with_hole(64, 64, (30, 30, 4, 4))
         assert inner.values[31, 31] == 0.0 and inner.values[20, 20] == 255.0
+
+    @pytest.mark.parametrize("cx, cy, r", [(math.nan, 24, 10), (24, math.nan, 10),
+                                          (24, 24, math.nan)])
+    def test_disk_geometry_must_be_finite(self, cx, cy, r):
+        with pytest.raises(ParameterError, match="disk geometry must be finite"):
+            io.synth_disk(48, 48, cx, cy, r)
 
     def test_shapes_must_fit(self):
         with pytest.raises(ParameterError):

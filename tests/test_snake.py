@@ -138,6 +138,12 @@ class TestResampleContour:
         out = gv.resample_contour(square, 100.0)
         assert len(out) == 4
 
+    @pytest.mark.parametrize("spacing", [1e-320, 5e-324])
+    def test_spacing_whose_count_overflows_is_rejected(self, spacing):
+        sq = gv.Snake(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]))
+        with pytest.raises(ParameterError, match="too small"):
+            gv.resample_contour(sq, spacing)
+
     def test_degenerate_contour(self):
         s = gv.Snake(np.zeros((5, 2)))
         with pytest.raises(GeometryError):
@@ -231,6 +237,15 @@ class TestSnakeEvolve:
                             gv.SnakeParams(max_iter=400))
         if not 1 < err.value.iteration < 400:
             pytest.fail(f"raised at iteration {err.value.iteration}")
+
+    def test_overflowing_resample_count_is_divergence(self):
+        # perimeter / spacing overflows to inf: the cap is crossed, and
+        # the count is never rounded to an integer
+        with pytest.raises(DivergenceError, match="past the cap of 1024") as err:
+            gv.snake_evolve(gv.Snake.circle(15.5, 15.5, 8.0, 25),
+                            gv.VectorField.zeros(gv.GridSpec(32, 32)),
+                            gv.SnakeParams(resample_spacing=1e-320))
+        assert err.value.iteration == 1
 
     def test_snaxel_cap_admits_the_initial_count(self):
         # 80 snaxels on an 8x8 grid, bunched so that the first step

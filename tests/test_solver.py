@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +53,16 @@ class TestParamTypes:
 class TestValidateParams:
     def test_reference_parameters_pass(self):
         p = gv.GvfParams(g=2.0, h=0.02, dt=0.12)
-        assert gv.validate_params(p, gv.GridSpec(16, 16)) == []
+        assert gv.validate_params(p) == []
 
     def test_stability_ratio_violation(self):
         p = gv.GvfParams(g=2.5, h=0.02, dt=0.12)
-        violations = gv.validate_params(p, gv.GridSpec(16, 16))
+        violations = gv.validate_params(p)
         assert len(violations) == 1 and "r < 1/4" in violations[0]
 
     def test_reaction_dominant_flags_h_less_g_only(self):
         p = gv.GvfParams(g=0.2, h=1.0, dt=0.12)
-        violations = gv.validate_params(p, gv.GridSpec(16, 16))
+        violations = gv.validate_params(p)
         assert len(violations) == 1 and "h < g" in violations[0]
         # the stability ratio itself passes (r = 0.024)
         assert not any("r < 1/4" in v for v in violations)
@@ -71,12 +72,7 @@ class TestValidateParams:
         gfield = gv.ScalarField.from_array(np.full(spec.shape, 1.0))
         gfield.values[3, 3] = 2.5
         p = gv.GvfParams(g=gfield, h=0.02, dt=0.12)
-        assert any("r < 1/4" in v for v in gv.validate_params(p, spec))
-
-    def test_nonunit_spacing_rejected(self):
-        p = gv.GvfParams(g=1.0, h=0.02, dt=0.12)
-        violations = gv.validate_params(p, gv.GridSpec(8, 8, dx=0.5, dy=0.5))
-        assert any("dx = dy = 1" in v for v in violations)
+        assert any("r < 1/4" in v for v in gv.validate_params(p))
 
 
 class TestGvfStep:
@@ -242,6 +238,15 @@ class TestDirectSteadySolve:
 
 
 class TestSteadyResidual:
+    def test_residual_past_the_float_range_is_inf_without_a_warning(self):
+        # r = g*dt = 0.1 passes validation, but g * Lap(v) overflows
+        f = gv.edge_map(synth_ushape(32, 32), sigma=2.0)
+        p = gv.GvfParams(g=1e308, h=0.02, dt=1e-309, max_iter=3)
+        rep = gv.gvf_solve(f, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gv.steady_residual(rep.field, f, p) == math.inf
+
     def test_direct_solution_residual_small(self):
         f = impulse(8)
         p = gv.GvfParams(g=1.0, h=0.1)
@@ -302,7 +307,7 @@ class TestOracleEquivalenceSweep:
                 h=float(rng.uniform(0.05, 0.4)),
                 dt=0.12, delta=1e-10, max_iter=100000,
             )
-            assert gv.validate_params(p, f.spec) == []
+            assert gv.validate_params(p) == []
             it = gv.gvf_solve(f, p)
             direct = gv.direct_steady_solve(f, p)
             assert np.abs(it.field.u.values - direct.u.values).max() < 1e-6
@@ -323,6 +328,30 @@ class TestGgvf:
         w = gv.ggvf_weight(grad, 100.0)
         assert w.values[2, 2] == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert w.values[0, 0] == 1.0
+
+    def test_tiny_k_weight_is_zero_without_a_warning(self):
+        # |grad|^2 / K^2 overflows to inf: exp(-inf) = 0 is the right limit
+        grad = gv.VectorField.from_arrays(np.array([[0.0, 1e-3, 5.0]] * 3), np.zeros((3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = gv.ggvf_weight(grad, 1e-158)
+        assert np.array_equal(w.values, np.array([[1.0, 0.0, 0.0]] * 3))
+
+    @pytest.mark.parametrize("K", [1e-200, 1.5e-162, 5e-324, -1.0, math.nan])
+    def test_k_whose_square_vanishes_is_rejected(self, K):
+        with pytest.raises(ParameterError, match=r"K must be > 0 with K\*K > 0"):
+            gv.GgvfParams(K=K)
+        with pytest.raises(ParameterError, match=r"K must be > 0 with K\*K > 0"):
+            gv.ggvf_weight(gv.VectorField.zeros(gv.GridSpec(3, 3)), K)
+
+    @pytest.mark.parametrize("K", [1.6e-162, 1e-3, 0.5, 100.0, 1e150])
+    def test_weight_is_the_plain_formula(self, K):
+        rng = np.random.default_rng(8)
+        u, v = rng.normal(0.0, 50.0, (2, 6, 7))
+        w = gv.ggvf_weight(gv.VectorField.from_arrays(u, v), K)
+        with np.errstate(over="ignore"):
+            expected = np.exp(-(u ** 2 + v ** 2) / (K * K))
+        assert np.array_equal(w.values, expected)
 
     def test_invalid_dt_rejected(self):
         f = gv.ScalarField.from_array(np.full((8, 8), 2.0))
