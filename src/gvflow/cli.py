@@ -305,7 +305,7 @@ def _pipeline(args) -> int:
     ioformats.write_field(report.field, out_dir / "field.gvf")
     ioformats.render(report.field, "magnitude-heatmap", out_dir / "field_magnitude.ppm")
     ioformats.render(report.field, "arrows", out_dir / "field_arrows.ppm")
-    residual = steady_residual(report.field, f, report.params, mask)
+    residual = steady_residual(report.field, f, report.params, mask, periodic=cfg["periodic"])
 
     summary = {
         "command": args.command,

@@ -60,12 +60,17 @@ class _Tokenizer:
         return self.data[start : self.pos]
 
     def int_token(self, what: str) -> int:
+        """The next token as an integer of ASCII digits only: PGM has no
+        sign, and int() would also take underscores and other digits."""
+        self.skip_space()
         start = self.pos
         tok = self.token()
         try:
-            return int(tok)
-        except ValueError:
-            raise FormatError(f"bad {what} token {tok!r}", start) from None
+            if tok.isdigit():
+                return int(tok)
+        except ValueError:  # past int()'s limit on digits
+            pass
+        raise FormatError(f"bad {what} token {tok!r}", start)
 
 
 def read_pgm(path) -> ScalarField:

@@ -33,9 +33,12 @@ writes starts its written span on a 64-byte cache line
 (grid._aligned_zeros): numpy aligns to 16 bytes only, and a ufunc whose
 output is split across cache lines runs about half as fast.
 
-The scheme is stable for r < 1/4; the usual working constraints are
-r < 1/4, g*dt < 1, h*dt < 1 and h < g.  Violations can be forced
-through (useful to demonstrate divergence), but are never silent.
+One step scales each cosine mode of the field by a_k = 1 - h*dt -
+g*dt*lam_k, with lam_k in [0, 8) the stencil's symbol: with constant
+coefficients the scheme is stable iff dt*(h + 8g) < 2, which is
+r < 1/4 at h = 0 only.  validate_params carries the rule over to
+per-pixel coefficients; its violations can be forced through, to
+demonstrate divergence, but are never silent.
 
 The generalized variant (GGVF) is the same solve with the per-pixel
 pair g(x) = exp(-|grad_f|^2 / K^2), h(x) = 1 - g(x), frozen from the
@@ -80,8 +83,8 @@ from .grid import (
     _sum_terms,
     clamp_magnitude,
     gradient_central,
-    laplacian_5pt,
 )
+from .spectral import _stencil_symbol
 
 # A run is declared divergent once the per-iteration change grows this
 # many times past its first value; the checkerboard mode of an unstable
@@ -245,12 +248,6 @@ class SolveReport:
 # --- parameter validation ------------------------------------------------------
 
 
-def _coeff_max(c: float | ScalarField) -> float:
-    if isinstance(c, ScalarField):
-        return float(c.values.max())
-    return float(c)
-
-
 def _coeff_grid(c: float | ScalarField, spec: GridSpec):
     """Per-pixel coefficient as an (H, W) array; scalars pass through."""
     if isinstance(c, ScalarField):
@@ -262,22 +259,31 @@ def _coeff_grid(c: float | ScalarField, spec: GridSpec):
     return float(c)
 
 
+@np.errstate(over="ignore")
 def validate_params(p: GvfParams) -> list[str]:
     """Return the list of violated scheme constraints (empty = ok).
 
-    Per-pixel coefficients are checked through their pixelwise maxima;
-    ggvf_solve checks the image-independent worst case g = 1, h = 0 of
-    its pair instead.  Violations are data, not errors: a solve may
-    force through them.
+    Stability: diag(g)*Lap is similar to the symmetric sqrt(g) * Lap *
+    sqrt(g), whose Gershgorin discs bound the decay rates h + g*lam of
+    the modes by h_i + 4g_i + 4*sqrt(g_i * max g).  dt times that must
+    stay below 2: dt*(h + 8g) < 2 for constants, and dt < 1/4 for the
+    GGVF worst case g = 1, h = 0 that ggvf_solve checks.  The rule is
+    evaluated on g*dt, which does not overflow where g does.  h*dt < 1
+    and h < g take the maxima.  Violations are data, not errors: a
+    solve may force through them.
     """
-    gmax = _coeff_max(p.g)
-    hmax = _coeff_max(p.h)
+    g, h = (c.values if isinstance(c, ScalarField) else c for c in (p.g, p.h))
+    gmax, hmax = float(np.max(g)), float(np.max(h))
+    gdt = g * p.dt
+    # half the symbol's peak, at w = (pi, pi): a pixel's own weight in
+    # its disc, and the sum of its four neighbours' weights
+    half = _stencil_symbol(np.pi, np.pi) / 2.0
+    decay = float(np.max(h * p.dt + half * (gdt + np.sqrt(gdt * (gmax * p.dt)))))
     violations = []
-    r = gmax * p.dt
-    if not r < 0.25:
-        violations.append(f"r < 1/4 violated: r = g*dt = {r:.6g}")
-    if not gmax * p.dt < 1.0:
-        violations.append(f"g*dt < 1 violated: g*dt = {gmax * p.dt:.6g}")
+    if not decay < 2.0:
+        violations.append(
+            f"stability violated: dt*max(h + 4g + 4*sqrt(g*max g)) = {decay:.6g} >= 2 "
+            f"(r < 1/4 at h = 0)")
     if not hmax * p.dt < 1.0:
         violations.append(f"h*dt < 1 violated: h*dt = {hmax * p.dt:.6g}")
     if not hmax < gmax:
@@ -795,13 +801,17 @@ def direct_steady_solve(
 
 @np.errstate(over="ignore")
 def steady_residual(
-    v: VectorField, f: ScalarField, p: GvfParams, mask: DomainMask | None = None
+    v: VectorField, f: ScalarField, p: GvfParams, mask: DomainMask | None = None,
+    periodic: bool = False,
 ) -> float:
     """Largest interior residual |g*Lap(v) + h*(grad_f - v)|_2.
 
-    Zero exactly at the steady state; one explicit step moves the field
-    by dt times this quantity, so the fixed-point identity is exact.  A
-    residual past the float range (g near 1e308, say) is inf.
+    Lap is the solvers' stencil under the same border rule: mirrored, or
+    wrapped for periodic=True, which the solvers allow on the full
+    rectangle only.  Zero exactly at the steady state; one explicit
+    step moves the field by dt times this quantity, so the fixed-point
+    identity is exact.  A residual past the float range (g near 1e308,
+    say) is inf.
     """
     spec = v.spec
     if f.spec != spec:
@@ -811,7 +821,7 @@ def steady_residual(
     h = _coeff_grid(p.h, spec)
     grad = _masked_source(f, p.cap, mask)
     source = np.stack([grad.u.values, grad.v.values])
-    stencil = _Stencil(mask, False, v)
+    stencil = _Stencil(mask, periodic, v)
     c = stencil.field
     lap = stencil.neighbor_sum()[:, 1:-1, 1:-1] - 4.0 * c
     r = g * lap + h * (source - c)
@@ -821,63 +831,42 @@ def steady_residual(
 
 # --- expansion consistency check ---------------------------------------------------
 
-# Closed forms of the first four iterates as polynomials in the
-# Laplacian applied to grad_f; a = g*dt, b = h*dt:
-#   v(1) = grad_f + a L grad_f
-#   v(2) = grad_f + a(2 - b) L grad_f + a^2 L^2 grad_f
-#   v(3) = grad_f + a(3 - 3b + b^2) L + a^2 (3 - 2b) L^2 + a^3 L^3
-#   v(4) = grad_f + a(4 - 6b + 4b^2 - b^3) L + a^2 (6 - 8b + 3b^2) L^2
-#          + a^3 (4 - 3b) L^3 + a^4 L^4
-
-
-def _expansion_coeffs(a: float, b: float, n: int) -> list[float]:
-    if n == 1:
-        return [1.0, a]
-    if n == 2:
-        return [1.0, a * (2 - b), a**2]
-    if n == 3:
-        return [1.0, a * (3 - 3 * b + b**2), a**2 * (3 - 2 * b), a**3]
-    if n == 4:
-        return [
-            1.0,
-            a * (4 - 6 * b + 4 * b**2 - b**3),
-            a**2 * (6 - 8 * b + 3 * b**2),
-            a**3 * (4 - 3 * b),
-            a**4,
-        ]
-    raise ParameterError("expansion order must be in 1..4")
-
 
 def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
-    """L-infinity gap between n explicit steps and the order-n closed form.
+    """L-infinity gap between n >= 1 explicit steps and their closed form.
 
-    Requires constant g, h and the full-rectangle domain; the closed
-    forms start from the raw gradient, so the magnitude cap is ignored.
-    The gap is zero (to rounding) when the step implements the scheme
-    correctly, borders included.
+    The mirror rule makes the stencil periodic on the 2H x 2W even
+    extension of a field, whose real DFT holds the grid's cosine modes.
+    A step scales mode k by a_k = 1 - h*dt - g*dt*lam_k, lam_k the
+    stencil's symbol (spectral._stencil_symbol), and adds h*dt times the
+    source's mode, so n steps from v(0) = grad_f have the gain
+
+        a_k^n + h*dt * sum_{j<n} a_k^j = a_k^n + h*dt * (1 - a_k^n) / (1 - a_k).
+
+    The closed form shares no code with the stencil.  Requires constant
+    g, h and the full-rectangle domain; it starts from the raw gradient,
+    so the magnitude cap is ignored.  The gap is zero (to rounding) when
+    the step implements the scheme correctly, borders included.
     """
     if isinstance(p.g, ScalarField) or isinstance(p.h, ScalarField):
         raise ParameterError("expansion check supports constant coefficients only")
-    if n not in (1, 2, 3, 4):
-        raise ParameterError("expansion order must be in 1..4")
-    spec = f.spec
+    if not n >= 1:
+        raise ParameterError(f"expansion order must be >= 1, got {n}")
+    hh, ww = f.spec.shape
     grad = gradient_central(f)
-    coeffs = _expansion_coeffs(p.g * p.dt, p.h * p.dt, n)
-
-    closed_u = np.zeros(spec.shape)
-    closed_v = np.zeros(spec.shape)
-    lap_u, lap_v = grad.u, grad.v
-    for k, c in enumerate(coeffs):
-        if k > 0:
-            lap_u = laplacian_5pt(lap_u)
-            lap_v = laplacian_5pt(lap_v)
-        closed_u += c * lap_u.values
-        closed_v += c * lap_v.values
-
-    mask = DomainMask.full(spec)
-    stepped = grad
+    stencil = _Stencil(DomainMask.full(f.spec), False, grad)
+    coeffs = stencil.coeffs(p.g, p.h, p.dt, grad)
     for _ in range(n):
-        stepped = gvf_step(stepped, grad, p, mask)
-    gap_u = np.abs(stepped.u.values - closed_u).max()
-    gap_v = np.abs(stepped.v.values - closed_v).max()
-    return float(max(gap_u, gap_v))
+        stencil.step(*coeffs)
+
+    source = np.stack([grad.u.values, grad.v.values])
+    even = np.pad(source, ((0, 0), (0, hh), (0, ww)), mode="symmetric")
+    w1 = 2.0 * np.pi * np.fft.rfftfreq(2 * ww)
+    w2 = 2.0 * np.pi * np.fft.fftfreq(2 * hh)
+    hdt = p.h * p.dt
+    # 1 - a_k >= h*dt, so the division is safe wherever h > 0
+    decay = hdt + p.g * p.dt * _stencil_symbol(w1[None, :], w2[:, None])
+    power = (1.0 - decay) ** n
+    gain = power + hdt * (1.0 - power) / decay if hdt > 0 else power
+    closed = np.fft.irfft2(np.fft.rfft2(even) * gain, s=even.shape[1:])[:, :hh, :ww]
+    return float(np.abs(stencil.field - closed).max())

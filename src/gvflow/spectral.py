@@ -22,6 +22,12 @@ from .errors import ParameterError
 from .grid import ScalarField, VectorField
 
 
+def _stencil_symbol(w1, w2):
+    """4 - 2 cos w1 - 2 cos w2: the eigenvalue of minus the five-point
+    Laplacian (unit pixels) on the mode of angular frequency (w1, w2)."""
+    return 4.0 - 2.0 * np.cos(w1) - 2.0 * np.cos(w2)
+
+
 def transfer_gain(w1, w2, g: float, h: float, discrete: bool = False):
     """Steady-state gain at angular frequency (w1, w2), radians/sample.
 
@@ -36,7 +42,7 @@ def transfer_gain(w1, w2, g: float, h: float, discrete: bool = False):
         raise ParameterError("g must be >= 0")
     sigma = g / h
     if discrete:
-        sym = 4.0 - 2.0 * np.cos(w1) - 2.0 * np.cos(w2)
+        sym = _stencil_symbol(w1, w2)
     else:
         sym = w1 * w1 + w2 * w2
     return 1.0 / (sigma * sym + 1.0)

@@ -123,6 +123,17 @@ class TestPipeline:
         field = io.read_field(out / "field.gvf")
         assert np.all(field.u.values == 0) and np.all(field.v.values == 0)
 
+    @pytest.mark.parametrize("command, flags", [("gvf", ["--h", "0.2"]), ("ggvf", ["--k", "1"])])
+    def test_periodic_summary_residual_uses_the_periodic_stencil(self, tmp_path, command, flags):
+        img = tmp_path / "r.pgm"
+        io.write_pgm(gv.ScalarField.from_array(
+            255.0 * np.random.default_rng(3).random((24, 24))), img)
+        out = tmp_path / "run"
+        assert main([command, "--image", str(img), "--out", str(out), "--periodic",
+                     "--delta", "1e-12", "--t-max", "100000", *flags]) == EXIT_OK
+        s = summary_of(out)
+        assert s["converged"] is True and s["residual"] <= 1e-9
+
     def test_validation_failure_names_constraint(self, u64, tmp_path, capsys):
         code = main(["gvf", "--image", str(u64), "--out", str(tmp_path / "x"),
                      "--g", "2.5", "--delta", "1e-3"])

@@ -59,6 +59,21 @@ class TestPgm:
         with pytest.raises(FormatError, match="exceeds maxval 255"):
             io.read_pgm(path)
 
+    @pytest.mark.parametrize("token", [b"-5", b"+9", b"1_0"])
+    @pytest.mark.parametrize("where, what", [(0, "width"), (1, "height"), (2, "maxval"),
+                                             (3, "sample"), (11, "sample")])
+    def test_signed_or_underscored_integer_is_format_error(self, tmp_path, token, where, what):
+        # int() takes all three; PGM takes ASCII digits only
+        tokens = [b"3", b"3", b"255"] + [b"%d" % k for k in range(1, 10)]
+        tokens[where] = token
+        data = b"P2\n" + b" ".join(tokens) + b"\n"
+        offset = data.index(token)
+        path = tmp_path / "sign.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"bad {what} token") as err:
+            io.read_pgm(path)
+        assert err.value.offset == offset
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P7\n3 3\n255\n" + b"\x00" * 9)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvflow as gv
 from gvflow import snake as snake_mod
@@ -144,6 +146,20 @@ class TestResampleContour:
         with pytest.raises(ParameterError, match="too small"):
             gv.resample_contour(sq, spacing)
 
+    @pytest.mark.parametrize("spacing", [1e-300, 1e-9, 1e-5])
+    def test_count_past_the_cap_is_rejected_before_allocating(self, spacing):
+        # perimeter 40: 1e-9 would ask for 4e10 snaxels, 1e-5 for 4e6
+        sq = gv.Snake(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]))
+        with pytest.raises(ParameterError, match="too small"):
+            gv.resample_contour(sq, spacing)
+
+    def test_count_at_the_cap_is_kept(self, monkeypatch):
+        monkeypatch.setattr(snake_mod, "_MAX_RESAMPLED", 100)
+        sq = gv.Snake(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]))
+        assert len(gv.resample_contour(sq, 40 / 100.4)) == 100
+        with pytest.raises(ParameterError, match="past the cap of 100"):
+            gv.resample_contour(sq, 40 / 100.6)
+
     def test_degenerate_contour(self):
         s = gv.Snake(np.zeros((5, 2)))
         with pytest.raises(GeometryError):
@@ -164,14 +180,27 @@ class TestSnakeEvolve:
         assert res.converged and res.iterations == 1
         assert np.array_equal(res.snake.points, s.points)
 
-    def test_displacement_past_force_bound_raises(self, monkeypatch):
-        # a typed error, not an assert, so the check survives python -O
-        monkeypatch.setattr(snake_mod, "_displacement_bound", lambda *args: 0.0)
-        s = gv.Snake.circle(10, 10, 4, 12)
-        with pytest.raises(DivergenceError, match="force bound") as err:
-            gv.snake_evolve(s, gv.VectorField.zeros(gv.GridSpec(20, 20)),
-                            gv.SnakeParams(b=0.2, max_iter=5))
-        assert err.value.iteration == 1
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 40), st.integers(3, 40), st.integers(4, 40),
+           st.integers(0, 2**32 - 1), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+           st.floats(0.01, 3.0), st.sampled_from([1.0, -1.0]))
+    def test_one_step_stays_within_the_force_budget(self, w, h, n, seed, b, gamma, step, sign):
+        # the clamp projects onto the image rectangle, so no snaxel moves
+        # further than step * (b * max|B_i| + gamma * max|F(p_i)|)
+        rng = np.random.default_rng(seed)
+        field = gv.VectorField.from_arrays(*rng.normal(0.0, 3.0, (2, h, w)))
+        pts = rng.uniform(-5.0, max(w, h) + 5.0, (n, 2))
+        s = gv.Snake(np.clip(pts, 0.0, [w - 1.0, h - 1.0]))
+        budget = step * (
+            b * max(math.hypot(*gv.tensile_force(s, i)) for i in range(n))
+            + gamma * max(math.hypot(*gv.sample_field_bilinear(field, x, y))
+                          for x, y in s.points))
+        res = gv.snake_evolve(s, field, gv.SnakeParams(
+            b=b, gamma=gamma, step=step, tensile_sign=sign, max_iter=1,
+            resample_spacing=0.0))
+        moved = np.hypot(*(res.snake.points - s.points).T).max()
+        assert moved == res.displacement_history[0]
+        assert moved <= budget * (1.0 + 1e-12) + 1e-12
 
     def test_zero_field_zero_tension(self):
         spec = gv.GridSpec(20, 20)

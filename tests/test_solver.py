@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gvflow as gv
@@ -73,6 +73,47 @@ class TestValidateParams:
         gfield.values[3, 3] = 2.5
         p = gv.GvfParams(g=gfield, h=0.02, dt=0.12)
         assert any("r < 1/4" in v for v in gv.validate_params(p))
+
+    def test_one_stability_rule(self):
+        # g*dt = 1.2 broke both r < 1/4 and g*dt < 1; one rule covers both
+        violations = gv.validate_params(gv.GvfParams(g=10.0, h=0.02, dt=0.12))
+        assert len(violations) == 1 and "r < 1/4" in violations[0]
+        assert not any("g*dt < 1" in v for v in violations)
+
+    @pytest.mark.parametrize("g, h, dt", [(2.0, 1.6, 0.1245), (2.0, 1.9, 0.124)])
+    def test_reaction_counts_toward_stability(self, g, h, dt):
+        # r < 1/4, h*dt < 1 and h < g hold, but dt*(h + 8g) > 2: the
+        # checkerboard mode grows by |1 - dt*(h + 8g)| > 1 per step
+        p = gv.GvfParams(g=g, h=h, dt=dt)
+        assert g * dt < 0.25 and h * dt < 1.0 and h < g
+        f = gv.edge_map(synth_ushape(48, 48), sigma=2.0)
+        with pytest.raises(ParameterError, match="r < 1/4"):
+            gv.gvf_solve(f, p)
+        with pytest.raises(DivergenceError):
+            gv.gvf_solve(f, p, force=True)
+
+    @pytest.mark.parametrize("g, h, dt, ok", [
+        (1.0, 0.0, 0.2499999, True), (1.0, 0.0, 0.25, False),
+        (2.0, 0.4, 0.1219, True), (2.0, 0.4, 0.122, False),
+    ])
+    def test_constant_rule_is_dt_times_h_plus_8g_below_2(self, g, h, dt, ok):
+        violations = gv.validate_params(gv.GvfParams(g=g, h=h, dt=dt))
+        assert (violations == []) is ok
+
+    def test_rule_is_evaluated_on_g_dt(self):
+        # g = 1e308 times 4 overflows, g*dt = 0.1 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gv.validate_params(gv.GvfParams(g=1e308, h=0.0, dt=1e-309)) == []
+
+    @pytest.mark.parametrize("dt, ok", [(0.2499, True), (0.25, False)])
+    def test_per_pixel_ggvf_pair_has_the_worst_case_rule(self, dt, ok):
+        # h = 1 - g with max g = 1 gives 1 + 3g + 4 sqrt(g) <= 8 per pixel
+        g = gv.ScalarField.from_array(np.linspace(0.0, 1.0, 25).reshape(5, 5))
+        h = gv.ScalarField(g.spec, 1.0 - g.values)
+        violations = gv.validate_params(gv.GvfParams(g=g, h=h, dt=dt))
+        stable = not any("r < 1/4" in v for v in violations)
+        assert stable is ok
 
 
 class TestGvfStep:
@@ -247,6 +288,22 @@ class TestSteadyResidual:
             warnings.simplefilter("error")
             assert gv.steady_residual(rep.field, f, p) == math.inf
 
+    def test_periodic_residual_uses_the_periodic_stencil(self):
+        f = gv.ScalarField.from_array(np.random.default_rng(3).random((24, 24)))
+        p = gv.GvfParams(g=1.0, h=0.2, dt=0.12, delta=1e-12, max_iter=100000)
+        rep = gv.gvf_solve(f, p, periodic=True)
+        assert gv.steady_residual(rep.field, f, p, periodic=True) <= 1e-9
+        # the mirror rule sees a field that is not its steady state
+        assert gv.steady_residual(rep.field, f, p) > 1e-2
+        exact = gv.spectral_steady_state(gv.gradient_central(f), 1.0, 0.2)
+        assert gv.steady_residual(exact, f, p, periodic=True) <= 1e-12
+
+    def test_periodic_residual_needs_the_full_rectangle(self):
+        f = impulse(8)
+        mask = gv.DomainMask.from_rects(f.spec, (1, 1, 6, 6))
+        with pytest.raises(ParameterError, match="full-rectangle"):
+            gv.steady_residual(gv.gradient_central(f), f, gv.GvfParams(), mask, periodic=True)
+
     def test_direct_solution_residual_small(self):
         f = impulse(8)
         p = gv.GvfParams(g=1.0, h=0.1)
@@ -273,6 +330,10 @@ class TestSteadyResidual:
         assert res == pytest.approx(expected, rel=1e-12)
 
 
+# a constant g or h: zero, or far enough from it that dt stays finite
+coefficients = st.just(0.0) | st.floats(1e-3, 4.0)
+
+
 class TestExpansionCheck:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_impulse_problem(self, n):
@@ -293,7 +354,19 @@ class TestExpansionCheck:
 
     def test_rejects_bad_order(self):
         with pytest.raises(ParameterError):
-            gv.expansion_check(impulse(8), gv.GvfParams(g=1.0, h=0.1), 5)
+            gv.expansion_check(impulse(8), gv.GvfParams(g=1.0, h=0.1), 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 40), st.integers(3, 40), coefficients, coefficients,
+           st.floats(0.01, 0.999), st.integers(1, 300), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3))
+    def test_closed_form_matches_any_number_of_steps(self, w, h, g, hc, share, n, seed, scale):
+        assume(g > 0 or hc > 0)
+        # dt within the stability rule dt*(h + 8g) < 2
+        p = gv.GvfParams(g=g, h=hc, dt=share * 2.0 / (hc + 8.0 * g))
+        f = gv.ScalarField.from_array(scale * np.random.default_rng(seed).random((h, w)))
+        peak = gv.gradient_central(f).magnitude().max()
+        assert gv.expansion_check(f, p, n) <= 1e-12 * max(1.0, peak)
 
 
 class TestOracleEquivalenceSweep:
