@@ -256,7 +256,7 @@ def _run_snake_stage(field: VectorField, grad_peak: float, cfg: dict, params: Sn
     """Scale the force so a unit source gradient moves a snaxel at most
     force_peak pixels per step, evolve, and write contour artifacts."""
     scale = cfg["force_peak"] / grad_peak if grad_peak > 0 else 1.0
-    scaled = VectorField.from_arrays(field.u.values * scale, field.v.values * scale)
+    scaled = VectorField(field.spec, field.values * scale)
     result = snake_evolve(init, scaled, params)
     ioformats.write_contour(result.snake.points, out_dir / "contour.csv")
     ioformats.render(field, "magnitude-heatmap", out_dir / "snake_overlay.ppm",

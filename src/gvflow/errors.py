@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the count check that
+every iteration cap shares."""
+
+import numbers
 
 
 class GvfError(Exception):
@@ -11,6 +14,12 @@ class DimensionError(GvfError):
 
 class ParameterError(GvfError):
     """Parameter value outside its documented range."""
+
+
+def check_count(name: str, n) -> None:
+    """ParameterError unless n is an integer >= 1 (a bool is no count)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
 
 
 class DivergenceError(GvfError):

@@ -1,8 +1,10 @@
 """Dense 2D scalar/vector grid primitives.
 
-Field values are float64 arrays of shape (height, width); element
-[y, x] is the pixel in column x of row y, so the x axis runs along
-array axis 1.  Pixels are unit squares: the stencils use grid spacing
+Scalar field values are float64 arrays of shape (height, width);
+element [y, x] is the pixel in column x of row y, so the x axis runs
+along array axis 1.  A vector field holds both components in one
+(2, height, width) array, u (along x) first; its u and v are views of
+the two planes.  Pixels are unit squares: the stencils use grid spacing
 1 along both axes.  Square cells of side s pose the same discrete
 problem with the diffusion coefficient g / s^2 in place of g, so no
 spacing is carried.
@@ -15,6 +17,7 @@ five-point Laplacian sums to zero over the whole grid.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -83,32 +86,43 @@ class ScalarField:
 
 @dataclass
 class VectorField:
-    """Pair of component ScalarFields on one grid: u along x, v along y."""
+    """A vector function sampled on a GridSpec, both components in one
+    float64 (2, H, W) array: values[0] is u, along x, and values[1] is
+    v, along y.  u and v are ScalarField views of the two planes; a
+    write through either is a write to values."""
 
-    u: ScalarField
-    v: ScalarField
+    spec: GridSpec
+    values: np.ndarray
+    u: ScalarField = dataclasses.field(init=False, repr=False, compare=False)
+    v: ScalarField = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.u.spec != self.v.spec:
-            raise DimensionError("vector components live on different grids")
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.u.spec
+        uv = np.asarray(self.values, dtype=np.float64)
+        if uv.shape != (2,) + self.spec.shape:
+            raise DimensionError(
+                f"value array shape {uv.shape} does not match (2,) + grid {self.spec.shape}"
+            )
+        self.values = uv
+        # each component checks its own values for NaN and Inf
+        self.u, self.v = ScalarField(self.spec, uv[0]), ScalarField(self.spec, uv[1])
 
     @classmethod
     def zeros(cls, spec: GridSpec) -> "VectorField":
-        return cls(ScalarField.zeros(spec), ScalarField.zeros(spec))
+        return cls(spec, np.zeros((2,) + spec.shape))
 
     @classmethod
     def from_arrays(cls, u, v) -> "VectorField":
-        return cls(ScalarField.from_array(u), ScalarField.from_array(v))
+        """A field from two (H, W) component arrays, copied into one."""
+        u, v = ScalarField.from_array(u), ScalarField.from_array(v)
+        if u.spec != v.spec:
+            raise DimensionError("vector components live on different grids")
+        return cls(u.spec, np.stack([u.values, v.values]))
 
     def magnitude(self) -> np.ndarray:
         return np.hypot(self.u.values, self.v.values)
 
     def copy(self) -> "VectorField":
-        return VectorField(self.u.copy(), self.v.copy())
+        return VectorField(self.spec, self.values.copy())
 
 
 # --- the five-point neighbor sum -----------------------------------------------
@@ -129,16 +143,6 @@ def _border_views(padded: np.ndarray, periodic: bool) -> list:
         (padded[..., 0, 1:-1], padded[..., first, 1:-1]),
         (padded[..., -1, 1:-1], padded[..., last, 1:-1]),
     ]
-
-
-def _pad_border(a: np.ndarray) -> np.ndarray:
-    """Copy of a (..., H, W) array inside a (..., H+2, W+2) buffer with
-    a mirror-rule border and zero corners."""
-    out = np.zeros(a.shape[:-2] + (a.shape[-2] + 2, a.shape[-1] + 2))
-    out[..., 1:-1, 1:-1] = a
-    for dst, src in _border_views(out, periodic=False):
-        np.copyto(dst, src)
-    return out
 
 
 def _span(padded: np.ndarray) -> slice:
@@ -189,37 +193,26 @@ def _sum_terms(terms, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neighbor_sum(padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Four-neighbor sums of the interior pixels of a contiguous padded
-    (..., H+2, W+2) buffer whose border is already filled.
-
-    The terms are added in the order x+1, x-1, y+1, y-1.  The result has
-    the padded shape and only its interior is meaningful.  The sum runs
-    over the flattened buffer, one contiguous pass per term: offsets of
-    +-1 and +-(W+2) address the four neighbors, and the border cells in
-    between are computed too and simply ignored.
-    """
-    if out is None:
-        out = np.zeros_like(padded)
-    _sum_terms(_neighbor_terms(padded), out.reshape(-1)[_span(padded)])
-    return out
-
-
 # --- operators ----------------------------------------------------------------
 
 def gradient_central(f: ScalarField) -> VectorField:
     """Central-difference gradient; mirrored neighbors at the borders."""
-    p = _pad_border(f.values)
-    u = (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0
-    v = (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
-    return VectorField(ScalarField(f.spec, u), ScalarField(f.spec, v))
+    p = np.pad(f.values, 1, mode="edge")
+    uv = np.empty((2,) + f.spec.shape)
+    np.subtract(p[1:-1, 2:], p[1:-1, :-2], out=uv[0])
+    np.subtract(p[2:, 1:-1], p[:-2, 1:-1], out=uv[1])
+    uv /= 2.0
+    return VectorField(f.spec, uv)
 
 
 def laplacian_5pt(f: ScalarField) -> ScalarField:
-    """Five-point Laplacian nb_sum - 4*a, mirrored at the borders."""
+    """Five-point Laplacian nb_sum - 4*a, mirrored at the borders; the
+    neighbor sum is the solvers' (_neighbor_terms) on the padded array."""
     a = f.values
-    nb = _neighbor_sum(_pad_border(a))[1:-1, 1:-1]
-    return ScalarField(f.spec, nb - 4.0 * a)
+    p = np.pad(a, 1, mode="edge")
+    nb = np.empty_like(p)
+    _sum_terms(_neighbor_terms(p), nb.reshape(-1)[_span(p)])
+    return ScalarField(f.spec, nb[1:-1, 1:-1] - 4.0 * a)
 
 
 def _symmetric_pass(padded: np.ndarray, kernel: np.ndarray, step: int) -> np.ndarray:
@@ -228,7 +221,7 @@ def _symmetric_pass(padded: np.ndarray, kernel: np.ndarray, step: int) -> np.nda
 
     The arithmetic is that of scipy.ndimage's symmetric-kernel loop:
     out = a[x] * k[r], then for j = r, r-1, ..., 1 (outermost pair
-    first) out += (a[x-j] + a[x+j]) * k[r-j].  As in _neighbor_sum, each
+    first) out += (a[x-j] + a[x+j]) * k[r-j].  As in _neighbor_terms, each
     term is one contiguous pass over the flattened buffer: a shift of j
     along the axis is an offset of j*step.  The result has the padded
     shape; only the entries at least r*step from both ends of the
@@ -329,7 +322,4 @@ def clamp_magnitude(field: VectorField, cap: float) -> VectorField:
     over = mag > cap * (1.0 + _CLAMP_SLACK)
     scale = np.ones_like(mag)
     scale[over] = cap / mag[over]
-    return VectorField(
-        ScalarField(field.spec, field.u.values * scale),
-        ScalarField(field.spec, field.v.values * scale),
-    )
+    return VectorField(field.spec, field.values * scale)

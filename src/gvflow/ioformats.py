@@ -200,9 +200,8 @@ def read_field(path) -> VectorField:
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise FormatError(f"non-finite value pair on line {bad[0] + 4}")
-    spec = GridSpec(width, height)
-    u, v = np.ascontiguousarray(values.T).reshape(2, height, width)
-    return VectorField(ScalarField(spec, u), ScalarField(spec, v))
+    uv = np.ascontiguousarray(values.T).reshape(2, height, width)
+    return VectorField(GridSpec(width, height), uv)
 
 
 def _is_float_pair(tokens: list) -> bool:
@@ -402,7 +401,7 @@ def render(
         raise ParameterError(f"unknown render mode {mode!r}")
     if arrow_stride < 1:
         raise ParameterError(f"arrow stride must be >= 1, got {arrow_stride}")
-    u, v = field.u.values, field.v.values
+    u, v = field.values
     mag = np.hypot(u, v)
     peak = mag.max()
     if mode == "magnitude-heatmap":

@@ -20,13 +20,13 @@ A step is a short, fixed sequence of whole-array calls.  The contour is
 held component-major, as a (2, N) array of x and y rows, so every call
 runs along the snaxels.  One wrapped copy of the ring gives both
 neighbors of every snaxel for the tensile term and, after the update,
-the segments for the spacing test and the resampling.  The field is laid
-out once as a (2, H*W) array, and one take of flat indices fetches the
-four bilinear corners of every snaxel, u and v together (_Sampler).
-Each clamp is a minimum and a maximum against the per-axis upper corner
-(w-1, h-1).  The arithmetic, its order included, is that of the
-per-snaxel formulas above, so contours, step counts and displacement
-histories are reproducible to the last bit.
+the segments for the spacing test and the resampling.  The field's
+values are viewed as a (2, H*W) array, and one take of flat indices
+fetches the four bilinear corners of every snaxel, u and v together
+(_Sampler).  Each clamp is a minimum and a maximum against the
+per-axis upper corner (w-1, h-1).  The arithmetic, its order included,
+is that of the per-snaxel formulas above, so contours, step counts and
+displacement histories are reproducible to the last bit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, GeometryError, ParameterError
+from .errors import DivergenceError, GeometryError, ParameterError, check_count
 from .grid import VectorField
 
 # Floor used when normalizing field vectors to unit length.
@@ -105,8 +105,7 @@ class SnakeParams:
             raise ParameterError("step must be > 0")
         if not self.eps > 0:
             raise ParameterError("eps must be > 0")
-        if self.max_iter < 1:
-            raise ParameterError("max_iter must be >= 1")
+        check_count("max_iter", self.max_iter)
         if not self.resample_spacing >= 0:
             raise ParameterError("resample_spacing must be >= 0")
         for name in ("b", "gamma", "step", "eps", "resample_spacing"):
@@ -137,8 +136,8 @@ class _Sampler:
     """Bilinear samples of both field components with one gather.
 
     Points come in component-major, as a (2, N) array of x and y rows,
-    so every elementwise call runs along the N snaxels.  The field is
-    laid out once as a (2, H*W) array, and the four corners of every
+    so every elementwise call runs along the N snaxels.  The field's
+    values are viewed as a (2, H*W) array, and the four corners of every
     point, u and v together, come from one take of flat indices.  The
     lower corner is clamped to [0, w-2] x [0, h-2], and the corners are
     weighted and summed in the order w00*c00 + w10*c10 + w01*c01 +
@@ -147,7 +146,7 @@ class _Sampler:
 
     def __init__(self, field: VectorField):
         w = field.spec.width
-        self._uv = np.stack((field.u.values.ravel(), field.v.values.ravel()))
+        self._uv = field.values.reshape(2, -1)
         self._hi = np.array([[w - 1.0], [field.spec.height - 1.0]])
         self._base_hi = np.array([[w - 2], [field.spec.height - 2]])
         self._width = w
@@ -171,7 +170,6 @@ class _Sampler:
 
 def sample_field_bilinear(field: VectorField, x: float, y: float) -> tuple[float, float]:
     """Bilinear interpolation of the field at one sub-pixel position."""
-    # lays the whole field out again: a spot check, not a loop primitive
     sample = _Sampler(field)
     u, v = sample(sample.clamp(np.array([[x], [y]], dtype=float)))
     return float(u[0]), float(v[0])
@@ -181,10 +179,7 @@ def _unit_field(field: VectorField) -> VectorField:
     mag = field.magnitude()
     scale = 1.0 / np.maximum(mag, _NORM_FLOOR)
     scale[mag == 0.0] = 0.0
-    out = field.copy()
-    out.u.values *= scale
-    out.v.values *= scale
-    return out
+    return VectorField(field.spec, field.values * scale)
 
 
 def resample_contour(s: Snake, spacing: float) -> Snake:

@@ -17,21 +17,22 @@ boundary of a masked domain; a periodic variant wraps instead and backs
 the spectral oracle.
 
 One stencil operator (_Stencil) serves the iteration, gvf_step and
-steady_residual, and grid.laplacian_5pt shares its neighbor sum.  Both
-components sit in one (2, H, W) array inside a padded buffer, and the
-neighbor sum is four shifted views of it.  The stencil builds those
-views, and every other view an iteration touches, once: on a small
-grid a solve's cost is numpy's per-call overhead, so an iteration makes
-only the calls of its arithmetic.  On the full rectangle the one-pixel
-border is refreshed before each sum by one gather and one scatter: edge
-values give the mirror rule, wrapped values the periodic border.  On a
-masked domain one gather of a (4, n) neighbor table fixes up the sum at
-the boundary pixels only, and the exterior stays at zero.  Every sum
-adds x+1, x-1, y+1, y-1 in that order (grid._neighbor_offsets), so all
-results are reproducible to the last bit.  Every buffer the iteration
-writes starts its written span on a 64-byte cache line
-(grid._aligned_zeros): numpy aligns to 16 bytes only, and a ufunc whose
-output is split across cache lines runs about half as fast.
+steady_residual, and grid.laplacian_5pt shares its neighbor terms and
+their sum.  The field's (2, H, W) array (grid.VectorField) sits inside a
+padded buffer, and the neighbor sum is four shifted views of it.  The
+stencil builds those views, and every other view an iteration touches,
+once: on a small grid a solve's cost is numpy's per-call overhead, so an
+iteration makes only the calls of its arithmetic.  On the full rectangle
+the one-pixel border is refreshed before each sum by one gather and one
+scatter: edge values give the mirror rule, wrapped values the periodic
+border.  On a masked domain one gather of a (4, n) neighbor table fixes
+up the sum at the boundary pixels only, and the exterior stays at zero.
+Every sum adds x+1, x-1, y+1, y-1 in that order
+(grid._neighbor_offsets), so all results are reproducible to the last
+bit.  Every buffer the iteration writes starts its written span on a
+64-byte cache line (grid._aligned_zeros): numpy aligns to 16 bytes only,
+and a ufunc whose output is split across cache lines runs about half as
+fast.
 
 One step scales each cosine mode of the field by a_k = 1 - h*dt -
 g*dt*lam_k, with lam_k in [0, 8) the stencil's symbol: with constant
@@ -59,6 +60,7 @@ scipy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -70,6 +72,7 @@ from .errors import (
     ParameterError,
     RankError,
     SizeError,
+    check_count,
 )
 from .grid import (
     GridSpec,
@@ -106,14 +109,13 @@ def _check_k(K: float) -> None:
 
 def _check_run(p) -> None:
     """The checks that GvfParams and GgvfParams share."""
-    if not p.dt > 0:
-        raise ParameterError("dt must be > 0")
+    if not 0 < p.dt < math.inf:
+        raise ParameterError(f"dt must be finite and > 0, got {p.dt!r}")
     if not p.delta > 0:
         raise ParameterError("delta must be > 0")
     if not p.cap > 0:
         raise ParameterError("cap must be > 0 (inf disables clamping)")
-    if p.max_iter < 1:
-        raise ParameterError("max_iter must be >= 1")
+    check_count("max_iter", p.max_iter)
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,11 @@ class GvfParams:
     def __post_init__(self):
         _check_run(self)
         for name, c in (("g", self.g), ("h", self.h)):
-            if not isinstance(c, ScalarField):
-                if not np.isfinite(c) or c < 0:
-                    raise ParameterError(f"{name} must be finite and >= 0")
+            if not isinstance(c, (numbers.Real, ScalarField)):
+                raise ParameterError(
+                    f"g and h must each be a real number or a ScalarField, got {name} = {c!r}")
+            if not isinstance(c, ScalarField) and not (np.isfinite(c) and c >= 0):
+                raise ParameterError(f"{name} must be finite and >= 0")
         if (
             not isinstance(self.g, ScalarField)
             and not isinstance(self.h, ScalarField)
@@ -373,8 +377,7 @@ class _Stencil:
             _Buffer(b, b.reshape(-1)[span], b.reshape(-1), b[:, 1:-1, 1:-1], _neighbor_terms(b))
             for b in (_aligned_zeros(shape, span.start), _aligned_zeros(shape, span.start))
         )
-        self.field[0] = field.u.values
-        self.field[1] = field.v.values
+        self.field[...] = field.values
         if mask.is_full:
             # flat indices of the border cells and of the pixels they copy
             index = np.arange(self._nb.size).reshape(shape)
@@ -403,8 +406,7 @@ class _Stencil:
         rc = g*dt, zero outside the domain and on the border."""
         g = _coeff_grid(g, self._spec)
         hdt = _coeff_grid(h, self._spec) * dt
-        hsrc = np.stack([hdt * src.u.values, hdt * src.v.values])
-        return self._spread(1.0 - hdt), self._spread(hsrc), self._spread(g * dt)
+        return self._spread(1.0 - hdt), self._spread(hdt * src.values), self._spread(g * dt)
 
     def _spread(self, a):
         """Span layout; on the full rectangle a scalar passes through."""
@@ -450,10 +452,6 @@ class _Stencil:
         return np.add(*self._nb_planes, out=out)
 
 
-def _unstack(spec: GridSpec, values: np.ndarray) -> VectorField:
-    return VectorField(ScalarField(spec, values[0].copy()), ScalarField(spec, values[1].copy()))
-
-
 def _domain(mask: DomainMask | None, spec: GridSpec) -> DomainMask:
     """The mask, or the full rectangle for None; its grid must be spec."""
     if mask is None:
@@ -477,10 +475,9 @@ def gvf_step(
     mask = _domain(mask, spec)
     stencil = _Stencil(mask, periodic, v)
     stencil.step(*stencil.coeffs(p.g, p.h, p.dt, grad_f))
-    out = _unstack(spec, stencil.field)
-    for new, old in ((out.u.values, v.u.values), (out.v.values, v.v.values)):
-        np.copyto(new, old, where=~mask.inside)
-    return out
+    out = stencil.field.copy()
+    np.copyto(out, v.values, where=~mask.inside)
+    return VectorField(spec, out)
 
 
 # a forced run may overflow, which the loop reports as a DivergenceError
@@ -528,7 +525,7 @@ def _iterate(source: VectorField, p: GvfParams, mask: DomainMask, periodic: bool
             break
 
     return SolveReport(
-        field=_unstack(spec, stencil.field),
+        field=VectorField(spec, stencil.field.copy()),
         iterations=iterations,
         converged=converged,
         change_history=np.asarray(changes),
@@ -542,8 +539,7 @@ def _masked_source(f: ScalarField, cap: float, mask: DomainMask) -> VectorField:
     """Capped gradient of the edge map, zeroed outside the domain."""
     grad = clamp_magnitude(gradient_central(f), cap)
     if not mask.is_full:
-        grad.u.values[~mask.inside] = 0.0
-        grad.v.values[~mask.inside] = 0.0
+        grad.values[:, ~mask.inside] = 0.0
     return grad
 
 
@@ -763,10 +759,9 @@ def direct_steady_solve(
     ys, xs = np.nonzero(mask.inside)
     box = (slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1))
     inside = mask.inside[box]
-    grids = np.stack([
-        np.broadcast_to(a, spec.shape)[box]
-        for a in (g, h, h * source.u.values, h * source.v.values)
-    ])
+    grids = np.empty((4,) + spec.shape)
+    grids[0], grids[1], grids[2:] = g, h, h * source.values
+    grids = grids[:, box[0], box[1]]
     if np.any((grids[0] == 0) & (grids[1] == 0) & inside):
         raise RankError("g and h both vanish at an interior pixel")
     _check_reaction(inside, grids[1] > 0)
@@ -776,8 +771,8 @@ def direct_steady_solve(
     transpose = (inside.sum(axis=0) ** 3).sum() < (inside.sum(axis=1) ** 3).sum()
     if transpose:
         inside, grids = inside.T, grids.transpose(0, 2, 1)
-    c, h, bu, bv = grids
-    b = np.stack([bu[inside], bv[inside]], axis=1)
+    c, h = grids[0], grids[1]
+    b = grids[2:, inside].T.copy()
     try:
         system = _LineBlocks(inside, c, h)
     except np.linalg.LinAlgError:
@@ -796,7 +791,7 @@ def direct_steady_solve(
     window[:, inside] = x.T
     out = np.zeros((2,) + spec.shape)
     out[:, box[0], box[1]] = window.transpose(0, 2, 1) if transpose else window
-    return _unstack(spec, out)
+    return VectorField(spec, out)
 
 
 @np.errstate(over="ignore")
@@ -819,8 +814,7 @@ def steady_residual(
     mask = _domain(mask, spec)
     g = _coeff_grid(p.g, spec)
     h = _coeff_grid(p.h, spec)
-    grad = _masked_source(f, p.cap, mask)
-    source = np.stack([grad.u.values, grad.v.values])
+    source = _masked_source(f, p.cap, mask).values
     stencil = _Stencil(mask, periodic, v)
     c = stencil.field
     lap = stencil.neighbor_sum()[:, 1:-1, 1:-1] - 4.0 * c
@@ -850,8 +844,7 @@ def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
     """
     if isinstance(p.g, ScalarField) or isinstance(p.h, ScalarField):
         raise ParameterError("expansion check supports constant coefficients only")
-    if not n >= 1:
-        raise ParameterError(f"expansion order must be >= 1, got {n}")
+    check_count("expansion order n", n)
     hh, ww = f.spec.shape
     grad = gradient_central(f)
     stencil = _Stencil(DomainMask.full(f.spec), False, grad)
@@ -859,8 +852,7 @@ def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
     for _ in range(n):
         stencil.step(*coeffs)
 
-    source = np.stack([grad.u.values, grad.v.values])
-    even = np.pad(source, ((0, 0), (0, hh), (0, ww)), mode="symmetric")
+    even = np.pad(grad.values, ((0, 0), (0, hh), (0, ww)), mode="symmetric")
     w1 = 2.0 * np.pi * np.fft.rfftfreq(2 * ww)
     w2 = 2.0 * np.pi * np.fft.fftfreq(2 * hh)
     hdt = p.h * p.dt

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .grid import ScalarField, VectorField
+from .grid import VectorField
 
 
 def _stencil_symbol(w1, w2):
@@ -51,7 +51,7 @@ def transfer_gain(w1, w2, g: float, h: float, discrete: bool = False):
 def spectral_steady_state(grad_f: VectorField, g: float, h: float) -> VectorField:
     """Exact steady state of the periodic-border scheme via the DFT.
 
-    Transforms each component, multiplies by the discrete gain at the
+    Transforms both components, multiplies by the discrete gain at the
     grid frequencies w = 2*pi*k/N, and inverts.  Constant coefficients
     and the full rectangle only; this backs the spectral oracle.  The
     checks on g and h are those of transfer_gain.
@@ -60,11 +60,8 @@ def spectral_steady_state(grad_f: VectorField, g: float, h: float) -> VectorFiel
     w1 = 2.0 * np.pi * np.fft.fftfreq(spec.width)
     w2 = 2.0 * np.pi * np.fft.fftfreq(spec.height)
     gain = transfer_gain(w1[None, :], w2[:, None], g, h, discrete=True)
-    out = []
-    for comp in (grad_f.u.values, grad_f.v.values):
-        filt = np.fft.ifft2(np.fft.fft2(comp) * gain)
-        out.append(filt.real)
-    return VectorField(ScalarField(spec, out[0]), ScalarField(spec, out[1]))
+    # fft2 transforms the last two axes: one call serves both planes
+    return VectorField(spec, np.fft.ifft2(np.fft.fft2(grad_f.values) * gain).real)
 
 
 def parseval_energy(field: VectorField) -> float:

@@ -43,7 +43,42 @@ class TestScalarField:
         u = gv.ScalarField.zeros(gv.GridSpec(4, 4))
         v = gv.ScalarField.zeros(gv.GridSpec(5, 4))
         with pytest.raises(DimensionError):
-            gv.VectorField(u, v)
+            gv.VectorField.from_arrays(u.values, v.values)
+
+
+class TestVectorField:
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (2, 5, 4), (4, 4, 2)])
+    def test_values_must_be_two_planes_of_the_grid(self, shape):
+        with pytest.raises(DimensionError):
+            gv.VectorField(gv.GridSpec(4, 4), np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        values = np.zeros((2, 4, 4))
+        values[1, 2, 3] = bad
+        with pytest.raises(ParameterError):
+            gv.VectorField(gv.GridSpec(4, 4), values)
+
+    def test_from_arrays_stacks_u_then_v(self):
+        u, v = np.arange(12.0).reshape(3, 4), -np.arange(12.0).reshape(3, 4)
+        field = gv.VectorField.from_arrays(u, v)
+        assert field.spec == gv.GridSpec(4, 3)
+        assert np.array_equal(field.values, np.stack([u, v]))
+
+    def test_components_are_views_of_values(self):
+        field = gv.VectorField.zeros(gv.GridSpec(5, 4))
+        field.u.values[1, 2] = 3.0
+        field.values[1, 3, 4] = -2.0
+        assert field.values[0, 1, 2] == 3.0
+        assert field.v.values[3, 4] == -2.0
+        assert np.shares_memory(field.u.values, field.values)
+        assert np.shares_memory(field.v.values, field.values)
+
+    def test_copy_shares_no_memory(self):
+        field = gv.VectorField.zeros(gv.GridSpec(4, 4))
+        dup = field.copy()
+        dup.u.values[0, 0] = 1.0
+        assert field.values[0, 0, 0] == 0.0
 
 
 class TestGradientCentral:

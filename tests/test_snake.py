@@ -37,6 +37,15 @@ class TestSnakeType:
         with pytest.raises(ParameterError):
             gv.SnakeParams(tensile_sign=0.5)
 
+    @pytest.mark.parametrize("max_iter", [2.5, 1.0, math.nan, math.inf, True, 0, -3, "10", None])
+    def test_max_iter_must_be_an_integer_of_at_least_one(self, max_iter):
+        with pytest.raises(ParameterError, match="max_iter must be an integer >= 1"):
+            gv.SnakeParams(max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [1, np.int64(7)])
+    def test_max_iter_accepts_integers(self, max_iter):
+        assert gv.SnakeParams(max_iter=max_iter).max_iter == max_iter
+
     @pytest.mark.parametrize("name", ["b", "gamma", "step", "eps", "resample_spacing"])
     def test_params_reject_nan(self, name):
         with pytest.raises(ParameterError):

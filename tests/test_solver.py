@@ -44,6 +44,34 @@ class TestParamTypes:
         with pytest.raises(ParameterError):
             gv.GgvfParams(K=0.0)
 
+    @pytest.mark.parametrize("params", [gv.GvfParams, gv.GgvfParams])
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -0.1])
+    def test_dt_must_be_finite_and_positive(self, params, dt):
+        with pytest.raises(ParameterError, match="dt must be finite and > 0"):
+            params(dt=dt)
+
+    def test_infinite_dt_never_reaches_the_expansion_check(self):
+        # an infinite dt used to turn the closed form into NaN
+        with pytest.raises(ParameterError):
+            gv.expansion_check(impulse(8), gv.GvfParams(g=1.0, h=0.0, dt=math.inf), 1)
+
+    @pytest.mark.parametrize("params", [gv.GvfParams, gv.GgvfParams])
+    @pytest.mark.parametrize("max_iter", [2.5, 1.0, math.nan, math.inf, True, 0, -3, "10", None])
+    def test_max_iter_must_be_an_integer_of_at_least_one(self, params, max_iter):
+        with pytest.raises(ParameterError, match="max_iter must be an integer >= 1"):
+            params(max_iter=max_iter)
+
+    @pytest.mark.parametrize("params", [gv.GvfParams, gv.GgvfParams])
+    @pytest.mark.parametrize("max_iter", [1, np.int64(7)])
+    def test_max_iter_accepts_integers(self, params, max_iter):
+        assert params(max_iter=max_iter).max_iter == max_iter
+
+    @pytest.mark.parametrize("name", ["g", "h"])
+    @pytest.mark.parametrize("value", [np.array([1.0, 2.0]), np.ones((4, 4)), "1.0", None, 1j])
+    def test_coefficient_must_be_a_number_or_a_scalar_field(self, name, value):
+        with pytest.raises(ParameterError, match="real number or a ScalarField"):
+            gv.GvfParams(**{name: value})
+
     def test_defaults(self):
         p = gv.GvfParams()
         assert (p.g, p.h, p.dt, p.delta, p.max_iter) == (2.0, 0.02, 0.12, 1e-4, 20000)
@@ -355,6 +383,11 @@ class TestExpansionCheck:
     def test_rejects_bad_order(self):
         with pytest.raises(ParameterError):
             gv.expansion_check(impulse(8), gv.GvfParams(g=1.0, h=0.1), 0)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, 1.0, math.nan, True, "2"])
+    def test_order_must_be_an_integer_of_at_least_one(self, n):
+        with pytest.raises(ParameterError, match="expansion order n must be an integer >= 1"):
+            gv.expansion_check(impulse(8), gv.GvfParams(g=1.0, h=0.1), n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 40), st.integers(3, 40), coefficients, coefficients,

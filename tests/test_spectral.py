@@ -69,6 +69,19 @@ class TestSpectralSteadyState:
         with pytest.raises(ParameterError):
             gv.spectral_steady_state(z, 1.0, 0.0)
 
+    @pytest.mark.parametrize("w, h", [(12, 12), (40, 40), (64, 64), (17, 9)])
+    def test_one_transform_of_both_planes_equals_one_per_component(self, w, h):
+        # the (2, H, W) transform must give the per-component result bit for bit
+        rng = np.random.default_rng(w * h)
+        grad = gv.VectorField.from_arrays(rng.normal(size=(h, w)), rng.normal(size=(h, w)))
+        out = gv.spectral_steady_state(grad, 0.7, 0.05)
+        w1 = 2.0 * np.pi * np.fft.fftfreq(w)
+        w2 = 2.0 * np.pi * np.fft.fftfreq(h)
+        gain = gv.transfer_gain(w1[None, :], w2[:, None], 0.7, 0.05, discrete=True)
+        for got, comp in ((out.u.values, grad.u.values), (out.v.values, grad.v.values)):
+            ref = np.fft.ifft2(np.fft.fft2(comp) * gain).real
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
 
 class TestParsevalEnergy:
     def test_zero_field(self):
