@@ -264,6 +264,10 @@ def _run_snake_stage(field: VectorField, grad_peak: float, cfg: dict, params: Sn
     return result
 
 
+# the synth flags that one shape reads, and that shape
+_SYNTH_FLAGS = {"hole_box": "box-hole", "cx": "disk", "cy": "disk", "radius": "disk"}
+
+
 def cmd_synth(args) -> int:
     if args.shape == "ushape":
         img = ioformats.synth_ushape(args.width, args.height)
@@ -275,6 +279,9 @@ def cmd_synth(args) -> int:
         img = ioformats.synth_disk(args.width, args.height, args.cx, args.cy, args.radius)
     else:
         raise ParameterError(f"unknown shape {args.shape!r}")
+    for name, shape in _SYNTH_FLAGS.items():
+        if getattr(args, name) is not None and shape != args.shape:
+            raise ParameterError(f"--{name.replace('_', '-')} applies to --shape {shape} only")
     ioformats.write_pgm(img, args.out_image)
     print(json.dumps({"wrote": str(args.out_image), "shape": args.shape}, sort_keys=True))
     return EXIT_OK

@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the count check that
-every iteration cap shares."""
+"""Exception types shared across the toolkit, and the checks that every
+iteration cap and every real parameter share."""
 
+import math
 import numbers
 
 
@@ -20,6 +21,20 @@ def check_count(name: str, n) -> None:
     """ParameterError unless n is an integer >= 1 (a bool is no count)."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
+
+
+def check_real(name: str, x, above: bool = False, inf: bool = False) -> float:
+    """x as a float; ParameterError, naming the parameter, unless x is a
+    real number >= 0 (> 0 if above), finite unless inf is allowed.  A
+    real past the float range, such as 10**400, is refused as well."""
+    try:
+        v = float(x) if isinstance(x, numbers.Real) else math.nan
+    except OverflowError:
+        raise ParameterError(f"{name} is past the float range") from None
+    if not ((v > 0 if above else v >= 0) and (inf or v < math.inf)):
+        rule = ("" if inf else "finite and ") + ("> 0" if above else ">= 0")
+        raise ParameterError(f"{name} must be {rule}, got {x!r}")
+    return v
 
 
 class DivergenceError(GvfError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, check_real
 
 # Magnitudes within this relative band of the cap are left untouched so
 # that clamping is exactly idempotent despite rounding.
@@ -126,24 +126,6 @@ class VectorField:
 
 
 # --- the five-point neighbor sum -----------------------------------------------
-
-def _border_views(padded: np.ndarray, periodic: bool) -> list:
-    """(destination, source) view pairs that refresh the one-pixel border
-    of a (..., H+2, W+2) padded buffer; copy each source onto its
-    destination after every change of the interior.
-
-    Edge values implement the mirror rule (an off-grid neighbor is the
-    border pixel itself); wrapped values implement periodic borders.
-    Corners are never read by the stencils and are left alone.
-    """
-    first, last = (-2, 1) if periodic else (1, -2)
-    return [
-        (padded[..., 1:-1, 0], padded[..., 1:-1, first]),
-        (padded[..., 1:-1, -1], padded[..., 1:-1, last]),
-        (padded[..., 0, 1:-1], padded[..., first, 1:-1]),
-        (padded[..., -1, 1:-1], padded[..., last, 1:-1]),
-    ]
-
 
 def _span(padded: np.ndarray) -> slice:
     """The stretch of a flattened (..., H+2, W+2) padded buffer from its
@@ -254,8 +236,7 @@ def gaussian_smooth(f: ScalarField, sigma: float) -> ScalarField:
     accumulated left to right, so the result equals two calls of
     scipy.ndimage.convolve1d(mode="nearest") to the last bit.
     """
-    if not 0 <= sigma < math.inf:
-        raise ParameterError(f"sigma must be finite and >= 0, got {sigma!r}")
+    sigma = check_real("sigma", sigma)
     if sigma == 0:
         return f.copy()
     limit = max(f.spec.width, f.spec.height, 64)
@@ -269,10 +250,10 @@ def gaussian_smooth(f: ScalarField, sigma: float) -> ScalarField:
 def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     """gaussian_smooth on a bare (H, W) array, for sigma > 0.
 
-    The array is edge-padded by r on both axes once.  A padding column
-    is a copy of a border column, so after the pass along y it holds
-    that column's result: exactly the edge padding the pass along x
-    needs.
+    The array is edge-padded by r on both axes once, by np.pad as in
+    gradient_central.  A padding column is a copy of a border column, so
+    after the pass along y it holds that column's result: exactly the
+    edge padding the pass along x needs.
     """
     r = int(math.ceil(3.0 * sigma))
     xs = np.arange(-r, r + 1, dtype=np.float64)
@@ -282,9 +263,7 @@ def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
         kernel = np.exp(-0.5 * (xs / sigma) ** 2)
     kernel /= kernel.sum()
     h, w = a.shape
-    rows = np.clip(np.arange(-r, h + r), 0, h - 1)
-    cols = np.clip(np.arange(-r, w + r), 0, w - 1)
-    padded = a.take(rows, axis=0).take(cols, axis=1)
+    padded = np.pad(a, r, mode="edge")
     along_y = _symmetric_pass(padded, kernel, step=w + 2 * r)[r:r + h]
     return np.ascontiguousarray(_symmetric_pass(along_y, kernel, step=1)[:, r:r + w])
 
@@ -314,9 +293,7 @@ def clamp_magnitude(field: VectorField, cap: float) -> VectorField:
     within one part in 1e12 of the cap are left alone, which makes the
     operation exactly idempotent.
     """
-    if not cap > 0:
-        raise ParameterError("magnitude cap must be > 0")
-    if math.isinf(cap):
+    if math.isinf(check_real("cap", cap, above=True, inf=True)):
         return field.copy()
     mag = field.magnitude()
     over = mag > cap * (1.0 + _CLAMP_SLACK)

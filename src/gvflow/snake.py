@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, GeometryError, ParameterError, check_count
+from .errors import DivergenceError, GeometryError, ParameterError, check_count, check_real
 from .grid import VectorField
 
 # Floor used when normalizing field vectors to unit length.
@@ -98,19 +98,9 @@ class SnakeParams:
     tensile_sign: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not (self.b >= 0 and self.gamma >= 0):
-            raise ParameterError("b and gamma must be >= 0")
-        if not self.step > 0:
-            raise ParameterError("step must be > 0")
-        if not self.eps > 0:
-            raise ParameterError("eps must be > 0")
-        check_count("max_iter", self.max_iter)
-        if not self.resample_spacing >= 0:
-            raise ParameterError("resample_spacing must be >= 0")
         for name in ("b", "gamma", "step", "eps", "resample_spacing"):
-            if not np.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
+            check_real(name, getattr(self, name), above=name in ("step", "eps"))
+        check_count("max_iter", self.max_iter)
         if self.tensile_sign not in (1.0, -1.0):
             raise ParameterError("tensile_sign must be +1 or -1")
 

@@ -22,12 +22,14 @@ their sum.  The field's (2, H, W) array (grid.VectorField) sits inside a
 padded buffer, and the neighbor sum is four shifted views of it.  The
 stencil builds those views, and every other view an iteration touches,
 once: on a small grid a solve's cost is numpy's per-call overhead, so an
-iteration makes only the calls of its arithmetic.  On the full rectangle
-the one-pixel border is refreshed before each sum by one gather and one
-scatter: edge values give the mirror rule, wrapped values the periodic
-border.  On a masked domain one gather of a (4, n) neighbor table fixes
-up the sum at the boundary pixels only, and the exterior stays at zero.
-Every sum adds x+1, x-1, y+1, y-1 in that order
+iteration makes only the calls of its arithmetic.  One table
+(_border_table) maps each neighbor outside the domain to its stand-in:
+the pixel itself under the mirror rule, the far end of its row or
+column under periodic borders.  On the full rectangle it gives the
+(border cell, stand-in) pairs that one gather and one scatter refresh
+before each sum; on a masked domain, a (4, n) neighbor table whose one
+gather fixes up the sum at the boundary pixels only, and the exterior
+stays at zero.  Every sum adds x+1, x-1, y+1, y-1 in that order
 (grid._neighbor_offsets), so all results are reproducible to the last
 bit.  Every buffer the iteration writes starts its written span on a
 64-byte cache line (grid._aligned_zeros): numpy aligns to 16 bytes only,
@@ -73,13 +75,13 @@ from .errors import (
     RankError,
     SizeError,
     check_count,
+    check_real,
 )
 from .grid import (
     GridSpec,
     ScalarField,
     VectorField,
     _aligned_zeros,
-    _border_views,
     _neighbor_offsets,
     _neighbor_terms,
     _span,
@@ -103,18 +105,18 @@ def _check_k(K: float) -> None:
     """ParameterError unless K > 0 and K*K > 0: below about 1.6e-162 K*K
     underflows to 0, and the weight's exponent |grad_f|^2 / K^2 turns
     to inf, or to NaN where the gradient vanishes."""
-    if not (K > 0 and K * K > 0):
+    # check_real refuses a K > 0 only past the float range
+    k = check_real("K", K, inf=True) if isinstance(K, numbers.Real) and K > 0 else 0.0
+    if not k * k > 0:
         raise ParameterError(f"K must be > 0 with K*K > 0, got K = {K!r}")
 
 
 def _check_run(p) -> None:
-    """The checks that GvfParams and GgvfParams share."""
-    if not 0 < p.dt < math.inf:
-        raise ParameterError(f"dt must be finite and > 0, got {p.dt!r}")
-    if not p.delta > 0:
-        raise ParameterError("delta must be > 0")
-    if not p.cap > 0:
-        raise ParameterError("cap must be > 0 (inf disables clamping)")
+    """The checks that GvfParams and GgvfParams share; cap = inf
+    disables clamping."""
+    check_real("dt", p.dt, above=True)
+    check_real("delta", p.delta, above=True, inf=True)
+    check_real("cap", p.cap, above=True, inf=True)
     check_count("max_iter", p.max_iter)
 
 
@@ -140,8 +142,8 @@ class GvfParams:
             if not isinstance(c, (numbers.Real, ScalarField)):
                 raise ParameterError(
                     f"g and h must each be a real number or a ScalarField, got {name} = {c!r}")
-            if not isinstance(c, ScalarField) and not (np.isfinite(c) and c >= 0):
-                raise ParameterError(f"{name} must be finite and >= 0")
+            if not isinstance(c, ScalarField):
+                check_real(name, c)
         if (
             not isinstance(self.g, ScalarField)
             and not isinstance(self.h, ScalarField)
@@ -311,23 +313,25 @@ def _neighbor_flags(inside: np.ndarray) -> tuple:
     return padded[1:-1, 2:], padded[1:-1, :-2], padded[2:, 1:-1], padded[:-2, 1:-1]
 
 
-def _mirror_neighbors(padded: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Flat indices (4, n) into padded, the domain mask from _pad_mask,
-    of the x+1, x-1, y+1, y-1 neighbors of the interior pixels at flat
-    indices `at`, under the mirror rule: a neighbor outside the domain
-    or off the grid is replaced by the pixel itself."""
-    flat = padded.reshape(-1)
-    nbrs = np.empty((4, at.size), dtype=np.intp)
-    for a, step in enumerate(_neighbor_offsets(padded.shape[1])):
-        nbrs[a] = at + step * flat[at + step]
-    return nbrs
+def _border_table(padded: np.ndarray, at: np.ndarray, periodic: bool) -> tuple:
+    """The border rule for the interior pixels at flat indices `at` of
+    padded, the domain mask from _pad_mask, as three (4, n) arrays: the
+    flat indices of their x+1, x-1, y+1, y-1 neighbors, whether each
+    neighbor is in the domain, and the stand-in for a neighbor outside
+    it.  Under the mirror rule the stand-in is the pixel itself; under
+    periodic borders, the far end of the pixel's row or column."""
+    hh, ww = padded.shape[0] - 2, padded.shape[1] - 2
+    steps = np.array(_neighbor_offsets(padded.shape[1]))[:, None]
+    nbrs = at + steps
+    # how many steps back from the pixel its stand-in lies
+    back = np.array([ww - 1, ww - 1, hh - 1, hh - 1])[:, None] if periodic else 0
+    return nbrs, padded.reshape(-1)[nbrs], at - steps * back
 
 
 class _Buffer(NamedTuple):
-    """A padded (2, H+2, W+2) field buffer and the views of it that the
-    stencil reads or writes, all built once."""
+    """A padded (2, H+2, W+2) field buffer's views that the stencil reads
+    or writes, all built once."""
 
-    padded: np.ndarray
     span: np.ndarray      # the flat span holding every interior pixel
     flat: np.ndarray      # the whole buffer, flattened
     interior: np.ndarray  # the (2, H, W) field
@@ -340,15 +344,17 @@ class _Stencil:
     The (2, H, W) field lives inside a padded (2, H+2, W+2) buffer, and
     the neighbor sum adds four shifted views of its flattened span in
     the order x+1, x-1, y+1, y-1 (grid._neighbor_terms).  There are two
-    such buffers, and every view of them, the border index pairs and
+    such buffers, and every view of them, the border index tables and
     the planes squared_change adds are built once, in __init__: an
-    iteration makes no view, reshape or slice.  On the full rectangle
-    the one-pixel border is refreshed before each sum by one gather and
-    one scatter, with edge values for the mirror rule or wrapped values
-    for periodic borders.  On a masked domain the view sum is wrong only
-    at mask.boundary() pixels, which count the grid border as exterior;
-    one gather of a (4, 2n) table of their mirror-rule neighbors, summed
-    in the same order and scattered back, overwrites it there.
+    iteration makes no view, reshape or slice.  Both border mechanisms
+    come from _border_table of the mask.boundary() pixels, which count
+    the grid border as exterior.  On the full rectangle the one-pixel
+    border is refreshed before each sum by one gather and one scatter:
+    each border cell a pixel reads receives that neighbor's stand-in.
+    On a masked domain the view sum is wrong only at the boundary
+    pixels; one gather of a (4, 2n) table of their neighbors, stand-ins
+    in place of the exterior ones, summed in the same order and
+    scattered back, overwrites it there.
     Coefficients are zero outside the domain (coeffs), so exterior
     pixels and the border stay exactly zero.
 
@@ -374,23 +380,23 @@ class _Stencil:
         self._nb_planes = (self._nb[0, 1:-1, 1:-1], self._nb[1, 1:-1, 1:-1])
         self._inside = None if mask.is_full else mask.inside
         self._cur, self._old = (
-            _Buffer(b, b.reshape(-1)[span], b.reshape(-1), b[:, 1:-1, 1:-1], _neighbor_terms(b))
+            _Buffer(b.reshape(-1)[span], b.reshape(-1), b[:, 1:-1, 1:-1], _neighbor_terms(b))
             for b in (_aligned_zeros(shape, span.start), _aligned_zeros(shape, span.start))
         )
         self.field[...] = field.values
-        if mask.is_full:
-            # flat indices of the border cells and of the pixels they copy
-            index = np.arange(self._nb.size).reshape(shape)
-            pairs = _border_views(index, periodic)
-            self._border_at = np.concatenate([dst.ravel() for dst, _ in pairs])
-            self._border_from = np.concatenate([src.ravel() for _, src in pairs])
+        padded = _pad_mask(mask.inside)
+        at = np.flatnonzero(_pad_mask(mask.boundary()))
+        nbrs, inside, stand_in = _border_table(padded, at, periodic)
+        plane = padded.size
+        if self._inside is None:
+            # the border cells the sum reads, and the pixels they copy
+            dst, src = nbrs[~inside], stand_in[~inside]
+            self._border_at = np.concatenate([dst, dst + plane])
+            self._border_from = np.concatenate([src, src + plane])
             self._border_vals = np.empty(self._border_from.size)
         else:
-            padded = _pad_mask(mask.inside)
-            at = np.flatnonzero(_pad_mask(mask.boundary()))
-            plane = padded.size
             self._fix_at = np.concatenate([at, at + plane])
-            src = _mirror_neighbors(padded, at)
+            src = np.where(inside, nbrs, stand_in)
             self._fix_table = np.concatenate([src, src + plane], axis=1)
             self._fix_vals = np.empty(self._fix_table.shape)
             self._fix_rows = tuple(self._fix_vals)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import check_real
 from .grid import VectorField
 
 
@@ -33,14 +33,10 @@ def transfer_gain(w1, w2, g: float, h: float, discrete: bool = False):
 
     discrete=False evaluates the continuous-operator form; discrete=True
     the exact gain of the five-point stencil.  w1 and w2 may be numbers
-    or arrays that broadcast together.  Requires h > 0 (the gain is
-    undefined for a pure-diffusion steady state).
+    or arrays that broadcast together.  Requires finite g >= 0 and
+    h > 0 (the gain is undefined for a pure-diffusion steady state).
     """
-    if not h > 0:
-        raise ParameterError("the steady-state gain requires h > 0")
-    if g < 0:
-        raise ParameterError("g must be >= 0")
-    sigma = g / h
+    sigma = check_real("g", g) / check_real("h", h, above=True)
     if discrete:
         sym = _stencil_symbol(w1, w2)
     else:

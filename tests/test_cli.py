@@ -97,6 +97,23 @@ class TestSynth:
         assert "synthetic image" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape, flags, message", [
+        ("ushape", ["--radius", "5", "--cx", "3", "--hole-box", "1,1,2,2"],
+         "--hole-box applies to --shape box-hole only"),
+        ("ushape", ["--radius", "5"], "--radius applies to --shape disk only"),
+        ("box-hole", ["--cy", "3"], "--cy applies to --shape disk only"),
+        ("disk", ["--cx", "32", "--cy", "32", "--radius", "10", "--hole-box", "1,1,2,2"],
+         "--hole-box applies to --shape box-hole only"),
+    ])
+    def test_flag_of_another_shape_is_validation_error(self, tmp_path, capsys, shape, flags,
+                                                        message):
+        out = tmp_path / "x.pgm"
+        code = main(["synth", "--shape", shape, "--width", "64", "--height", "64", *flags,
+                     "--out-image", str(out)])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPipeline:
     def test_gvf_artifacts_and_summary(self, u64, tmp_path):
@@ -150,7 +167,7 @@ class TestPipeline:
         code = main(["ggvf", "--image", str(u64), "--out", str(tmp_path / "x"),
                      "--delta", "0.05", "--snake", "31.5,31.5,25", "--b", "nan"])
         assert code == EXIT_VALIDATION
-        assert "b and gamma must be >= 0" in capsys.readouterr().err
+        assert "b must be finite and >= 0" in capsys.readouterr().err
 
     def test_missing_image_is_io_error(self, tmp_path):
         assert main(["gvf", "--image", str(tmp_path / "nope.pgm"),

@@ -22,7 +22,7 @@ from gvflow.errors import (
 )
 from gvflow.grid import _aligned_zeros
 from gvflow.ioformats import synth_ushape
-from gvflow.solver import _mirror_neighbors, _pad_mask, _Stencil
+from gvflow.solver import _Stencil
 
 
 def impulse(n=8, value=1.0):
@@ -71,6 +71,22 @@ class TestParamTypes:
     def test_coefficient_must_be_a_number_or_a_scalar_field(self, name, value):
         with pytest.raises(ParameterError, match="real number or a ScalarField"):
             gv.GvfParams(**{name: value})
+
+    @pytest.mark.parametrize("name, call", [
+        *(pytest.param(name, lambda x, t=t, name=name: t(**{name: x}), id=f"{t.__name__}.{name}")
+          for t, names in ((gv.GvfParams, "g h dt cap"), (gv.GgvfParams, "K dt cap"),
+                           (gv.SnakeParams, "b gamma step eps resample_spacing"))
+          for name in names.split()),
+        pytest.param("sigma", lambda x: gv.gaussian_smooth(impulse(4), x), id="gaussian_smooth"),
+        pytest.param("cap", lambda x: gv.clamp_magnitude(gv.VectorField.zeros(gv.GridSpec(4, 4)), x),
+                     id="clamp_magnitude"),
+        pytest.param("g", lambda x: gv.transfer_gain(0.1, 0.1, x, 1.0), id="transfer_gain.g"),
+        pytest.param("h", lambda x: gv.transfer_gain(0.1, 0.1, 1.0, x), id="transfer_gain.h"),
+    ])
+    def test_real_past_the_float_range_is_named(self, name, call):
+        # float() of 10**400 overflows; the check must not
+        with pytest.raises(ParameterError, match=rf"^{name} "):
+            call(10**400)
 
     def test_defaults(self):
         p = gv.GvfParams()
@@ -612,9 +628,9 @@ class TestAlignedBuffers:
         stencil = _Stencil(mask, kind == "periodic", field)
         weight = gv.ScalarField(spec, rng.random(spec.shape))
         coeffs = stencil.coeffs(weight, gv.ScalarField(spec, 1.0 - weight.values), 0.1, field)
-        spans = [stencil._nb_span, stencil._cur[1], stencil._old[1], *coeffs]
+        spans = [stencil._nb_span, stencil._cur.span, stencil._old.span, *coeffs]
         assert all(_address(s) % 64 == 0 for s in spans)
-        assert np.shares_memory(stencil.field, stencil._cur[0])
+        assert np.shares_memory(stencil.field, stencil._cur.flat)
         assert np.array_equal(stencil.field, [field.u.values, field.v.values])
 
 
@@ -652,22 +668,22 @@ class TestStencilNeighborSum:
         stencil = _Stencil(mask, periodic, gv.VectorField.from_arrays(u, v))
         got = stencil.neighbor_sum()[:, 1:-1, 1:-1][:, mask.inside]
 
-        padded = _pad_mask(mask.inside)
-        at = np.flatnonzero(padded)
-        if periodic:
-            # the wrapped neighbor of each pixel, as a flat index into padded
-            ys, xs = np.divmod(at, padded.shape[1])
-            ys, xs = ys - 1, xs - 1
-            h, w = spec.shape
-            nbrs = [(y % h + 1) * padded.shape[1] + x % w + 1
-                    for y, x in ((ys, xs + 1), (ys, xs - 1), (ys + 1, xs), (ys - 1, xs))]
-        else:
-            nbrs = _mirror_neighbors(padded, at)
+        # each pixel's neighbor in 2-D indices, from the mask alone: wrapped
+        # for periodic borders, else itself where the neighbor is off the
+        # grid or outside the mask (the mirror rule)
+        h, w = spec.shape
+        ys, xs = np.nonzero(mask.inside)
+        nbrs = []
+        for y, x in ((ys, xs + 1), (ys, xs - 1), (ys + 1, xs), (ys - 1, xs)):
+            if periodic:
+                y, x = y % h, x % w
+            else:
+                real = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+                real[real] = mask.inside[y[real], x[real]]
+                y, x = np.where(real, y, ys), np.where(real, x, xs)
+            nbrs.append((y, x))
         for comp, values in enumerate((u, v)):
-            flat = np.zeros(padded.shape)
-            flat[1:-1, 1:-1] = values
-            flat = flat.reshape(-1)
-            t0, t1, t2, t3 = (flat[n] for n in nbrs)
+            t0, t1, t2, t3 = (values[y, x] for y, x in nbrs)
             expected = ((t0 + t1) + t2) + t3
             assert np.array_equal(got[comp].view(np.int64), expected.view(np.int64))
 
