@@ -16,9 +16,11 @@ the steady state's energy by the source energy (Parseval).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import check_real
+from .errors import ParameterError, check_real
 from .grid import VectorField
 
 
@@ -34,14 +36,19 @@ def transfer_gain(w1, w2, g: float, h: float, discrete: bool = False):
     discrete=False evaluates the continuous-operator form; discrete=True
     the exact gain of the five-point stencil.  w1 and w2 may be numbers
     or arrays that broadcast together.  Requires finite g >= 0 and
-    h > 0 (the gain is undefined for a pure-diffusion steady state).
+    h > 0 (the gain is undefined for a pure-diffusion steady state),
+    whose ratio g/h is finite.  Where sigma * symbol overflows, the gain
+    is below the smallest float and reads 0.
     """
     sigma = check_real("g", g) / check_real("h", h, above=True)
+    if sigma == math.inf:
+        raise ParameterError(f"g / h must be finite, got g={g!r} and h={h!r}")
     if discrete:
         sym = _stencil_symbol(w1, w2)
     else:
         sym = w1 * w1 + w2 * w2
-    return 1.0 / (sigma * sym + 1.0)
+    with np.errstate(over="ignore"):
+        return 1.0 / (sigma * sym + 1.0)
 
 
 def spectral_steady_state(grad_f: VectorField, g: float, h: float) -> VectorField:

@@ -280,6 +280,17 @@ class TestTypedErrors:
         assert code == EXIT_VALIDATION
         assert "step must be finite" in err
 
+    def test_overflowing_snake_displacement_is_divergence_without_a_warning(
+            self, stored_field, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.run(["snake", "--field", str(stored_field),
+                                  "--out", str(tmp_path / "s"), "--init-circle", "15.5,15.5,12",
+                                  "--b", "1e308"], capsys)
+        assert code == EXIT_DIVERGENCE
+        assert "non-finite snaxel displacement (iteration 3)" in err
+        assert "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
     def test_bad_force_scale_is_validation_error(self, stored_field, tmp_path, capsys, scale):
         code, err = self.run(["snake", "--field", str(stored_field), "--out", str(tmp_path / "s"),

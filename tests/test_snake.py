@@ -1,6 +1,7 @@
 """Snaxel contour forces, sampling, evolution, resampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,115 @@ from hypothesis import strategies as st
 
 import gvflow as gv
 from gvflow import snake as snake_mod
-from gvflow.errors import DivergenceError, GeometryError, ParameterError
+from gvflow.errors import DivergenceError, GeometryError, GvfError, ParameterError
+from gvflow.snake import _resample_count, _unit_field
 
 
 def constant_field(spec, ux, vy):
     return gv.VectorField.from_arrays(
         np.full(spec.shape, float(ux)), np.full(spec.shape, float(vy))
     )
+
+
+# The allocating snake loop that the workspace loop replaced, kept as the
+# reference: snake_evolve must equal it to the last bit.
+
+class ReferenceSampler:
+    """Bilinear samples of a (2, N) array of clamped points, allocating."""
+
+    def __init__(self, field):
+        w = field.spec.width
+        self._uv = field.values.reshape(2, -1)
+        self._hi = np.array([[w - 1.0], [field.spec.height - 1.0]])
+        self._base_hi = np.array([[w - 2], [field.spec.height - 2]])
+        self._width = w
+        self._corners = np.array([[0], [1], [w], [w + 1]])
+
+    def clamp(self, xy):
+        return np.maximum(np.minimum(xy, self._hi), 0.0)
+
+    def __call__(self, xy):
+        base = np.minimum(xy.astype(np.intp), self._base_hi)
+        frac = xy - base
+        q = np.concatenate((1.0 - frac, frac)).reshape(2, 2, -1)
+        w = (q[:, None, 1] * q[None, :, 0]).reshape(4, -1)
+        t = w * self._uv.take(base[1] * self._width + base[0] + self._corners, axis=1)
+        return t[:, 0] + t[:, 1] + t[:, 2] + t[:, 3]
+
+
+def reference_ring(xy):
+    return np.concatenate((xy[:, -1:], xy, xy[:, :1]), axis=1)
+
+
+def reference_resample(ring, seg, seglen, perimeter, count):
+    n_new = max(4, int(round(count)))
+    targets = perimeter * np.arange(n_new) / n_new
+    cum = np.concatenate([[0.0], np.cumsum(seglen)])
+    idx = np.searchsorted(cum, targets, side="right") - 1
+    idx = np.clip(idx, 0, len(seglen) - 1)
+    denom = np.where(seglen[idx] > 0, seglen[idx], 1.0)
+    frac = (targets - cum[idx]) / denom
+    return ring[:, 1 + idx] + seg[:, idx] * frac
+
+
+def reference_snake_evolve(s, field, p):
+    sample = ReferenceSampler(_unit_field(field) if p.normalize else field)
+    max_snaxels = max(field.spec.width * field.spec.height, len(s))
+    xy = at = sample.clamp(s.points.T)
+    ring = reference_ring(xy)
+    history = []
+    converged = False
+    iterations = 0
+    for n in range(1, p.max_iter + 1):
+        tens = xy - 0.5 * (ring[:, :-2] + ring[:, 2:])
+        force = sample(at)
+        disp = p.step * (p.tensile_sign * p.b * tens + p.gamma * force)
+        if not np.isfinite(disp).all():
+            raise DivergenceError("non-finite snaxel displacement", n)
+        new_xy = sample.clamp(xy + disp)
+        moved = np.hypot(*(new_xy - xy)).max()
+        xy = at = new_xy
+        iterations = n
+        history.append(float(moved))
+        if moved < p.eps:
+            converged = True
+            break
+        ring = reference_ring(xy)
+        if p.resample_spacing > 0:
+            seg = ring[:, 2:] - ring[:, 1:-1]
+            seglen = np.hypot(*seg)
+            if (seglen.max() > 2.0 * p.resample_spacing
+                    or seglen.min() < 0.5 * p.resample_spacing):
+                perimeter, count = _resample_count(seglen, p.resample_spacing)
+                if not count < max_snaxels + 0.5:
+                    raise DivergenceError(
+                        f"resampling would grow the contour to {count:.6g} snaxels, past "
+                        f"the cap of {max_snaxels}", n)
+                xy = reference_resample(ring, seg, seglen, perimeter, count)
+                at = sample.clamp(xy)
+                ring = reference_ring(xy)
+    return gv.SnakeResult(gv.Snake(np.ascontiguousarray(xy.T)), iterations, converged,
+                          np.asarray(history))
+
+
+def outcome(evolve, s, field, p):
+    """What a run gives, bit for bit: the typed error it raises, or its
+    iterations, convergence, points and history as int64 views."""
+    try:
+        r = evolve(s, field, p)
+    except GvfError as e:
+        return type(e), str(e)
+    return (r.iterations, r.converged, r.snake.points.view(np.int64).tolist(),
+            r.displacement_history.view(np.int64).tolist())
+
+
+def random_field(rng, w, h, scale):
+    """Normal values, about a tenth of them -0.0 and a tenth +0.0."""
+    uv = rng.normal(0.0, scale, (2, h, w))
+    pick = rng.random((2, h, w))
+    uv[pick < 0.1] = -0.0
+    uv[(pick >= 0.1) & (pick < 0.2)] = 0.0
+    return gv.VectorField(gv.GridSpec(w, h), uv)
 
 
 class TestSnakeType:
@@ -118,6 +221,29 @@ class TestBilinearSampling:
         field = constant_field(gv.GridSpec(5, 5), 2.0, 3.0)
         assert gv.sample_field_bilinear(field, -10.0, 100.0) == (2.0, 3.0)
 
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_position_is_refused(self, x, y):
+        field = constant_field(gv.GridSpec(5, 5), 2.0, 3.0)
+        with pytest.raises(ParameterError, match="must not be NaN"):
+            gv.sample_field_bilinear(field, x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 12), st.integers(3, 12), st.integers(0, 2**32 - 1),
+           st.floats(-3.0, 15.0), st.floats(-3.0, 15.0))
+    def test_equals_the_reference_sampler(self, w, h, seed, x, y):
+        # signed zeros included: an all -0.0 neighbourhood samples as -0.0
+        field = random_field(np.random.default_rng(seed), w, h, 1.0)
+        sample = ReferenceSampler(field)
+        want = sample(sample.clamp(np.array([[x], [y]])))[:, 0]
+        got = np.array(gv.sample_field_bilinear(field, x, y))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_all_negative_zero_corners_sample_as_negative_zero(self):
+        field = gv.VectorField(gv.GridSpec(4, 4), np.full((2, 4, 4), -0.0))
+        for x, y in ((0.0, 0.0), (1.5, 2.25), (3.0, 3.0)):
+            assert all(math.copysign(1.0, c) == -1.0
+                       for c in gv.sample_field_bilinear(field, x, y))
+
 
 class TestResampleContour:
     def test_uniform_square_preserved(self):
@@ -173,6 +299,17 @@ class TestResampleContour:
         s = gv.Snake(np.zeros((5, 2)))
         with pytest.raises(GeometryError):
             gv.resample_contour(s, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(4, 60), st.integers(0, 2**32 - 1), st.floats(0.3, 5.0))
+    def test_equals_the_reference_resampling(self, n, seed, spacing):
+        pts = np.random.default_rng(seed).uniform(0.0, 30.0, (n, 2))
+        ring = reference_ring(pts.T)
+        seg = ring[:, 2:] - ring[:, 1:-1]
+        seglen = np.hypot(*seg)
+        want = reference_resample(ring, seg, seglen, *_resample_count(seglen, spacing))
+        got = gv.resample_contour(gv.Snake(pts), spacing).points
+        assert np.array_equal(got.view(np.int64), np.ascontiguousarray(want.T).view(np.int64))
 
     def test_anchored_at_first_point(self):
         s = gv.Snake.circle(20, 20, 10, 40)
@@ -310,6 +447,72 @@ class TestSnakeEvolve:
         assert np.array_equal(res.snake.points, ref.snake.points)
         assert np.array_equal(res.displacement_history, ref.displacement_history)
         assert res.displacement_history[0] < 0.5
+
+
+class TestAgainstTheReference:
+    """The workspace loop equals the allocating reference loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 24), st.integers(3, 24), st.integers(4, 40),
+           st.integers(0, 2**32 - 1), st.floats(0.0, 0.5), st.floats(0.0, 2.0),
+           st.floats(0.1, 1.5), st.sampled_from([1.0, -1.0]), st.booleans(),
+           st.sampled_from([0.0, 0.7, 1.5, 3.0]), st.floats(0.2, 1.3), st.integers(1, 80))
+    def test_equals_the_reference_loop(self, w, h, n, seed, b, gamma, step, sign, normalize,
+                                       spacing, reach, max_iter):
+        # reach > 1 puts the initial ring partly outside the grid, so some
+        # snaxels start, and stay, pinned to the border
+        rng = np.random.default_rng(seed)
+        field = random_field(rng, w, h, rng.uniform(0.0, 2.0))
+        t = 2.0 * np.pi * np.sort(rng.random(n))
+        r = reach * min(w, h) / 2.0
+        pts = np.column_stack([(w - 1) / 2 + r * np.cos(t), (h - 1) / 2 + r * np.sin(t)])
+        p = gv.SnakeParams(b=b, gamma=gamma, step=step, eps=rng.uniform(1e-4, 0.1),
+                           max_iter=max_iter, resample_spacing=spacing, normalize=normalize,
+                           tensile_sign=sign)
+        s = gv.Snake(pts + rng.normal(0.0, 0.3, pts.shape))
+        assert outcome(gv.snake_evolve, s, field, p) == outcome(reference_snake_evolve, s, field, p)
+
+    @pytest.mark.parametrize("sign, b, radius", [(1.0, 0.2, 4.0), (-1.0, 0.1, 4.0)])
+    def test_workspace_is_rebuilt_for_a_new_count_and_kept_otherwise(self, monkeypatch, sign, b,
+                                                                      radius):
+        # an inflating ring grows and sheds snaxels, a contracting one
+        # shrinks to 4 and is then resampled at 4 again and again
+        built, resampled = [], []
+        real_resample = snake_mod._resample
+
+        class Workspace(snake_mod._Workspace):
+            def __init__(self, field, n, resampling):
+                built.append(n)
+                super().__init__(field, n, resampling)
+
+        def resample(*args):
+            xy = real_resample(*args)
+            resampled.append(len(xy))
+            return xy
+
+        monkeypatch.setattr(snake_mod, "_Workspace", Workspace)
+        monkeypatch.setattr(snake_mod, "_resample", resample)
+        s = gv.Snake.circle(15.5, 15.5, radius, 16)
+        field = gv.VectorField.zeros(gv.GridSpec(32, 32))
+        p = gv.SnakeParams(b=b, tensile_sign=sign, max_iter=150, eps=1e-9, resample_spacing=1.5)
+        assert outcome(gv.snake_evolve, s, field, p) == outcome(reference_snake_evolve, s, field, p)
+        assert len(built) > 2 and len(resampled) > len(built) - 1
+        assert built[1:] == [c for prev, c in zip([16] + resampled, resampled) if c != prev]
+
+    def test_overflowing_displacement_is_divergence_without_a_warning(self):
+        rng = np.random.default_rng(3)
+        field = gv.VectorField.from_arrays(rng.random((32, 32)), rng.random((32, 32)))
+        s = gv.Snake.circle(15.5, 15.5, 12.0, 38)
+        p = gv.SnakeParams(b=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = outcome(reference_snake_evolve, s, field, p)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError, match="non-finite snaxel displacement") as err:
+                gv.snake_evolve(s, field, p)
+        assert not caught
+        assert err.value.iteration == 3
+        assert want == (DivergenceError, str(err.value))
 
 
 class TestDiskConvergence:

@@ -20,6 +20,15 @@ class TestTransferGain:
         with pytest.raises(ParameterError):
             gv.transfer_gain(0.1, 0.1, 1.0, 0.0)
 
+    def test_ratio_past_the_float_range_names_g_and_h(self):
+        with pytest.raises(ParameterError, match=r"g / h must be finite, got g=1e\+308 and h=1e-10"):
+            gv.transfer_gain(0.0, 0.0, 1e308, 1e-10)
+
+    def test_gain_below_the_smallest_float_reads_zero(self):
+        # sigma * symbol overflows to inf: the gain underflows, silently
+        w = np.array([0.0, np.pi])
+        assert gv.transfer_gain(w, w, 1e308, 1.0, discrete=True).tolist() == [1.0, 0.0]
+
     def test_low_pass_property(self):
         ws = np.linspace(-np.pi, np.pi, 33)
         for discrete in (False, True):
@@ -68,6 +77,11 @@ class TestSpectralSteadyState:
         z = gv.VectorField.zeros(gv.GridSpec(8, 8))
         with pytest.raises(ParameterError):
             gv.spectral_steady_state(z, 1.0, 0.0)
+
+    def test_ratio_past_the_float_range_names_g_and_h(self):
+        z = gv.VectorField.zeros(gv.GridSpec(8, 8))
+        with pytest.raises(ParameterError, match="g / h must be finite"):
+            gv.spectral_steady_state(z, 1e308, 1e-10)
 
     @pytest.mark.parametrize("w, h", [(12, 12), (40, 40), (64, 64), (17, 9)])
     def test_one_transform_of_both_planes_equals_one_per_component(self, w, h):
