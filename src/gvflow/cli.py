@@ -184,7 +184,7 @@ def _config_value(key: str, value):
 
 def _effective(args: argparse.Namespace) -> dict:
     """Merge defaults <- config file <- explicit flags over the _FLAGS
-    names the command's parser registered.
+    names the command's parser registered, and echo the result to stdout.
 
     Every config key must be one of the _FLAGS names, with a value of the
     flag's type; a config file may hold keys that only other commands
@@ -207,6 +207,7 @@ def _effective(args: argparse.Namespace) -> dict:
         if hasattr(args, key):
             flag = getattr(args, key)
             out[key] = flag if flag is not None else cfg.get(key, default)
+    print(json.dumps({"effective_config": _sanitize(out)}, sort_keys=True))
     return out
 
 
@@ -225,14 +226,16 @@ def _sanitize(obj):
     return obj
 
 
-def _echo(effective: dict) -> None:
-    print(json.dumps({"effective_config": _sanitize(effective)}, sort_keys=True))
-
-
 def _write_summary(out_dir: Path, summary: dict) -> None:
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(_sanitize(summary), fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _solve_settings(cfg: dict) -> dict:
+    """The run settings of a solve, shared by GvfParams and GgvfParams."""
+    return dict(dt=cfg["dt"], delta=cfg["delta"], cap=float(cfg["threshold"]),
+                max_iter=int(cfg["t_max"]))
 
 
 def _snake_params(cfg: dict) -> SnakeParams:
@@ -251,17 +254,22 @@ def _snake_params(cfg: dict) -> SnakeParams:
     )
 
 
+_SNAKE_ARTIFACTS = ("contour.csv", "snake_overlay.ppm")
+
+
 def _run_snake_stage(field: VectorField, grad_peak: float, cfg: dict, params: SnakeParams,
-                     out_dir: Path, init):
+                     out_dir: Path, init) -> dict:
     """Scale the force so a unit source gradient moves a snaxel at most
-    force_peak pixels per step, evolve, and write contour artifacts."""
+    force_peak pixels per step, evolve, write the _SNAKE_ARTIFACTS, and
+    return the run's summary entries."""
     scale = cfg["force_peak"] / grad_peak if grad_peak > 0 else 1.0
     scaled = VectorField(field.spec, field.values * scale)
     result = snake_evolve(init, scaled, params)
-    ioformats.write_contour(result.snake.points, out_dir / "contour.csv")
-    ioformats.render(field, "magnitude-heatmap", out_dir / "snake_overlay.ppm",
-                     snake_points=result.snake.points)
-    return result
+    contour, overlay = (out_dir / name for name in _SNAKE_ARTIFACTS)
+    ioformats.write_contour(result.snake.points, contour)
+    ioformats.render(field, "magnitude-heatmap", overlay, snake_points=result.snake.points)
+    return dict(iterations=result.iterations, converged=result.converged,
+                snaxels=len(result.snake))
 
 
 # the synth flags that one shape reads, and that shape
@@ -273,12 +281,10 @@ def cmd_synth(args) -> int:
         img = ioformats.synth_ushape(args.width, args.height)
     elif args.shape == "box-hole":
         img = ioformats.synth_box_with_hole(args.width, args.height, args.hole_box)
-    elif args.shape == "disk":
+    else:  # disk
         if args.cx is None or args.cy is None or args.radius is None:
             raise ParameterError("disk needs --cx, --cy and --radius")
         img = ioformats.synth_disk(args.width, args.height, args.cx, args.cy, args.radius)
-    else:
-        raise ParameterError(f"unknown shape {args.shape!r}")
     for name, shape in _SYNTH_FLAGS.items():
         if getattr(args, name) is not None and shape != args.shape:
             raise ParameterError(f"--{name.replace('_', '-')} applies to --shape {shape} only")
@@ -289,7 +295,6 @@ def cmd_synth(args) -> int:
 
 def _pipeline(args) -> int:
     cfg = _effective(args)
-    _echo(cfg)
     circle = _parse_circle(args.snake) if args.snake else None
     snake_params = _snake_params(cfg)
     out_dir = Path(args.out)
@@ -299,9 +304,8 @@ def _pipeline(args) -> int:
     f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
     mask = build_mask(image, cfg["outer_margin"], cfg["inner_box"])
 
-    threshold = float(cfg["threshold"])
     t0 = time.perf_counter()
-    run = dict(dt=cfg["dt"], delta=cfg["delta"], cap=threshold, max_iter=int(cfg["t_max"]))
+    run = _solve_settings(cfg)
     if args.command == "ggvf":
         solve, params = ggvf_solve, GgvfParams(K=cfg["k"], **run)
     else:
@@ -327,27 +331,19 @@ def _pipeline(args) -> int:
         "artifacts": ["field.gvf", "field_magnitude.ppm", "field_arrows.ppm"],
     }
 
-    snake_converged = True
     if init is not None:
-        grad_peak = float(clamp_magnitude(gradient_central(f), threshold).magnitude().max())
-        result = _run_snake_stage(report.field, grad_peak, cfg, snake_params, out_dir, init)
-        snake_converged = result.converged
-        summary["snake"] = {
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "snaxels": len(result.snake),
-        }
-        summary["artifacts"] += ["contour.csv", "snake_overlay.ppm"]
+        grad_peak = float(clamp_magnitude(gradient_central(f), params.cap).magnitude().max())
+        summary["snake"] = _run_snake_stage(report.field, grad_peak, cfg, snake_params,
+                                            out_dir, init)
+        summary["artifacts"] += _SNAKE_ARTIFACTS
 
     _write_summary(out_dir, summary)
-    if not report.converged or not snake_converged:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    snake = summary.get("snake", {"converged": True})
+    return EXIT_OK if report.converged and snake["converged"] else EXIT_NO_CONVERGENCE
 
 
 def cmd_snake(args) -> int:
     cfg = _effective(args)
-    _echo(cfg)
     params = _snake_params(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -365,41 +361,33 @@ def cmd_snake(args) -> int:
     else:
         raise ParameterError(f"--force-scale must be finite and > 0, got {args.force_scale!r}")
     t0 = time.perf_counter()
-    result = _run_snake_stage(field, peak, cfg, params, out_dir, init)
+    snake = _run_snake_stage(field, peak, cfg, params, out_dir, init)
     _write_summary(out_dir, {
         "command": "snake",
         "field": str(args.field),
         "effective_config": cfg,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "snaxels": len(result.snake),
+        **snake,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
-        "artifacts": ["contour.csv", "snake_overlay.ppm"],
+        "artifacts": _SNAKE_ARTIFACTS,
     })
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if snake["converged"] else EXIT_NO_CONVERGENCE
 
 
 def cmd_spectral(args) -> int:
     cfg = _effective(args)
-    _echo(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     image = ioformats.read_pgm(args.image)
     f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
-    grad = clamp_magnitude(gradient_central(f), float(cfg["threshold"]))
-    params = GvfParams(
-        g=cfg["g"], h=cfg["h"], dt=cfg["dt"], delta=cfg["delta"],
-        cap=float(cfg["threshold"]), max_iter=int(cfg["t_max"]),
-    )
+    run = _solve_settings(cfg)
+    grad = clamp_magnitude(gradient_central(f), run["cap"])
+    params = GvfParams(g=cfg["g"], h=cfg["h"], **run)
     t0 = time.perf_counter()
     report = gvf_solve(f, params, periodic=True)
     exact = spectral_steady_state(grad, cfg["g"], cfg["h"])
-    num = math.sqrt(float(
-        ((report.field.u.values - exact.u.values) ** 2
-         + (report.field.v.values - exact.v.values) ** 2).sum()
-    ))
-    den = math.sqrt(float((exact.u.values**2 + exact.v.values**2).sum()))
-    rel = num / den if den > 0 else 0.0
+    steady = parseval_energy(exact)
+    error = parseval_energy(VectorField(exact.spec, report.field.values - exact.values))
+    rel = math.sqrt(error) / math.sqrt(steady) if steady > 0 else 0.0
     _write_summary(out_dir, {
         "command": "spectral",
         "image": str(args.image),
@@ -408,7 +396,7 @@ def cmd_spectral(args) -> int:
         "converged": report.converged,
         "relative_l2_error": rel,
         "source_energy": parseval_energy(grad),
-        "steady_energy": parseval_energy(exact),
+        "steady_energy": steady,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
     })
     print(json.dumps({"relative_l2_error": rel}, sort_keys=True))
@@ -431,14 +419,15 @@ def _margin(tok: str) -> int | None:
         raise ParameterError(f"--outer-list expects integers or 'none' but got {tok!r}") from None
 
 
+# the numeric sweep axes: sweep.csv column (listed by --<column>-list) -> GvfParams setting
+_SWEEP_AXES = {"g": "g", "h": "h", "dt": "dt", "delta": "delta", "T": "cap"}
+
+
 def cmd_sweep(args) -> int:
     cfg = _effective(args)
-    _echo(cfg)
-    gs = _floats(args.g_list) if args.g_list else [cfg["g"]]
-    hs = _floats(args.h_list) if args.h_list else [cfg["h"]]
-    dts = _floats(args.dt_list) if args.dt_list else [cfg["dt"]]
-    deltas = _floats(args.delta_list) if args.delta_list else [cfg["delta"]]
-    ts = _floats(args.t_list) if args.t_list else [float(cfg["threshold"])]
+    base = dict(g=cfg["g"], h=cfg["h"], **_solve_settings(cfg))
+    lists = [getattr(args, f"{column.lower()}_list") for column in _SWEEP_AXES]
+    axes = [_floats(t) if t else [base[k]] for t, k in zip(lists, _SWEEP_AXES.values())]
     inners = (
         [None if tok == "none" else _parse_box(tok) for tok in args.inner_list.split(";")]
         if args.inner_list
@@ -451,19 +440,15 @@ def cmd_sweep(args) -> int:
     f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
 
     rows = []
-    for g, h, dt, delta, t_cap, d_out, d_in in itertools.product(
-        gs, hs, dts, deltas, ts, outers, inners
-    ):
-        row = {
-            "g": g, "h": h, "dt": dt, "delta": delta,
-            "T": "inf" if math.isinf(t_cap) else t_cap,
-            "d_in": "none" if d_in is None else "x".join(str(v) for v in d_in),
-            "d_out": "none" if d_out is None else d_out,
-            "NI": "", "converged": "", "residual": "", "wall_ms": "", "error": "",
-        }
+    for *point, d_out, d_in in itertools.product(*axes, outers, inners):
+        settings = {**base, **dict(zip(_SWEEP_AXES.values(), point))}
+        row = {column: settings[key] for column, key in _SWEEP_AXES.items()}
+        row.update(T="inf" if math.isinf(row["T"]) else row["T"],
+                   d_in="none" if d_in is None else "x".join(str(v) for v in d_in),
+                   d_out="none" if d_out is None else d_out,
+                   NI="", converged="", residual="", wall_ms="", error="")
         try:
-            params = GvfParams(g=g, h=h, dt=dt, delta=delta, cap=t_cap,
-                               max_iter=int(cfg["t_max"]))
+            params = GvfParams(**settings)
             mask = build_mask(image, d_out, d_in)
             t0 = time.perf_counter()
             report = gvf_solve(f, params, mask, force=cfg["force"])
@@ -478,8 +463,7 @@ def cmd_sweep(args) -> int:
             row["error"] = str(exc)
         rows.append(row)
 
-    columns = ["g", "h", "dt", "delta", "T", "d_in", "d_out",
-               "NI", "converged", "residual", "wall_ms", "error"]
+    columns = [*_SWEEP_AXES, "d_in", "d_out", "NI", "converged", "residual", "wall_ms", "error"]
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
@@ -565,11 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter grid and write a CSV table")
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--g-list")
-    p.add_argument("--h-list")
-    p.add_argument("--dt-list")
-    p.add_argument("--delta-list")
-    p.add_argument("--t-list")
+    for column in _SWEEP_AXES:
+        p.add_argument(f"--{column.lower()}-list")
     p.add_argument("--outer-list", help="margins, ';' separated, 'none' allowed")
     p.add_argument("--inner-list", help="holes x,y,w,h, ';' separated, 'none' allowed")
     _add_flags(p, "g", "h", *_SOLVE, "force")
@@ -590,18 +571,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except DivergenceError as exc:
+    except (GvfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except GvfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        if isinstance(exc, DivergenceError):
+            return EXIT_DIVERGENCE
+        return EXIT_IO if isinstance(exc, (FormatError, OSError)) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

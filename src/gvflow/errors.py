@@ -17,9 +17,14 @@ class ParameterError(GvfError):
     """Parameter value outside its documented range."""
 
 
+def is_integer(n) -> bool:
+    """Whether n is an integer; a bool is none."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def check_count(name: str, n) -> None:
-    """ParameterError unless n is an integer >= 1 (a bool is no count)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+    """ParameterError unless n is an integer >= 1."""
+    if not is_integer(n) or n < 1:
         raise ParameterError(f"{name} must be an integer >= 1, got {n!r}")
 
 

@@ -14,7 +14,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, is_integer
 from .grid import GridSpec, ScalarField, VectorField
 
 FIELD_MAGIC = "GVF1"
@@ -123,8 +123,8 @@ def read_pgm(path) -> ScalarField:
 
 def write_pgm(field: ScalarField, path, maxval: int = 255, binary: bool = True) -> None:
     """Write a grayscale image; values are clamped and rounded to maxval."""
-    if not (0 < maxval <= 65535):
-        raise ParameterError(f"unsupported maxval {maxval}")
+    if not (is_integer(maxval) and 0 < maxval <= 65535):
+        raise ParameterError(f"maxval must be an integer in 1 ... 65535, got {maxval!r}")
     q = np.clip(np.rint(field.values), 0, maxval)
     header = f"{'P5' if binary else 'P2'}\n{field.spec.width} {field.spec.height}\n{maxval}\n"
     with open(path, "wb") as fh:
@@ -399,6 +399,8 @@ def render(
     """
     if mode not in RENDER_MODES:
         raise ParameterError(f"unknown render mode {mode!r}")
+    if not is_integer(arrow_stride):
+        raise ParameterError(f"arrow stride must be an integer, got {arrow_stride!r}")
     if arrow_stride < 1:
         raise ParameterError(f"arrow stride must be >= 1, got {arrow_stride}")
     u, v = field.values

@@ -48,7 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, GeometryError, ParameterError, check_count, check_real
+from .errors import (
+    DivergenceError,
+    GeometryError,
+    ParameterError,
+    check_count,
+    check_real,
+    is_integer,
+)
 from .grid import VectorField
 
 # Floor used when normalizing field vectors to unit length.
@@ -88,6 +95,8 @@ class Snake:
 
     @classmethod
     def circle(cls, cx: float, cy: float, r: float, n: int = 64) -> "Snake":
+        if not is_integer(n):
+            raise ParameterError(f"circle snaxel count n must be an integer, got {n!r}")
         if n < 4:
             raise ParameterError("a snake needs at least 4 snaxels")
         if r <= 0:

@@ -144,6 +144,9 @@ class GvfParams:
                     f"g and h must each be a real number or a ScalarField, got {name} = {c!r}")
             if not isinstance(c, ScalarField):
                 check_real(name, c)
+            elif np.any(c.values < 0):
+                raise ParameterError(
+                    f"per-pixel {name} must be >= 0, got a minimum of {c.values.min():g}")
         if (
             not isinstance(self.g, ScalarField)
             and not isinstance(self.h, ScalarField)

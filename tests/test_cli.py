@@ -2,6 +2,8 @@
 
 import argparse
 import contextlib
+import csv
+import hashlib
 import json
 import math
 import os
@@ -31,6 +33,7 @@ from gvflow.cli import (
     foreground_bbox,
     main,
 )
+from test_fingerprints import rational_ring
 
 
 @pytest.fixture(scope="module")
@@ -844,3 +847,147 @@ class TestMaskHelpers:
         cropped = gv.gvf_solve(f, p, build_mask(img, 16, None))
         assert cropped.inside_count < full.inside_count
         assert cropped.iterations <= full.iterations * 1.15
+
+
+def sha_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def summary_without_wall(path) -> bytes:
+    """summary.json's bytes without its wall_ms line."""
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    return b"".join(ln for ln in lines if not ln.startswith(b'  "wall_ms":'))
+
+
+def sweep_without_wall(path) -> bytes:
+    """sweep.csv re-serialized without its wall_ms column."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("wall_ms")
+    buf = StringIO()
+    csv.writer(buf).writerows(row[:col] + row[col + 1:] for row in rows)
+    return buf.getvalue().encode()
+
+
+# the effective-config echo of a gvf run with every flag at its default
+GVF_ECHO = "1d0fb428c51e4b665a0d8c854bfc00ad34ce8eaef04fbbcef81d9c8e911d11eb"
+
+
+class TestFingerprint:
+    """The bytes of the CLI's artifacts, stdout, stderr and exit codes.
+
+    The inputs avoid the platform's transcendental functions: a 48x48 U
+    without smoothing, the GVF field (GGVF's weight calls exp) and a
+    snake from a contour on a rational parameterization of the circle
+    (--init-circle calls cos and sin).  The commands run in the
+    artifact directory with relative paths, so the paths a summary
+    records do not depend on where the test runs.  Wall times are left
+    out.
+    """
+
+    # name -> (exit code, SHA-256 of stdout, stderr), or the SHA-256 of an artifact
+    EXPECTED = {
+        "gvf": (0, "6a786587458c1b180dcaf2d0b8275646efd9c11fa6d0d473a114f7e2db39c822", ""),
+        "snake": (4, "13efa127e486b613a4a2c2b319c4976ede5388a95f4caee2985da205166a1f65", ""),
+        "sweep": (0, "0f8cb2639ea0d9d288abfc0fb60be5e2100fb98f189f94d0003411f6e9cca3b6", ""),
+        "circle": (1, GVF_ECHO, "error: expected finite cx,cy,r[,n] but got '1,2'\n"),
+        "unstable": (1, "e4483aeafca88078edb5a228c9c0792dc386f9306c88d8fcfef2648e9cb854df",
+                     "error: stability violated: dt*max(h + 4g + 4*sqrt(g*max g)) = 16.02 >= 2"
+                     " (r < 1/4 at h = 0)\n"),
+        "io": (2, GVF_ECHO, "error: [Errno 2] No such file or directory: 'missing.pgm'\n"),
+        "geometry": (1, "5a39ac4533e4085976bd5567dad6ece7228c0cf866f9712d55476ce71e3de0b1",
+                     "error: contour has (near) zero perimeter\n"),
+        "field.gvf": "29053648caa549ba99b8ce757d93c0d2f82896c2a99935c9b20d2c7a8f90999e",
+        "field_magnitude.ppm": "3cd7609c491bd585e46f1063089882caeb09e7d43eb6ae59eb47a14c35d9a444",
+        "field_arrows.ppm": "f7e9d39df288b7c9461e55c206013f043f95bb9879f22781b5bb410d249589fa",
+        "contour.csv": "dfea7fbdb89ee21c9e4f65d359c69cb56660d2a902215e88f60f3ed3b5691ff3",
+        "snake_overlay.ppm": "67d293ede7fe0e2b23a56d0f9aed2457fe21b70b6a01cab07c6a659787ec0279",
+        "run/summary.json": "da9d3a96c0188022f8d44d61012c1e05b3262026def8381e10ef32065f1beb56",
+        "snake/summary.json": "c6d647f2993f3e1575bcc37bd71fa72780268c973ac23c33838e52682a10974d",
+        "sweep.csv": "1e29f1f4c9ba0818dcfa3b4a107d3f4627b519f47b1804bea85b5145a491814e",
+    }
+
+    def run(self, capsys, *argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, sha_bytes(out.encode()), err
+
+    def test_artifacts_streams_and_exit_codes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        io.write_pgm(io.synth_ushape(48, 48), "u48.pgm")
+        io.write_contour(rational_ring(24.0, 24.0, 20.0, 32).points, "ring.csv")
+        io.write_contour(np.full((4, 2), 5.0), "point.csv")
+        got = {
+            "gvf": self.run(capsys, "gvf", "--image", "u48.pgm", "--out", "run",
+                            "--sigma", "0"),
+            "snake": self.run(capsys, "snake", "--field", "run/field.gvf",
+                              "--init-contour", "ring.csv", "--out", "snake", "--b", "0.05",
+                              "--snake-iters", "400"),
+            "sweep": self.run(capsys, "sweep", "--image", "u48.pgm", "--out", "sweep",
+                              "--sigma", "0", "--g-list", "1,2,4"),
+            "circle": self.run(capsys, "gvf", "--image", "u48.pgm", "--out", "bad",
+                               "--snake", "1,2"),
+            "unstable": self.run(capsys, "gvf", "--image", "u48.pgm", "--out", "unstable",
+                                 "--sigma", "0", "--dt", "1"),
+            "io": self.run(capsys, "gvf", "--image", "missing.pgm", "--out", "missing"),
+            "geometry": self.run(capsys, "snake", "--field", "run/field.gvf",
+                                 "--init-contour", "point.csv", "--out", "point"),
+        }
+        for name in ("field.gvf", "field_magnitude.ppm", "field_arrows.ppm"):
+            got[name] = sha_bytes((tmp_path / "run" / name).read_bytes())
+        for name in ("contour.csv", "snake_overlay.ppm"):
+            got[name] = sha_bytes((tmp_path / "snake" / name).read_bytes())
+        got["run/summary.json"] = sha_bytes(summary_without_wall("run/summary.json"))
+        got["snake/summary.json"] = sha_bytes(summary_without_wall("snake/summary.json"))
+        got["sweep.csv"] = sha_bytes(sweep_without_wall("sweep/sweep.csv"))
+        assert not (tmp_path / "bad").exists()
+        assert got == self.EXPECTED
+
+    def test_pipeline_snake_matches_library_calls(self, tmp_path, monkeypatch, capsys):
+        # the snake stage of gvf --snake: the force is scaled so the capped
+        # source gradient's peak moves a snaxel force_peak pixels per step
+        monkeypatch.chdir(tmp_path)
+        image = io.synth_ushape(48, 48)
+        io.write_pgm(image, "u48.pgm")
+        code = main(["gvf", "--image", "u48.pgm", "--out", "run", "--sigma", "0",
+                     "--threshold", "40", "--snake", "24,24,20,32", "--snake-iters", "300",
+                     "--b", "0.05"])
+        capsys.readouterr()
+        f = gv.edge_map(image)
+        report = gv.gvf_solve(f, gv.GvfParams(g=2.0, h=0.02, dt=0.12, delta=1e-4, cap=40.0,
+                                              max_iter=20000))
+        peak = gv.clamp_magnitude(gv.gradient_central(f), 40.0).magnitude().max()
+        scaled = gv.VectorField(report.field.spec, report.field.values * (0.3 / peak))
+        result = gv.snake_evolve(gv.Snake.circle(24.0, 24.0, 20.0, 32), scaled,
+                                 gv.SnakeParams(b=0.05, max_iter=300))
+        io.write_contour(result.snake.points, "expected.csv")
+        assert (tmp_path / "run" / "contour.csv").read_bytes() == Path("expected.csv").read_bytes()
+        assert summary_of(tmp_path / "run")["snake"] == {
+            "iterations": result.iterations, "converged": result.converged,
+            "snaxels": len(result.snake)}
+        assert code == (EXIT_OK if report.converged and result.converged else EXIT_NO_CONVERGENCE)
+
+    def test_spectral_summary_matches_library_calls(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        image = io.synth_ushape(48, 48)
+        io.write_pgm(image, "u48.pgm")
+        code = main(["spectral", "--image", "u48.pgm", "--out", "spec", "--sigma", "0",
+                     "--g", "1", "--h", "0.1", "--delta", "1e-8"])
+        printed = json.loads(capsys.readouterr().out.splitlines()[-1])
+        f = gv.edge_map(image)
+        grad = gv.gradient_central(f)
+        report = gv.gvf_solve(f, gv.GvfParams(g=1.0, h=0.1, dt=0.12, delta=1e-8,
+                                              max_iter=20000), periodic=True)
+        exact = gv.spectral_steady_state(grad, 1.0, 0.1)
+        du = report.field.u.values - exact.u.values
+        dv = report.field.v.values - exact.v.values
+        rel = math.sqrt(float((du**2 + dv**2).sum())) / math.sqrt(
+            float((exact.u.values**2 + exact.v.values**2).sum()))
+        s = summary_of(tmp_path / "spec")
+        assert code == EXIT_OK and report.converged
+        assert printed == {"relative_l2_error": rel}
+        assert without_wall(s) == {
+            "command": "spectral", "image": "u48.pgm", "effective_config": s["effective_config"],
+            "NI": report.iterations, "converged": True, "relative_l2_error": rel,
+            "source_energy": gv.parseval_energy(grad),
+            "steady_energy": gv.parseval_energy(exact)}

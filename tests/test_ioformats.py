@@ -34,6 +34,19 @@ class TestPgm:
         io.write_pgm(img, path, maxval=65535)
         assert np.array_equal(io.read_pgm(path).values, img.values)
 
+    @pytest.mark.parametrize("maxval", [200.5, 255.0, True, 0, -1, 65536, "255", None])
+    def test_maxval_must_be_an_integer_in_range(self, tmp_path, maxval):
+        # 200.5 used to be written into a header that read_pgm refuses
+        path = tmp_path / "m.pgm"
+        with pytest.raises(ParameterError, match=r"maxval must be an integer in 1 \.\.\. 65535"):
+            io.write_pgm(gv.ScalarField.zeros(gv.GridSpec(4, 4)), path, maxval=maxval)
+        assert not path.exists()
+
+    def test_numpy_integer_maxval_is_accepted(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        io.write_pgm(gv.ScalarField.zeros(gv.GridSpec(4, 4)), path, maxval=np.int64(200))
+        assert path.read_bytes().startswith(b"P5\n4 4\n200\n")
+
     def test_ascii_binary_equal(self, tmp_path):
         rng = np.random.default_rng(33)
         img = gv.ScalarField.from_array(rng.integers(0, 256, size=(6, 8)).astype(float))
@@ -391,6 +404,18 @@ class TestRender:
     def test_unknown_mode(self, tmp_path):
         with pytest.raises(ParameterError):
             io.render(gv.VectorField.zeros(gv.GridSpec(8, 8)), "contours", tmp_path / "x.ppm")
+
+    @pytest.mark.parametrize("stride, message", [
+        (2.5, "must be an integer"), (8.0, "must be an integer"), (True, "must be an integer"),
+        (None, "must be an integer"), (0, "must be >= 1"), (-3, "must be >= 1"),
+    ])
+    def test_arrow_stride_must_be_a_positive_integer(self, tmp_path, stride, message):
+        # 2.5 used to escape as numpy's TypeError
+        path = tmp_path / "s.ppm"
+        with pytest.raises(ParameterError, match=f"arrow stride {message}"):
+            io.render(gv.VectorField.zeros(gv.GridSpec(8, 8)), "arrows", path,
+                      arrow_stride=stride)
+        assert not path.exists()
 
     def test_render_deterministic(self, tmp_path):
         rng = np.random.default_rng(45)

@@ -132,6 +132,20 @@ class TestSnakeType:
         r = np.hypot(s.points[:, 0] - 10, s.points[:, 1] - 10)
         assert np.allclose(r, 5.0)
 
+    @pytest.mark.parametrize("n", [10.5, 16.0, True, "16", None])
+    def test_circle_count_must_be_an_integer(self, n):
+        # 10.5 used to build 11 snaxels with a short closing segment
+        with pytest.raises(ParameterError, match="count n must be an integer"):
+            gv.Snake.circle(10, 10, 5, n)
+
+    @pytest.mark.parametrize("n", [3, 0, -4, np.int64(3)])
+    def test_circle_needs_four_snaxels(self, n):
+        with pytest.raises(ParameterError, match="at least 4 snaxels"):
+            gv.Snake.circle(10, 10, 5, n)
+
+    def test_circle_accepts_a_numpy_integer(self):
+        assert len(gv.Snake.circle(10, 10, 5, np.int64(12))) == 12
+
     def test_params_validation(self):
         with pytest.raises(ParameterError):
             gv.SnakeParams(b=-1.0)

@@ -72,6 +72,26 @@ class TestParamTypes:
         with pytest.raises(ParameterError, match="real number or a ScalarField"):
             gv.GvfParams(**{name: value})
 
+    @pytest.mark.parametrize("name", ["g", "h"])
+    def test_negative_per_pixel_coefficient_is_named(self, name):
+        # one pixel at -0.5 used to surface as a NaN stability bound, or
+        # as numpy's sqrt warning where warnings are errors
+        a = np.ones((8, 8))
+        a[3, 4] = -0.5
+        coefficients = {"g": 1.0, "h": 0.1, name: gv.ScalarField.from_array(a)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=f"^per-pixel {name} must be >= 0, got a "
+                                                     "minimum of -0.5$"):
+                gv.GvfParams(**coefficients)
+
+    def test_coefficient_made_negative_after_construction_is_refused_at_use(self):
+        g = gv.ScalarField.from_array(np.ones((8, 8)))
+        p = gv.GvfParams(g=g, h=0.1)
+        g.values[3, 4] = -0.5
+        with pytest.raises(ParameterError, match="per-pixel coefficients must be >= 0"):
+            gv.direct_steady_solve(gv.gradient_central(impulse(8)), p)
+
     @pytest.mark.parametrize("name, call", [
         *(pytest.param(name, lambda x, t=t, name=name: t(**{name: x}), id=f"{t.__name__}.{name}")
           for t, names in ((gv.GvfParams, "g h dt cap"), (gv.GgvfParams, "K dt cap"),
