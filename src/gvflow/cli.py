@@ -212,7 +212,8 @@ def _effective(args: argparse.Namespace) -> dict:
 
 
 def _sanitize(obj):
-    """JSON-safe copy: numpy scalars to Python ones, infinities to 'inf'."""
+    """JSON-safe copy: numpy scalars to Python ones, infinities to 'inf'
+    and '-inf'."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -222,7 +223,7 @@ def _sanitize(obj):
     if isinstance(obj, np.floating):
         obj = float(obj)
     if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
+        return "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -443,7 +444,7 @@ def cmd_sweep(args) -> int:
     for *point, d_out, d_in in itertools.product(*axes, outers, inners):
         settings = {**base, **dict(zip(_SWEEP_AXES.values(), point))}
         row = {column: settings[key] for column, key in _SWEEP_AXES.items()}
-        row.update(T="inf" if math.isinf(row["T"]) else row["T"],
+        row.update(T=_sanitize(row["T"]),
                    d_in="none" if d_in is None else "x".join(str(v) for v in d_in),
                    d_out="none" if d_out is None else d_out,
                    NI="", converged="", residual="", wall_ms="", error="")

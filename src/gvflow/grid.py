@@ -127,13 +127,6 @@ class VectorField:
 
 # --- the five-point neighbor sum -----------------------------------------------
 
-def _span(padded: np.ndarray) -> slice:
-    """The stretch of a flattened (..., H+2, W+2) padded buffer from its
-    first interior pixel to its last, border cells in between included."""
-    wp = padded.shape[-1]
-    return slice(wp + 1, padded.size - wp - 1)
-
-
 def _aligned_zeros(shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
     """Zero-filled, C-contiguous float64 array of the given shape whose
     flat element `lead` starts a 64-byte cache line.
@@ -150,20 +143,18 @@ def _aligned_zeros(shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
     return raw[skip:skip + n].reshape(shape)
 
 
-def _neighbor_offsets(wp: int) -> tuple[int, int, int, int]:
+def _neighbor_offsets(row: int) -> tuple[int, int, int, int]:
     """Flat offsets of the x+1, x-1, y+1, y-1 neighbors in a buffer whose
-    rows are wp elements long: the one order every neighbor sum adds."""
-    return (1, -1, wp, -wp)
+    rows are `row` elements long: the one order every neighbor sum adds."""
+    return (1, -1, row, -row)
 
 
-def _neighbor_terms(padded: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four shifted views, in _neighbor_offsets order, of the span of
-    a contiguous padded (..., H+2, W+2) buffer: element k of each view is
-    that neighbor of span element k."""
-    flat = padded.reshape(-1)
-    span = _span(padded)
+def _neighbor_terms(flat: np.ndarray, span: slice, row: int) -> tuple[np.ndarray, ...]:
+    """The four shifted views, in _neighbor_offsets order, of flat[span],
+    a flattened buffer with rows `row` elements long: element k of each
+    view is that neighbor of span element k."""
     lo, hi = span.start, span.stop
-    return tuple(flat[lo + d:hi + d] for d in _neighbor_offsets(padded.shape[-1]))
+    return tuple(flat[lo + d:hi + d] for d in _neighbor_offsets(row))
 
 
 def _sum_terms(terms, out: np.ndarray) -> np.ndarray:
@@ -189,11 +180,14 @@ def gradient_central(f: ScalarField) -> VectorField:
 
 def laplacian_5pt(f: ScalarField) -> ScalarField:
     """Five-point Laplacian nb_sum - 4*a, mirrored at the borders; the
-    neighbor sum is the solvers' (_neighbor_terms) on the padded array."""
+    neighbor sum is the solvers' (_neighbor_terms) on the edge-padded
+    array, over the span from its first interior pixel to its last."""
     a = f.values
     p = np.pad(a, 1, mode="edge")
+    row = p.shape[1]
+    span = slice(row + 1, p.size - row - 1)
     nb = np.empty_like(p)
-    _sum_terms(_neighbor_terms(p), nb.reshape(-1)[_span(p)])
+    _sum_terms(_neighbor_terms(p.reshape(-1), span, row), nb.reshape(-1)[span])
     return ScalarField(f.spec, nb[1:-1, 1:-1] - 4.0 * a)
 
 

@@ -18,18 +18,20 @@ the spectral oracle.
 
 One stencil operator (_Stencil) serves the iteration, gvf_step and
 steady_residual, and grid.laplacian_5pt shares its neighbor terms and
-their sum.  The field's (2, H, W) array (grid.VectorField) sits inside a
-padded buffer, and the neighbor sum is four shifted views of it.  The
-stencil builds those views, and every other view an iteration touches,
-once: on a small grid a solve's cost is numpy's per-call overhead, so an
-iteration makes only the calls of its arithmetic.  One table
-(_border_table) maps each neighbor outside the domain to its stand-in:
-the pixel itself under the mirror rule, the far end of its row or
-column under periodic borders.  On the full rectangle it gives the
-(border cell, stand-in) pairs that one gather and one scatter refresh
-before each sum; on a masked domain, a (4, n) neighbor table whose one
-gather fixes up the sum at the boundary pixels only, and the exterior
-stays at zero.  Every sum adds x+1, x-1, y+1, y-1 in that order
+their sum.  Each plane of the field's (2, H, W) array (grid.VectorField)
+sits between two zero rows of a (2, H+2, W) buffer, and the neighbor
+sum is four shifted views of the buffer's flattened span.  The stencil
+builds those views, and every other view an iteration touches, once: on
+a small grid a solve's cost is numpy's per-call overhead, so an
+iteration makes only the calls of its arithmetic.  The views are right
+at every pixel whose four neighbors lie in the domain.  For the others,
+the boundary pixels, one table (_border_table) lists the four neighbors,
+each one outside the domain replaced by its stand-in: the pixel itself
+under the mirror rule, the far end of its row or column under periodic
+borders.  The grid border counts as outside, so on every domain (the
+full rectangle, a mask, periodic borders) one gather of that table fixes
+up the sum at the boundary pixels, and a mask's exterior stays at zero.
+Every sum adds x+1, x-1, y+1, y-1 in that order
 (grid._neighbor_offsets), so all results are reproducible to the last
 bit.  Every buffer the iteration writes starts its written span on a
 64-byte cache line (grid._aligned_zeros): numpy aligns to 16 bytes only,
@@ -84,7 +86,6 @@ from .grid import (
     _aligned_zeros,
     _neighbor_offsets,
     _neighbor_terms,
-    _span,
     _sum_terms,
     clamp_magnitude,
     gradient_central,
@@ -257,10 +258,13 @@ class SolveReport:
 # --- parameter validation ------------------------------------------------------
 
 
-def _coeff_grid(c: float | ScalarField, spec: GridSpec):
-    """Per-pixel coefficient as an (H, W) array; scalars pass through."""
+def _coeff_grid(c: float | ScalarField, spec: GridSpec | None = None):
+    """Per-pixel coefficient as an (H, W) array, on grid spec if one is
+    given; scalars pass through.  GvfParams refuses negative values, but
+    a ScalarField's array may be written after that, so each use checks
+    again."""
     if isinstance(c, ScalarField):
-        if c.spec != spec:
+        if spec is not None and c.spec != spec:
             raise DimensionError("per-pixel coefficient grid does not match field grid")
         if np.any(c.values < 0):
             raise ParameterError("per-pixel coefficients must be >= 0")
@@ -279,9 +283,10 @@ def validate_params(p: GvfParams) -> list[str]:
     GGVF worst case g = 1, h = 0 that ggvf_solve checks.  The rule is
     evaluated on g*dt, which does not overflow where g does.  h*dt < 1
     and h < g take the maxima.  Violations are data, not errors: a
-    solve may force through them.
+    solve may force through them.  A negative per-pixel value, written
+    after p was built, is a ParameterError.
     """
-    g, h = (c.values if isinstance(c, ScalarField) else c for c in (p.g, p.h))
+    g, h = _coeff_grid(p.g), _coeff_grid(p.h)
     gmax, hmax = float(np.max(g)), float(np.max(h))
     gdt = g * p.dt
     # half the symbol's peak, at w = (pi, pi): a pixel's own weight in
@@ -302,40 +307,37 @@ def validate_params(p: GvfParams) -> list[str]:
 
 # --- the five-point stencil ---------------------------------------------------------
 
-def _pad_mask(inside: np.ndarray) -> np.ndarray:
-    """The mask inside a one-pixel False border (off-grid = exterior)."""
-    padded = np.zeros((inside.shape[0] + 2, inside.shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = inside
-    return padded
-
-
 def _neighbor_flags(inside: np.ndarray) -> tuple:
     """Per pixel, whether its x+1, x-1, y+1, y-1 neighbor is in the
-    domain: four (H, W) views of the padded mask."""
-    padded = _pad_mask(inside)
+    domain: four (H, W) views of the mask inside a False border (off the
+    grid is outside)."""
+    padded = np.pad(inside, 1)
     return padded[1:-1, 2:], padded[1:-1, :-2], padded[2:, 1:-1], padded[:-2, 1:-1]
 
 
-def _border_table(padded: np.ndarray, at: np.ndarray, periodic: bool) -> tuple:
-    """The border rule for the interior pixels at flat indices `at` of
-    padded, the domain mask from _pad_mask, as three (4, n) arrays: the
-    flat indices of their x+1, x-1, y+1, y-1 neighbors, whether each
-    neighbor is in the domain, and the stand-in for a neighbor outside
-    it.  Under the mirror rule the stand-in is the pixel itself; under
-    periodic borders, the far end of the pixel's row or column."""
-    hh, ww = padded.shape[0] - 2, padded.shape[1] - 2
-    steps = np.array(_neighbor_offsets(padded.shape[1]))[:, None]
-    nbrs = at + steps
+def _border_table(mask: DomainMask, periodic: bool) -> tuple:
+    """The border rule at the mask.boundary() pixels, as flat indices
+    into one (H+2, W) buffer plane: the pixels' own, and a (4, n) table
+    of their x+1, x-1, y+1, y-1 neighbors with each neighbor outside the
+    domain replaced by its stand-in.  Under the mirror rule the stand-in
+    is the pixel itself; under periodic borders, the far end of the
+    pixel's row or column."""
+    hh, ww = mask.spec.shape
+    boundary = mask.boundary()
+    # below the plane's zero row
+    at = np.flatnonzero(boundary) + ww
+    steps = np.array(_neighbor_offsets(ww))[:, None]
     # how many steps back from the pixel its stand-in lies
     back = np.array([ww - 1, ww - 1, hh - 1, hh - 1])[:, None] if periodic else 0
-    return nbrs, padded.reshape(-1)[nbrs], at - steps * back
+    inside = np.array([flag[boundary] for flag in _neighbor_flags(mask.inside)])
+    return at, np.where(inside, at + steps, at - steps * back)
 
 
 class _Buffer(NamedTuple):
-    """A padded (2, H+2, W+2) field buffer's views that the stencil reads
-    or writes, all built once."""
+    """A (2, H+2, W) field buffer's views that the stencil reads or
+    writes, all built once."""
 
-    span: np.ndarray      # the flat span holding every interior pixel
+    span: np.ndarray      # the flat span holding every pixel of both planes
     flat: np.ndarray      # the whole buffer, flattened
     interior: np.ndarray  # the (2, H, W) field
     terms: tuple          # the four neighbor views of the span
@@ -344,29 +346,30 @@ class _Buffer(NamedTuple):
 class _Stencil:
     """Five-point stencil on both components of a field at once.
 
-    The (2, H, W) field lives inside a padded (2, H+2, W+2) buffer, and
-    the neighbor sum adds four shifted views of its flattened span in
-    the order x+1, x-1, y+1, y-1 (grid._neighbor_terms).  There are two
-    such buffers, and every view of them, the border index tables and
-    the planes squared_change adds are built once, in __init__: an
-    iteration makes no view, reshape or slice.  Both border mechanisms
-    come from _border_table of the mask.boundary() pixels, which count
-    the grid border as exterior.  On the full rectangle the one-pixel
-    border is refreshed before each sum by one gather and one scatter:
-    each border cell a pixel reads receives that neighbor's stand-in.
-    On a masked domain the view sum is wrong only at the boundary
-    pixels; one gather of a (4, 2n) table of their neighbors, stand-ins
-    in place of the exterior ones, summed in the same order and
-    scattered back, overwrites it there.
-    Coefficients are zero outside the domain (coeffs), so exterior
-    pixels and the border stay exactly zero.
+    Each (H, W) plane of the field lies between a zero pad row above and
+    one below, in a (2, H+2, W) buffer, so each plane is contiguous.
+    The neighbor sum adds four shifted views of the buffer's flat span,
+    from the first pixel of the first plane to the last of the second,
+    in the order x+1, x-1, y+1, y-1 (grid._neighbor_terms).  In column 0
+    or W-1 the x-1 or x+1 view reads the next row over, and in row 0 or
+    H-1 the y-1 or y+1 view reads a pad row; every such pixel is a
+    boundary pixel, like every pixel next to a mask's exterior.  There
+    one gather of a (4, 2n) table of the neighbors, stand-ins in place
+    of the ones outside the domain (_border_table), summed in the same
+    order and scattered back, overwrites the sum: one border mechanism
+    for the full rectangle, masks and periodic borders.  The two
+    buffers, every view of them, the table and the planes
+    squared_change adds are built once, in __init__: an iteration makes
+    no view, reshape or slice.
 
-    All arithmetic runs on the contiguous span of the padded buffers
-    that holds every interior pixel, border cells in between included.
-    step() writes into the other buffer and swaps, so an iteration
-    allocates nothing.  The span of every written buffer (neighbor sum,
-    both fields, the coefficients) starts on a 64-byte cache line, since
-    split stores cost about twice as much as aligned ones.
+    All arithmetic runs on the span; the pad rows inside it, between the
+    planes, hold scratch values that no result reads.  Coefficients are
+    zero outside a mask's domain (coeffs), so its exterior stays exactly
+    zero.  step() writes into the other buffer and swaps, so an
+    iteration allocates nothing.  The span of every written buffer
+    (neighbor sum, both fields, the coefficients) starts on a 64-byte
+    cache line, since split stores cost about twice as much as aligned
+    ones.
     """
 
     def __init__(self, mask: DomainMask, periodic: bool, field: VectorField):
@@ -374,45 +377,35 @@ class _Stencil:
             raise ParameterError("periodic borders require the full-rectangle domain")
         self._spec = mask.spec
         hh, ww = mask.spec.shape
-        shape = (2, hh + 2, ww + 2)
-        # W+3 is the first flat element of the span (grid._span)
-        self._nb = _aligned_zeros(shape, ww + 3)
-        self._span = span = _span(self._nb)
+        shape, plane = (2, hh + 2, ww), (hh + 2) * ww
+        self._span = span = slice(ww, 2 * plane - ww)
+        self._nb = _aligned_zeros(shape, ww)
         self._nb_flat = self._nb.reshape(-1)
         self._nb_span = self._nb_flat[span]
-        self._nb_planes = (self._nb[0, 1:-1, 1:-1], self._nb[1, 1:-1, 1:-1])
+        self._nb_field = self._nb[:, 1:-1]
+        self._nb_planes = tuple(self._nb_field)
         self._inside = None if mask.is_full else mask.inside
         self._cur, self._old = (
-            _Buffer(b.reshape(-1)[span], b.reshape(-1), b[:, 1:-1, 1:-1], _neighbor_terms(b))
-            for b in (_aligned_zeros(shape, span.start), _aligned_zeros(shape, span.start))
+            _Buffer(b.reshape(-1)[span], b.reshape(-1), b[:, 1:-1],
+                    _neighbor_terms(b.reshape(-1), span, ww))
+            for b in (_aligned_zeros(shape, ww), _aligned_zeros(shape, ww))
         )
         self.field[...] = field.values
-        padded = _pad_mask(mask.inside)
-        at = np.flatnonzero(_pad_mask(mask.boundary()))
-        nbrs, inside, stand_in = _border_table(padded, at, periodic)
-        plane = padded.size
-        if self._inside is None:
-            # the border cells the sum reads, and the pixels they copy
-            dst, src = nbrs[~inside], stand_in[~inside]
-            self._border_at = np.concatenate([dst, dst + plane])
-            self._border_from = np.concatenate([src, src + plane])
-            self._border_vals = np.empty(self._border_from.size)
-        else:
-            self._fix_at = np.concatenate([at, at + plane])
-            src = np.where(inside, nbrs, stand_in)
-            self._fix_table = np.concatenate([src, src + plane], axis=1)
-            self._fix_vals = np.empty(self._fix_table.shape)
-            self._fix_rows = tuple(self._fix_vals)
+        at, table = _border_table(mask, periodic)
+        self._fix_at = np.concatenate([at, at + plane])
+        self._fix_table = np.concatenate([table, table + plane], axis=1)
+        self._fix_vals = np.empty(self._fix_table.shape)
+        self._fix_rows = tuple(self._fix_vals)
 
     @property
     def field(self) -> np.ndarray:
-        """The current (2, H, W) field, a view into the padded buffer."""
+        """The current (2, H, W) field, a view into its buffer."""
         return self._cur.interior
 
     def coeffs(self, g, h, dt: float, src: VectorField):
         """The coefficients of step() for g, h (scalars or ScalarFields)
         and the source field: keep = 1 - h*dt, hsrc = h*dt*src and
-        rc = g*dt, zero outside the domain and on the border."""
+        rc = g*dt, zero outside the domain and in the pad rows."""
         g = _coeff_grid(g, self._spec)
         hdt = _coeff_grid(h, self._spec) * dt
         return self._spread(1.0 - hdt), self._spread(hdt * src.values), self._spread(g * dt)
@@ -422,22 +415,17 @@ class _Stencil:
         if self._inside is None and np.ndim(a) == 0:
             return a
         out = _aligned_zeros(self._nb.shape, self._span.start)
-        out[:, 1:-1, 1:-1] = a if self._inside is None else np.where(self._inside, a, 0.0)
+        out[:, 1:-1] = a if self._inside is None else np.where(self._inside, a, 0.0)
         return out.reshape(-1)[self._span]
 
     def neighbor_sum(self) -> np.ndarray:
-        """Padded four-neighbor sum of the current field (interior valid)."""
-        # "clip" lets take write straight into out; every index is in range
-        cur = self._cur
-        if self._inside is None:
-            cur.flat[self._border_at] = cur.flat.take(
-                self._border_from, out=self._border_vals, mode="clip")
+        """The four-neighbor sum of the current field, a (2, H, W) view."""
+        cur, rows = self._cur, self._fix_rows
         _sum_terms(cur.terms, self._nb_span)
-        if self._inside is not None:
-            cur.flat.take(self._fix_table, out=self._fix_vals, mode="clip")
-            rows = self._fix_rows
-            self._nb_flat[self._fix_at] = _sum_terms(rows, rows[0])
-        return self._nb
+        # "clip" lets take write straight into out; every index is in range
+        cur.flat.take(self._fix_table, out=self._fix_vals, mode="clip")
+        self._nb_flat[self._fix_at] = _sum_terms(rows, rows[0])
+        return self._nb_field
 
     def step(self, keep, hsrc, rc) -> None:
         """One explicit update keep*c + hsrc + rc*(nb - 4c) of the field,
@@ -826,7 +814,7 @@ def steady_residual(
     source = _masked_source(f, p.cap, mask).values
     stencil = _Stencil(mask, periodic, v)
     c = stencil.field
-    lap = stencil.neighbor_sum()[:, 1:-1, 1:-1] - 4.0 * c
+    lap = stencil.neighbor_sum() - 4.0 * c
     r = g * lap + h * (source - c)
     res_sq = r[0] * r[0] + r[1] * r[1]
     return math.sqrt(float(res_sq[mask.inside].max()))

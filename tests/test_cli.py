@@ -718,6 +718,13 @@ class TestConfigRoundTrip:
         assert (first / "field.gvf").read_bytes() == (second / "field.gvf").read_bytes()
 
 
+    def test_negative_infinity_is_echoed_with_its_sign(self, u64, tmp_path, capsys):
+        main(["gvf", "--image", str(u64), "--out", str(tmp_path / "g"), "--threshold=-inf",
+              "--t-max", "5"])
+        echoed = json.loads(capsys.readouterr().out.splitlines()[0])["effective_config"]
+        assert echoed["threshold"] == "-inf"
+
+
 class TestColdStart:
     def test_cli_commands_load_no_scipy(self, tmp_path):
         # no gvflow code imports scipy; only the test suite uses it, as a reference
@@ -807,6 +814,16 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 5
         assert any("16" == line.split(",")[6] for line in lines[1:])
+
+
+    def test_negative_infinite_T_keeps_its_sign(self, u64, tmp_path):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--image", str(u64), "--out", str(out), "--t-list=-inf,inf",
+                     "--t-max", "5"]) == EXIT_OK
+        with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["T"], r["error"]) for r in rows] == [
+            ("-inf", "cap must be > 0, got -inf"), ("inf", "")]
 
 
 class TestRenderCommand:

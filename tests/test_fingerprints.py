@@ -4,8 +4,10 @@ Each solver case pins the iteration count and the SHA-256 of the output
 field and of the convergence histories, so a rewrite of the stencil
 that moves any result by one unit in the last place fails here.  The
 cases cover the mirror border on the full rectangle, per-pixel
-coefficients, a multiply connected mask and the periodic border;
-steady_residual, gvf_step and laplacian_5pt are pinned too.
+coefficients, a multiply connected mask and the periodic border, and
+grids three pixels across, under both rules and under a mask whose
+window and hole reach the grid border; steady_residual, gvf_step and
+laplacian_5pt are pinned too.
 
 Each snake case pins the step count, the stop reason and the SHA-256 of
 the final snaxels and of the displacement history.  The cases cover
@@ -78,6 +80,26 @@ def periodic():
     return f, p, None, True
 
 
+def thin(width, height, per):
+    """A random image on a grid three pixels across: along the short
+    axis two of every three pixels lie on the grid border."""
+    def make():
+        f = random_image(width, height, seed=width * 100 + height)
+        p = gv.GvfParams(g=1.0, h=0.1, dt=DT, delta=1e-9, max_iter=5000)
+        return f, p, None, per
+    return make
+
+
+def border_masked_per_pixel():
+    # the window touches the top, right and bottom of the grid, the hole
+    # its left side
+    f = random_image(9, 6, seed=17)
+    g, h = rational_weights(f, 0.5)
+    mask = gv.DomainMask.from_rects(f.spec, outer=(1, 0, 8, 6), hole=(0, 2, 3, 2))
+    p = gv.GvfParams(g=g, h=h, dt=DT, delta=1e-9, max_iter=5000)
+    return f, p, mask, False
+
+
 SOLVES = {
     "u-full": (u_full, {
         "NI": 364, "converged": True,
@@ -106,6 +128,41 @@ SOLVES = {
         "v": "4a66a96b02c759fbd288dff9ee8bf95d8e8411175ab6841a68d1a34d95155ea8",
         "change_history": "a406a5a21221085d2ef96d23190550211dcd9c8e7e1ae8ec2ce5bfe1e2a7738e",
         "energy_history": "ae6ae6b82611b1e9b41223d01260ff4518331a81d08ab1488136de91300c21a3",
+    }),
+    "thin-3x17-mirror": (thin(3, 17, False), {
+        "NI": 759, "converged": True,
+        "u": "48bf445fc20e85d4fd0b44010f60462c7f68332f838b00c57d8aed3731f1d12e",
+        "v": "41c79558e04059200121f48223ebd16671f7fd2df62dda32b1b2bb23a32cff5d",
+        "change_history": "f44b1f71286e3ecda9a1903cb1e15168909a8a9cd6ec6fb7df6239d43be316e2",
+        "energy_history": "76778b3a9793f4a5b4d812f0d8103af6c8b691ae23352eb3d8fcd77d50607826",
+    }),
+    "thin-3x17-periodic": (thin(3, 17, True), {
+        "NI": 481, "converged": True,
+        "u": "3b21caaf2505156082ffecb78e209401fbc1a99176ab64c9275000a0f740f485",
+        "v": "0dd2d8a25c84baea007276312f76402b56e09a800823a1c6273cb6b9ec3c5b32",
+        "change_history": "93b5e4ce88a50a33a9a4dbbac82f6dbeec3fa5f7197c61ee5f0704ffcbe2d36c",
+        "energy_history": "1d87cb3519c6366aac03e988661d43e536aff6f01bfcc315ab0a92a990105254",
+    }),
+    "thin-17x3-mirror": (thin(17, 3, False), {
+        "NI": 762, "converged": True,
+        "u": "4accbd1a39edb09da688d3a8959fcd639288dd841b9b89a23ebf2105f10ef18c",
+        "v": "53a4a0fad0dc06f4850fdfe5188338ac50152ee15ee1deb445d6ad5ebeabc5da",
+        "change_history": "548666b81017fc2d3fdedf0298af6cab9e640a1d8b15ec0618fd9b9787714a34",
+        "energy_history": "89959cbc6ff9bfeccfaafbb3e33824e2ffc78edeea24415f0969ac73424126d6",
+    }),
+    "thin-17x3-periodic": (thin(17, 3, True), {
+        "NI": 465, "converged": True,
+        "u": "1e7ccdff833f1c25fb81ed105d83696848f5a607f042f78e478a63e5651a84af",
+        "v": "b66c4e4711c34ee4edade7a70a7cdaf2d20ff28207e8ddb5717f5f8fb4040fed",
+        "change_history": "e0fb975efbcbb922c6fc1f5f93aaa6aa2e04b447f137fa65e50c66ef888211d1",
+        "energy_history": "b52d2af958a858f640276ce236eaf2fce260a19301c946c24d108fcd638884d0",
+    }),
+    "border-masked-per-pixel": (border_masked_per_pixel, {
+        "NI": 711, "converged": True,
+        "u": "0e7620924c267c43e2108e6dd028f78c7ad0e5be407034bda346f690fbc916ac",
+        "v": "b7edd1a72a498e4e9f5f55e91b71fd1cc72becf93b545d19a614f2fc51da99a6",
+        "change_history": "68da775483ee49bd5fb6147f7ecda352c5b0269a20fd863efa8e326fe7ab1aa3",
+        "energy_history": "0c1c899199ba357aa86dc56964f9673c370862d27842107e74e522f8c1858a32",
     }),
 }
 
