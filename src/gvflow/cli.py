@@ -384,8 +384,9 @@ def cmd_spectral(args) -> int:
     grad = clamp_magnitude(gradient_central(f), run["cap"])
     params = GvfParams(g=cfg["g"], h=cfg["h"], **run)
     t0 = time.perf_counter()
-    report = gvf_solve(f, params, periodic=True)
+    # the oracle checks g and h (h > 0, g/h finite) before the solve runs
     exact = spectral_steady_state(grad, cfg["g"], cfg["h"])
+    report = gvf_solve(f, params, periodic=True)
     steady = parseval_energy(exact)
     error = parseval_energy(VectorField(exact.spec, report.field.values - exact.values))
     rel = math.sqrt(error) / math.sqrt(steady) if steady > 0 else 0.0

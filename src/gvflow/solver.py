@@ -90,7 +90,7 @@ from .grid import (
     clamp_magnitude,
     gradient_central,
 )
-from .spectral import _stencil_symbol
+from .spectral import _modal_filter, _stencil_symbol
 
 # A run is declared divergent once the per-iteration change grows this
 # many times past its first value; the checkerboard mode of an unstable
@@ -273,6 +273,21 @@ def _coeff_grid(c: float | ScalarField, spec: GridSpec | None = None):
 
 
 @np.errstate(over="ignore")
+def _instability(g, h, dt: float) -> str | None:
+    """validate_params' stability message for the coefficient grids g
+    and h, or None where the rule holds."""
+    gdt = g * dt
+    # half the symbol's peak, at w = (pi, pi): a pixel's own weight in
+    # its disc, and the sum of its four neighbours' weights
+    half = _stencil_symbol(np.pi, np.pi) / 2.0
+    decay = float(np.max(h * dt + half * (gdt + np.sqrt(gdt * (float(np.max(g)) * dt)))))
+    if decay < 2.0:
+        return None
+    return (f"stability violated: dt*max(h + 4g + 4*sqrt(g*max g)) = {decay:.6g} >= 2 "
+            f"(r < 1/4 at h = 0)")
+
+
+@np.errstate(over="ignore")
 def validate_params(p: GvfParams) -> list[str]:
     """Return the list of violated scheme constraints (empty = ok).
 
@@ -288,16 +303,8 @@ def validate_params(p: GvfParams) -> list[str]:
     """
     g, h = _coeff_grid(p.g), _coeff_grid(p.h)
     gmax, hmax = float(np.max(g)), float(np.max(h))
-    gdt = g * p.dt
-    # half the symbol's peak, at w = (pi, pi): a pixel's own weight in
-    # its disc, and the sum of its four neighbours' weights
-    half = _stencil_symbol(np.pi, np.pi) / 2.0
-    decay = float(np.max(h * p.dt + half * (gdt + np.sqrt(gdt * (gmax * p.dt)))))
-    violations = []
-    if not decay < 2.0:
-        violations.append(
-            f"stability violated: dt*max(h + 4g + 4*sqrt(g*max g)) = {decay:.6g} >= 2 "
-            f"(r < 1/4 at h = 0)")
+    unstable = _instability(g, h, p.dt)
+    violations = [unstable] if unstable else []
     if not hmax * p.dt < 1.0:
         violations.append(f"h*dt < 1 violated: h*dt = {hmax * p.dt:.6g}")
     if not hmax < gmax:
@@ -826,36 +833,40 @@ def steady_residual(
 def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
     """L-infinity gap between n >= 1 explicit steps and their closed form.
 
-    The mirror rule makes the stencil periodic on the 2H x 2W even
-    extension of a field, whose real DFT holds the grid's cosine modes.
-    A step scales mode k by a_k = 1 - h*dt - g*dt*lam_k, lam_k the
-    stencil's symbol (spectral._stencil_symbol), and adds h*dt times the
-    source's mode, so n steps from v(0) = grad_f have the gain
+    A step scales mode k of the mirror rule (spectral._modal_filter) by
+    a_k = 1 - h*dt - g*dt*lam_k, lam_k the stencil's symbol
+    (spectral._stencil_symbol), and adds h*dt times the source's mode,
+    so n steps from v(0) = grad_f have the gain
 
         a_k^n + h*dt * sum_{j<n} a_k^j = a_k^n + h*dt * (1 - a_k^n) / (1 - a_k).
 
     The closed form shares no code with the stencil.  Requires constant
     g, h and the full-rectangle domain; it starts from the raw gradient,
-    so the magnitude cap is ignored.  The gap is zero (to rounding) when
+    so the magnitude cap is ignored.  A set that breaks validate_params'
+    stability rule is a ParameterError with its message, raised before
+    the first step: its modes grow without bound.  Sets that break only
+    h*dt < 1 or h < g are checked.  The gap is zero (to rounding) when
     the step implements the scheme correctly, borders included.
     """
     if isinstance(p.g, ScalarField) or isinstance(p.h, ScalarField):
         raise ParameterError("expansion check supports constant coefficients only")
     check_count("expansion order n", n)
-    hh, ww = f.spec.shape
+    unstable = _instability(p.g, p.h, p.dt)
+    if unstable:
+        raise ParameterError(unstable)
     grad = gradient_central(f)
     stencil = _Stencil(DomainMask.full(f.spec), False, grad)
     coeffs = stencil.coeffs(p.g, p.h, p.dt, grad)
     for _ in range(n):
         stencil.step(*coeffs)
 
-    even = np.pad(grad.values, ((0, 0), (0, hh), (0, ww)), mode="symmetric")
-    w1 = 2.0 * np.pi * np.fft.rfftfreq(2 * ww)
-    w2 = 2.0 * np.pi * np.fft.fftfreq(2 * hh)
     hdt = p.h * p.dt
-    # 1 - a_k >= h*dt, so the division is safe wherever h > 0
-    decay = hdt + p.g * p.dt * _stencil_symbol(w1[None, :], w2[:, None])
-    power = (1.0 - decay) ** n
-    gain = power + hdt * (1.0 - power) / decay if hdt > 0 else power
-    closed = np.fft.irfft2(np.fft.rfft2(even) * gain, s=even.shape[1:])[:, :hh, :ww]
+
+    def gain(w1, w2):
+        # 1 - a_k >= h*dt, so the division is safe wherever h > 0
+        decay = hdt + p.g * p.dt * _stencil_symbol(w1, w2)
+        power = (1.0 - decay) ** n
+        return power + hdt * (1.0 - power) / decay if hdt > 0 else power
+
+    closed = _modal_filter(grad.values, False, gain)
     return float(np.abs(stencil.field - closed).max())

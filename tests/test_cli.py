@@ -776,6 +776,21 @@ class TestSpectralCommand:
         assert s["relative_l2_error"] < 1e-8
         assert s["steady_energy"] <= s["source_energy"] * (1 + 1e-9)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--h", "0"], "h must be finite and > 0"),
+        (["--g", "1e308", "--h", "1e-10"], "g / h must be finite"),
+    ])
+    def test_oracle_checks_g_and_h_before_the_solve(self, u64, tmp_path, monkeypatch,
+                                                     capsys, argv, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("gvf_solve ran before the oracle's checks")
+
+        monkeypatch.setattr(cli, "gvf_solve", no_solve)
+        code = main(["spectral", "--image", str(u64), "--out", str(tmp_path / "spec"),
+                     "--delta", "1e-6", *argv])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
 
 class TestSweep:
     def test_table_and_failed_rows(self, u64, tmp_path):

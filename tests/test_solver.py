@@ -444,6 +444,18 @@ class TestExpansionCheck:
         with pytest.raises(ParameterError, match="expansion order n must be an integer >= 1"):
             gv.expansion_check(impulse(8), gv.GvfParams(g=1.0, h=0.1), n)
 
+    @pytest.mark.parametrize("g, h, dt", [(1e300, 0.1, 0.12), (1.0, 0.1, 1e300), (3.0, 0.1, 0.12)])
+    def test_refuses_an_unstable_set_before_the_first_step(self, g, h, dt):
+        # these used to overflow to NaN, or to return a gap of 4.4e85
+        p = gv.GvfParams(g=g, h=h, dt=dt)
+        f = gv.ScalarField.from_array(np.random.default_rng(3).random((8, 8)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError) as refused:
+                gv.expansion_check(f, p, 400)
+        assert str(refused.value) == gv.validate_params(p)[0]
+        assert str(refused.value).startswith("stability violated")
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 40), st.integers(3, 40), coefficients, coefficients,
            st.floats(0.01, 0.999), st.integers(1, 300), st.integers(0, 2**32 - 1),

@@ -2,19 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvflow as gv
 from gvflow.errors import ParameterError
+from gvflow.spectral import _modal_filter
 
 
 class TestTransferGain:
     def test_dc_passes_unchanged(self):
         assert gv.transfer_gain(0.0, 0.0, 2.0, 0.02) == 1.0
-        assert gv.transfer_gain(0.0, 0.0, 2.0, 0.02, discrete=True) == 1.0
 
     def test_reference_sigma(self):
-        # g = 2.0, h = 0.02 puts the smoothing ratio at 100
-        assert gv.transfer_gain(1.0, 0.0, 2.0, 0.02) == pytest.approx(1.0 / 101.0)
+        # g = 2.0, h = 0.02 puts the smoothing ratio at 100; the symbol at (1, 0) is 2 - 2cos 1
+        expected = 1.0 / (100.0 * (2.0 - 2.0 * np.cos(1.0)) + 1.0)
+        assert gv.transfer_gain(1.0, 0.0, 2.0, 0.02) == pytest.approx(expected)
 
     def test_rejects_zero_h(self):
         with pytest.raises(ParameterError):
@@ -27,23 +30,19 @@ class TestTransferGain:
     def test_gain_below_the_smallest_float_reads_zero(self):
         # sigma * symbol overflows to inf: the gain underflows, silently
         w = np.array([0.0, np.pi])
-        assert gv.transfer_gain(w, w, 1e308, 1.0, discrete=True).tolist() == [1.0, 0.0]
+        assert gv.transfer_gain(w, w, 1e308, 1.0).tolist() == [1.0, 0.0]
 
     def test_low_pass_property(self):
         ws = np.linspace(-np.pi, np.pi, 33)
-        for discrete in (False, True):
-            gains = np.array([
-                [gv.transfer_gain(w1, w2, 1.5, 0.1, discrete=discrete) for w1 in ws]
-                for w2 in ws
-            ])
-            assert np.all(gains > 0) and np.all(gains <= 1.0)
-            assert (gains == 1.0).sum() == 1  # only the origin
+        gains = np.array([[gv.transfer_gain(w1, w2, 1.5, 0.1) for w1 in ws] for w2 in ws])
+        assert np.all(gains > 0) and np.all(gains <= 1.0)
+        assert (gains == 1.0).sum() == 1  # only the origin
 
     def test_discrete_matches_continuous_at_low_frequency(self):
+        # Xu & Prince's continuous form 1 / ((g/h)|w|^2 + 1) is the low-frequency limit
         w = 1e-4
-        c = gv.transfer_gain(w, w, 1.0, 0.1)
-        d = gv.transfer_gain(w, w, 1.0, 0.1, discrete=True)
-        assert c == pytest.approx(d, rel=1e-6)
+        c = 1.0 / ((1.0 / 0.1) * (w * w + w * w) + 1.0)
+        assert gv.transfer_gain(w, w, 1.0, 0.1) == pytest.approx(c, rel=1e-6)
 
 
 class TestSpectralSteadyState:
@@ -91,10 +90,28 @@ class TestSpectralSteadyState:
         out = gv.spectral_steady_state(grad, 0.7, 0.05)
         w1 = 2.0 * np.pi * np.fft.fftfreq(w)
         w2 = 2.0 * np.pi * np.fft.fftfreq(h)
-        gain = gv.transfer_gain(w1[None, :], w2[:, None], 0.7, 0.05, discrete=True)
+        gain = gv.transfer_gain(w1[None, :], w2[:, None], 0.7, 0.05)
         for got, comp in ((out.u.values, grad.u.values), (out.v.values, grad.v.values)):
             ref = np.fft.ifft2(np.fft.fft2(comp) * gain).real
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+# g as in the expansion check's property: zero, or in [1e-3, 4]
+diffusions = st.just(0.0) | st.floats(1e-3, 4.0)
+
+
+class TestMirrorRule:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 40), st.integers(3, 40), diffusions, st.floats(1e-3, 4.0),
+           st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+    def test_modal_filter_matches_the_direct_oracle(self, w, h, g, hc, seed, scale):
+        # the two oracles share no code: mirror-rule modes against block elimination
+        f = gv.ScalarField.from_array(scale * np.random.default_rng(seed).random((h, w)))
+        grad = gv.gradient_central(f)
+        modal = _modal_filter(grad.values, False, lambda w1, w2: gv.transfer_gain(w1, w2, g, hc))
+        direct = gv.direct_steady_solve(f, gv.GvfParams(g=g, h=hc))
+        peak = grad.magnitude().max()
+        assert np.abs(modal - direct.values).max() <= 1e-12 * max(1.0, peak)
 
 
 class TestParsevalEnergy:
