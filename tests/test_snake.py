@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gvflow as gv
@@ -252,6 +252,19 @@ class TestBilinearSampling:
         got = np.array(gv.sample_field_bilinear(field, x, y))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_negative_zero_position_equals_the_reference_sampler(self):
+        # the sign of a zero coordinate reaches the sum through the
+        # weights when c00 is a zero: u has c10 = c11 = 1 and v has
+        # c01 = c11 = 1, the other corners -0.0
+        uv = np.full((2, 4, 4), -0.0)
+        uv[0, :2, 1] = uv[1, 1, :2] = 1.0
+        field = gv.VectorField(gv.GridSpec(4, 4), uv)
+        sample = ReferenceSampler(field)
+        for x, y in ((-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+            want = sample(sample.clamp(np.array([[x], [y]])))[:, 0]
+            got = np.array(gv.sample_field_bilinear(field, x, y))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_all_negative_zero_corners_sample_as_negative_zero(self):
         field = gv.VectorField(gv.GridSpec(4, 4), np.full((2, 4, 4), -0.0))
         for x, y in ((0.0, 0.0), (1.5, 2.25), (3.0, 3.0)):
@@ -324,6 +337,36 @@ class TestResampleContour:
         want = reference_resample(ring, seg, seglen, *_resample_count(seglen, spacing))
         got = gv.resample_contour(gv.Snake(pts), spacing).points
         assert np.array_equal(got.view(np.int64), np.ascontiguousarray(want.T).view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=4, max_size=30),
+           st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([0.5, 0.7, 1.0, 2.0, 2.9]),
+           st.sampled_from([1.0, 1.0, 1.5]))
+    @example([(0, 0), (0, 0), (4, 0), (4, 4), (4, 4), (0, 4)], 1.0, 1.0, 1.0)
+    @example([(0, 0), (2, 0), (4, 0), (2, 0)], 1.0, 0.5, 1.0)
+    @example([(0, 0), (4, 0), (4, 4), (0, 0)], 1.0, 1.0, 1.5)
+    def test_degenerate_rings_equal_the_reference_resampling(self, lattice, scale, spacing,
+                                                             stretch):
+        # Lattice points repeat (segments of length 0) and line up, and
+        # targets land exactly on cumulative lengths.  Only a target past
+        # the last cumulative length reaches a segment of length 0: a
+        # perimeter stretched past the segments' sum sends the last
+        # targets onto the closing segment, of length 0 where the ring
+        # ends on its first point.
+        assume(len(set(lattice)) > 1)
+        pts = scale * np.array(lattice, dtype=float)
+        ring = reference_ring(pts.T)
+        seg = ring[:, 2:] - ring[:, 1:-1]
+        seglen = np.hypot(*seg)
+        perimeter, count = _resample_count(seglen, spacing)
+        want = np.ascontiguousarray(
+            reference_resample(ring, seg, seglen, stretch * perimeter, count).T)
+        got = snake_mod._resample(np.ascontiguousarray(ring.T), np.ascontiguousarray(seg.T),
+                                  seglen, stretch * perimeter, count)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if stretch == 1.0:
+            got = gv.resample_contour(gv.Snake(pts), spacing).points
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_anchored_at_first_point(self):
         s = gv.Snake.circle(20, 20, 10, 40)
@@ -468,13 +511,15 @@ class TestAgainstTheReference:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(3, 24), st.integers(3, 24), st.integers(4, 40),
-           st.integers(0, 2**32 - 1), st.floats(0.0, 0.5), st.floats(0.0, 2.0),
-           st.floats(0.1, 1.5), st.sampled_from([1.0, -1.0]), st.booleans(),
+           st.integers(0, 2**32 - 1), st.just(1.0) | st.floats(0.0, 0.5),
+           st.just(1.0) | st.floats(0.0, 2.0), st.just(1.0) | st.floats(0.1, 1.5),
+           st.sampled_from([1.0, -1.0]), st.booleans(),
            st.sampled_from([0.0, 0.7, 1.5, 3.0]), st.floats(0.2, 1.3), st.integers(1, 80))
     def test_equals_the_reference_loop(self, w, h, n, seed, b, gamma, step, sign, normalize,
                                        spacing, reach, max_iter):
         # reach > 1 puts the initial ring partly outside the grid, so some
-        # snaxels start, and stay, pinned to the border
+        # snaxels start, and stay, pinned to the border; a factor of
+        # exactly 1 (b with sign +1, gamma, step) is one the step skips
         rng = np.random.default_rng(seed)
         field = random_field(rng, w, h, rng.uniform(0.0, 2.0))
         t = 2.0 * np.pi * np.sort(rng.random(n))
@@ -512,6 +557,33 @@ class TestAgainstTheReference:
         assert outcome(gv.snake_evolve, s, field, p) == outcome(reference_snake_evolve, s, field, p)
         assert len(built) > 2 and len(resampled) > len(built) - 1
         assert built[1:] == [c for prev, c in zip([16] + resampled, resampled) if c != prev]
+
+    @pytest.mark.parametrize("drift, radius, n, inward", [
+        ("short", 24.0, 75, True),   # a shrinking ring: segments fall below spacing / 2
+        ("long", 5.0, 16, False),    # a growing ring: segments pass 2 * spacing
+    ])
+    def test_resampling_through_one_bound_only(self, monkeypatch, drift, radius, n, inward):
+        # a unit radial field moves every snaxel straight in or out, so
+        # the segments stay nearly equal and only one bound is crossed
+        spacings = []
+        real_resample = snake_mod._resample
+
+        def resample(ring, seg, seglen, perimeter, count):
+            spacings.append((seglen.min(), seglen.max()))
+            return real_resample(ring, seg, seglen, perimeter, count)
+
+        monkeypatch.setattr(snake_mod, "_resample", resample)
+        y, x = np.mgrid[0:64, 0:64] - 31.5
+        outward = np.stack([x, y]) / np.hypot(x, y)
+        field = gv.VectorField(gv.GridSpec(64, 64), -outward if inward else outward)
+        s = gv.Snake.circle(31.5, 31.5, radius, n)
+        p = gv.SnakeParams(b=0.0, step=0.5, eps=1e-9, max_iter=40, resample_spacing=2.0)
+        assert outcome(gv.snake_evolve, s, field, p) == outcome(reference_snake_evolve, s, field, p)
+        assert len(spacings) >= 2
+        if drift == "short":
+            assert all(lo < 1.0 and hi <= 4.0 for lo, hi in spacings)
+        else:
+            assert all(lo >= 1.0 and hi > 4.0 for lo, hi in spacings)
 
     def test_overflowing_displacement_is_divergence_without_a_warning(self):
         rng = np.random.default_rng(3)
