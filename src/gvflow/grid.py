@@ -169,21 +169,11 @@ def _sum_terms(terms, out: np.ndarray) -> np.ndarray:
 # --- operators ----------------------------------------------------------------
 
 def gradient_central(f: ScalarField) -> VectorField:
-    """Central-difference gradient; mirrored neighbors at the borders.
-
-    A border pixel's missing neighbor is the pixel itself, so its
-    difference is the one-sided one, halved as the others are: the
-    central difference on the edge-padded array, computed in place of
-    padding it (np.pad costs more than the arithmetic on small grids)."""
-    a = f.values
+    """Central-difference gradient; mirrored neighbors at the borders."""
+    p = np.pad(f.values, 1, mode="edge")
     uv = np.empty((2,) + f.spec.shape)
-    u, v = uv
-    np.subtract(a[:, 2:], a[:, :-2], out=u[:, 1:-1])
-    np.subtract(a[:, 1], a[:, 0], out=u[:, 0])
-    np.subtract(a[:, -1], a[:, -2], out=u[:, -1])
-    np.subtract(a[2:], a[:-2], out=v[1:-1])
-    np.subtract(a[1], a[0], out=v[0])
-    np.subtract(a[-1], a[-2], out=v[-1])
+    np.subtract(p[1:-1, 2:], p[1:-1, :-2], out=uv[0])
+    np.subtract(p[2:, 1:-1], p[:-2, 1:-1], out=uv[1])
     uv /= 2.0
     return VectorField(f.spec, uv)
 
@@ -254,10 +244,10 @@ def gaussian_smooth(f: ScalarField, sigma: float) -> ScalarField:
 def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     """gaussian_smooth on a bare (H, W) array, for sigma > 0.
 
-    The array is edge-padded by r on both axes once, by np.pad.  A
-    padding column is a copy of a border column, so after the pass
-    along y it holds that column's result: exactly the edge padding the
-    pass along x needs.
+    The array is edge-padded by r on both axes once, by np.pad as in
+    gradient_central.  A padding column is a copy of a border column, so
+    after the pass along y it holds that column's result: exactly the
+    edge padding the pass along x needs.
     """
     r = int(math.ceil(3.0 * sigma))
     xs = np.arange(-r, r + 1, dtype=np.float64)

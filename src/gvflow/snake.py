@@ -29,13 +29,12 @@ the elementwise calls on them run as one flat loop; a numpy call on a
 strided two-row view costs about twice as much at a few hundred
 snaxels.  One take of flat indices fetches the four bilinear corners of
 every snaxel, u and v together (_Sampler).  Each clamp is a minimum and
-a maximum against the upper corner (w-1, h-1).  A factor of exactly 1
-(gamma and step by default) is not multiplied by.  One hypot gives the
+a maximum against the upper corner (w-1, h-1).  One hypot gives the
 length of every move and, when resampling is on, of every new segment,
 and one maximum.reduceat the largest of each, for the stop test and
 the upper spacing bound; the shortest segment is looked for only when
-the contour has not settled and no segment is too long.  At gamma =
-step = 1 with resampling on, a step is 25 numpy calls.
+the contour has not settled and no segment is too long.  With
+resampling on, a step is 27 numpy calls.
 
 The loop runs with numpy's overflow and invalid-value errors raised:
 the field and the contour are finite, so a step's displacement is
@@ -228,26 +227,13 @@ class _Sampler:
 
 def sample_field_bilinear(field: VectorField, x: float, y: float) -> tuple[float, float]:
     """Bilinear interpolation of the field at one sub-pixel position;
-    a position outside the image is clamped onto it.
-
-    The arithmetic is _Sampler's, on Python floats, so the bits are
-    too.  The clamp gives +0.0 for -0.0, as numpy's maximum against 0
-    does, and the corner sum starts from its first term, which is what
-    adding that term to -0.0 gives.
-    """
+    a position outside the image is clamped onto it."""
     if math.isnan(x) or math.isnan(y):
         raise ParameterError(f"sample position must not be NaN, got ({x!r}, {y!r})")
-    w, h = field.spec.width, field.spec.height
-    x, y = float(x), float(y)
-    x = min(x, w - 1.0) if x > 0.0 else 0.0
-    y = min(y, h - 1.0) if y > 0.0 else 0.0
-    bx, by = min(int(x), w - 2), min(int(y), h - 2)
-    fx, fy = x - bx, y - by
-    gx, gy = 1.0 - fx, 1.0 - fy
-    w00, w10, w01, w11 = gy * gx, gy * fx, fy * gx, fy * fx
-    corners = field.values[:, by:by + 2, bx:bx + 2].reshape(2, 4).tolist()
-    u, v = (w00 * c00 + w10 * c10 + w01 * c01 + w11 * c11 for c00, c10, c01, c11 in corners)
-    return u, v
+    sample = _Sampler(field, 1)
+    xy = np.array([[x, y]], dtype=float)
+    (u, v), = sample(sample.clamp(xy, xy))
+    return float(u), float(v)
 
 
 def _unit_field(field: VectorField) -> VectorField:
@@ -295,11 +281,12 @@ def _resample(ring: np.ndarray, seg: np.ndarray, seglen: np.ndarray,
 
     Target k lies at arc length perimeter * k / n_new, on the segment i
     whose cumulative start cum[i] is the last at or before it, at
-    fraction (target - cum[i]) / seglen[i] of the segment (0 on a
-    segment of length 0).  cum is the running sum of seglen while
-    perimeter is their sum, so a target past cum[N - 1] lands on the
-    last segment.  Each per-target array is a take of the segment
-    arrays, worked on in place."""
+    fraction (target - cum[i]) / seglen[i] of the segment.  On a
+    segment of length 0 the fraction is left as target - cum[i], and
+    the point is the segment's start, since the segment vector is 0.
+    cum is the running sum of seglen while perimeter is their sum, so a
+    target past cum[N - 1] lands on the last segment.  Each per-target
+    array is a take of the segment arrays, worked on in place."""
     n_new = max(4, int(round(count)))
     targets = np.arange(n_new, dtype=np.float64)
     targets *= perimeter
@@ -371,27 +358,23 @@ class _Workspace:
         self._tops = np.empty(2)
         self.longest = 0.0
 
-    def advance(self, cur: _Ring, new: _Ring, at: np.ndarray, tension: np.ndarray | None,
-                gamma: np.ndarray | None, step: np.ndarray | None) -> float:
+    def advance(self, cur: _Ring, new: _Ring, at: np.ndarray, tension: np.ndarray,
+                gamma: np.ndarray, step: np.ndarray) -> float:
         """Write into new the contour one step on from cur, whose clamped
         points are at, and return the largest snaxel move; when
         resampling is on, refresh seg and seglen and set longest to the
-        largest segment.  A factor of None is 1 and is not multiplied
-        by: x * 1.0 is x.  cur lies in the image rectangle (clamped, or
+        largest segment.  cur lies in the image rectangle (clamped, or
         interpolated between clamped points) and the clamp projects onto
         it, so no move is longer than its displacement."""
         tens, disp = self._tens, self._disp
         np.add(cur.prev, cur.next, tens)
         np.multiply(_HALF, tens, tens)
         np.subtract(cur.pts, tens, tens)
-        if tension is not None:
-            np.multiply(tension, tens, tens)
+        np.multiply(tension, tens, tens)
         force = self.sample(at)
-        if gamma is not None:
-            np.multiply(gamma, force, force)
+        np.multiply(gamma, force, force)
         np.add(tens, force, disp)
-        if step is not None:
-            np.multiply(step, disp, disp)
+        np.multiply(step, disp, disp)
         np.add(cur.pts, disp, new.pts)
         self.sample.clamp(new.pts, new.pts)
         np.subtract(new.pts, cur.pts, self._move)
@@ -404,12 +387,6 @@ class _Workspace:
         np.maximum.reduceat(self._lengths, self._starts, out=self._tops)
         moved, self.longest = self._tops.tolist()
         return moved
-
-
-def _factor(x: float) -> np.ndarray | None:
-    """x as a _constant, or None where it is 1 and multiplying by it
-    would change nothing."""
-    return None if x == 1.0 else _constant(x)
 
 
 def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
@@ -441,7 +418,7 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     # where the field is sampled; every updated point is clamped too
     at = ws.sample.clamp(s.points, cur.pts)
     cur.close()
-    tension, gamma, step = map(_factor, (p.tensile_sign * p.b, p.gamma, p.step))
+    tension, gamma, step = map(_constant, (p.tensile_sign * p.b, p.gamma, p.step))
     history: list[float] = []
     converged = False
     iterations = 0

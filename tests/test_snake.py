@@ -518,8 +518,8 @@ class TestAgainstTheReference:
     def test_equals_the_reference_loop(self, w, h, n, seed, b, gamma, step, sign, normalize,
                                        spacing, reach, max_iter):
         # reach > 1 puts the initial ring partly outside the grid, so some
-        # snaxels start, and stay, pinned to the border; a factor of
-        # exactly 1 (b with sign +1, gamma, step) is one the step skips
+        # snaxels start, and stay, pinned to the border; b, gamma and
+        # step are also drawn as exactly 1.0, the CLI's default gamma and step
         rng = np.random.default_rng(seed)
         field = random_field(rng, w, h, rng.uniform(0.0, 2.0))
         t = 2.0 * np.pi * np.sort(rng.random(n))
