@@ -374,6 +374,40 @@ def _draw_line(img: np.ndarray, x0: int, y0: int, x1: int, y1: int, color):
             y0 += sy
 
 
+def _clip_segment(a, b, width: int, height: int):
+    """The end pixels of the part of segment a-b, two (x, y) float pairs,
+    that lies in the rectangle [-1/2, width - 1/2] x [-1/2, height - 1/2],
+    or None if it misses the rectangle.
+
+    Ends in the rectangle are rounded as they are, half to even as
+    np.rint rounds.  Otherwise Liang and Barsky's parametric clip moves
+    the ends onto the border, in exact rational arithmetic, so that no
+    coordinate overflows and none loses the image to cancellation."""
+    box = ((-0.5, width - 0.5), (-0.5, height - 0.5))
+    if all(lo <= c <= hi for end in (a, b) for c, (lo, hi) in zip(end, box)):
+        return [(round(x), round(y)) for x, y in (a, b)]
+    # imported here, as only a contour off the image needs it: the
+    # import costs about 3 ms of every start
+    from fractions import Fraction
+
+    a, b = ([Fraction(c) for c in end] for end in (a, b))
+    t0, t1 = Fraction(0), Fraction(1)
+    for c0, c1, (lo, hi) in zip(a, b, box):
+        # the segment is in the band where t * p <= q for both pairs
+        d = c1 - c0
+        for p, q in ((-d, c0 - Fraction(lo)), (d, Fraction(hi) - c0)):
+            if p == 0:
+                if q < 0:
+                    return None
+            elif p < 0:
+                t0 = max(t0, q / p)
+            else:
+                t1 = min(t1, q / p)
+    if t0 > t1:
+        return None
+    return [tuple(round(c0 + t * (c1 - c0)) for c0, c1 in zip(a, b)) for t in (t0, t1)]
+
+
 def write_ppm(rgb: np.ndarray, path) -> None:
     """Write an (H, W, 3) uint8 array as binary P6."""
     h, w = rgb.shape[:2]
@@ -395,7 +429,7 @@ def render(
     vector angle to hue (zero vectors render black); arrows draws plain
     line segments on every arrow_stride-th pixel, scaled so the longest
     arrow spans about one cell.  Contours are drawn as a closed red
-    polyline.
+    polyline, each segment clipped to the image before it is rasterized.
     """
     if mode not in RENDER_MODES:
         raise ParameterError(f"unknown render mode {mode!r}")
@@ -431,9 +465,14 @@ def render(
                         (255, 255, 255),
                     )
     if snake_points is not None:
-        pts = np.rint(np.asarray(snake_points)).astype(int)
-        for i in range(len(pts)):
-            x0, y0 = pts[i]
-            x1, y1 = pts[(i + 1) % len(pts)]
-            _draw_line(rgb, x0, y0, x1, y1, (255, 0, 0))
+        pts = np.asarray(snake_points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+            raise ParameterError("contour points must be an (N, 2) array of finite values")
+        ends = pts.tolist()
+        for a, b in zip(ends, ends[1:] + ends[:1]):
+            # clipped first, so that no off-image pixel is visited
+            seg = _clip_segment(a, b, mag.shape[1], mag.shape[0])
+            if seg is not None:
+                (x0, y0), (x1, y1) = seg
+                _draw_line(rgb, x0, y0, x1, y1, (255, 0, 0))
     write_ppm(rgb, path)

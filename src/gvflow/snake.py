@@ -16,25 +16,25 @@ below eps (measured before any resampling).  Optional arc-length
 resampling keeps snaxel spacing uniform so the tensile force stays
 meaningful while the contour stretches.
 
-A step is a short, fixed sequence of whole-array calls that allocates
-nothing.  A workspace (_Workspace), built once per snaxel count, holds
-every buffer and view a step touches; a resampling that keeps the count
-keeps the workspace.  The contour lives in one of two rings of N + 2
-(x, y) rows, used in turn: a step reads one and writes the other.  A
-ring's two wrap rows repeat its last and first snaxel, so it gives both
-neighbors of every snaxel for the tensile term and, after the update,
-the segments for the spacing test and the resampling.  The points, the
-neighbors and the step's own arrays are contiguous (N, 2) blocks, so
-the elementwise calls on them run as one flat loop; a numpy call on a
-strided two-row view costs about twice as much at a few hundred
-snaxels.  One take of flat indices fetches the four bilinear corners of
-every snaxel, u and v together (_Sampler).  Each clamp is a minimum and
-a maximum against the upper corner (w-1, h-1).  One hypot gives the
-length of every move and, when resampling is on, of every new segment,
-and one maximum.reduceat the largest of each, for the stop test and
-the upper spacing bound; the shortest segment is looked for only when
-the contour has not settled and no segment is too long.  With
-resampling on, a step is 27 numpy calls.
+A step is the same short sequence of whole-array calls in every
+setting, and allocates nothing.  A workspace (_Workspace), built once
+per snaxel count, owns the contour and every buffer and view a step
+touches; a resampling that keeps the count loads into the same one.
+The contour lives in one of two rings of N + 2 (x, y) rows, used in
+turn: a step reads one and writes the other.  A ring's two wrap rows
+repeat its last and first snaxel, so it gives both neighbors of every
+snaxel for the tensile term and, after the update, the segments for the
+spacing test and the resampling.  The points, the neighbors and the
+step's own arrays are contiguous (N, 2) blocks, so the elementwise
+calls on them run as one flat loop; a numpy call on a strided two-row
+view costs about twice as much at a few hundred snaxels.  One take of
+flat indices fetches the four bilinear corners of every snaxel, u and v
+together (_Sampler).  Each clamp is a minimum and a maximum against the
+upper corner (w-1, h-1).  One hypot gives the length of every move and
+of every new segment, and one maximum.reduceat the largest of each, for
+the stop test and the upper spacing bound; the shortest segment is
+looked for only when the run resamples, the contour has not settled and
+no segment is too long.  A step is 27 numpy calls.
 
 The loop runs with numpy's overflow and invalid-value errors raised:
 the field and the contour are finite, so a step's displacement is
@@ -328,50 +328,54 @@ class _Ring:
 
 
 class _Workspace:
-    """Every buffer and view of a snake step at n snaxels.
+    """A contour of n snaxels, and every buffer and view of its step.
 
     The contour lives in one of two rings, used in turn: a step reads
-    the current ring and writes the next one.  The move of each snaxel
-    and, when resampling is on, the segments of the new contour are
-    written one after the other, so that one hypot gives both their
-    lengths and one reduceat the largest of each.  After a resampling,
-    at holds the clamped points where the field is sampled at the next
-    step.
+    the current ring (cur) and writes the spare one, then swaps them.
+    Every step writes the move of each snaxel and the segments of the
+    new contour one after the other, so that one hypot gives both their
+    lengths and one reduceat the largest of each, whether or not the
+    run resamples.  at holds the clamped points where the field is
+    sampled at the next step: the current points after a step, a buffer
+    of its own after a load.
     """
 
-    def __init__(self, field: VectorField, n: int, resampling: bool):
+    def __init__(self, field: VectorField, n: int):
         self.n = n
         self.sample = _Sampler(field, n)
-        self.rings = (_Ring(n), _Ring(n))
-        self.at = np.empty((n, 2))
+        self.cur, self._spare = _Ring(n), _Ring(n)
+        self.at = self._loaded = np.empty((n, 2))
         self._tens = np.empty((n, 2))
         self._disp = np.empty((n, 2))
         diff = np.empty((2 * n, 2))
-        lengths = np.empty(2 * n)
+        self._lengths = np.empty(2 * n)
         self._move, self.seg = diff[:n], diff[n:]
-        self.seglen = lengths[n:]
-        self._resampling = resampling
-        span = 2 * n if resampling else n
-        self._dx, self._dy = diff[:span].T
-        self._lengths = lengths[:span]
+        self.seglen = self._lengths[n:]
+        self._dx, self._dy = diff.T
         self._starts = np.array([0, n], np.intp)
         self._tops = np.empty(2)
         self.longest = 0.0
 
-    def advance(self, cur: _Ring, new: _Ring, at: np.ndarray, tension: np.ndarray,
-                gamma: np.ndarray, step: np.ndarray) -> float:
-        """Write into new the contour one step on from cur, whose clamped
-        points are at, and return the largest snaxel move; when
-        resampling is on, refresh seg and seglen and set longest to the
-        largest segment.  cur lies in the image rectangle (clamped, or
+    def load(self, xy: np.ndarray) -> None:
+        """Make the n points xy, which lie in the image rectangle up to
+        rounding, the current contour; the field is sampled at their
+        clamped copies."""
+        np.copyto(self.cur.pts, xy)
+        self.cur.close()
+        self.at = self.sample.clamp(xy, self._loaded)
+
+    def advance(self, tension: np.ndarray, gamma: np.ndarray, step: np.ndarray) -> float:
+        """Move the contour one step on, refresh seg and seglen, set
+        longest to the largest segment, and return the largest snaxel
+        move.  The contour lies in the image rectangle (clamped, or
         interpolated between clamped points) and the clamp projects onto
         it, so no move is longer than its displacement."""
-        tens, disp = self._tens, self._disp
+        cur, new, tens, disp = self.cur, self._spare, self._tens, self._disp
         np.add(cur.prev, cur.next, tens)
         np.multiply(_HALF, tens, tens)
         np.subtract(cur.pts, tens, tens)
         np.multiply(tension, tens, tens)
-        force = self.sample(at)
+        force = self.sample(self.at)
         np.multiply(gamma, force, force)
         np.add(tens, force, disp)
         np.multiply(step, disp, disp)
@@ -379,12 +383,10 @@ class _Workspace:
         self.sample.clamp(new.pts, new.pts)
         np.subtract(new.pts, cur.pts, self._move)
         new.close()
-        if self._resampling:
-            np.subtract(new.next, new.pts, self.seg)
+        np.subtract(new.next, new.pts, self.seg)
         np.hypot(self._dx, self._dy, self._lengths)
-        if not self._resampling:
-            return float(np.maximum.reduce(self._lengths))
         np.maximum.reduceat(self._lengths, self._starts, out=self._tops)
+        self.cur, self._spare, self.at = new, cur, new.pts
         moved, self.longest = self._tops.tolist()
         return moved
 
@@ -413,11 +415,10 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     max_snaxels = max(field.spec.width * field.spec.height, len(s))
     resampling = p.resample_spacing > 0
     too_long, too_short = 2.0 * p.resample_spacing, 0.5 * p.resample_spacing
-    ws = _Workspace(field, len(s), resampling)
-    cur, spare = ws.rings
-    # where the field is sampled; every updated point is clamped too
-    at = ws.sample.clamp(s.points, cur.pts)
-    cur.close()
+    ws = _Workspace(field, len(s))
+    # initial snaxels outside the image are clamped onto it, as every
+    # updated point is
+    ws.load(ws.sample.clamp(s.points, ws.cur.pts))
     tension, gamma, step = map(_constant, (p.tensile_sign * p.b, p.gamma, p.step))
     history: list[float] = []
     converged = False
@@ -428,9 +429,7 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     try:
         with np.errstate(over="raise", invalid="raise"):
             for n in range(1, p.max_iter + 1):
-                moved = ws.advance(cur, spare, at, tension, gamma, step)
-                cur, spare = spare, cur
-                at = cur.pts
+                moved = ws.advance(tension, gamma, step)
                 iterations = n
                 history.append(moved)
                 # deformation = applied movement; a border-pinned snaxel is settled
@@ -446,14 +445,11 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
                             f"resampling would grow the contour to {count:.6g} snaxels, "
                             f"past the cap of {max_snaxels}", n
                         )
-                    xy = _resample(cur.full, ws.seg, ws.seglen, perimeter, count)
+                    xy = _resample(ws.cur.full, ws.seg, ws.seglen, perimeter, count)
                     if len(xy) != ws.n:
-                        ws = _Workspace(field, len(xy), resampling)
-                        cur, spare = ws.rings
-                    np.copyto(cur.pts, xy)
-                    cur.close()
-                    at = ws.sample.clamp(xy, ws.at)
+                        ws = _Workspace(field, len(xy))
+                    ws.load(xy)
     except FloatingPointError:
         raise DivergenceError("non-finite snaxel displacement", n) from None
-    return SnakeResult(Snake(cur.pts.copy()), iterations, converged,
+    return SnakeResult(Snake(ws.cur.pts.copy()), iterations, converged,
                        np.asarray(history))

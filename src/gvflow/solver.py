@@ -759,13 +759,9 @@ def direct_steady_solve(
     g = _coeff_grid(p.g, spec)
     h = _coeff_grid(p.h, spec)
     source = _masked_source(f, p.cap, mask)
-    # every unknown lies in the bounding box of the domain
-    ys, xs = np.nonzero(mask.inside)
-    box = (slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1))
-    inside = mask.inside[box]
+    inside = mask.inside
     grids = np.empty((4,) + spec.shape)
     grids[0], grids[1], grids[2:] = g, h, h * source.values
-    grids = grids[:, box[0], box[1]]
     if np.any((grids[0] == 0) & (grids[1] == 0) & inside):
         raise RankError("g and h both vanish at an interior pixel")
     _check_reaction(inside, grids[1] > 0)
@@ -791,10 +787,8 @@ def direct_steady_solve(
         x += system.solve(b - system.apply(x))
     if not np.all(np.isfinite(x)):
         raise RankError("steady-state system is singular")
-    window = np.zeros((2,) + inside.shape)
-    window[:, inside] = x.T
     out = np.zeros((2,) + spec.shape)
-    out[:, box[0], box[1]] = window.transpose(0, 2, 1) if transpose else window
+    (out.transpose(0, 2, 1) if transpose else out)[:, inside] = x.T
     return VectorField(spec, out)
 
 

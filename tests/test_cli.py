@@ -301,6 +301,24 @@ class TestTypedErrors:
         assert code == EXIT_VALIDATION
         assert "--force-scale" in err
 
+    @pytest.mark.parametrize("peak, scale", [(1.0, "1e-310"), (1e300, "1e-10")])
+    def test_force_scale_past_the_float_range_is_validation_error(self, tmp_path, capsys, peak,
+                                                                   scale):
+        # zero rows, as a masked solve leaves them, would make 0 * inf a NaN
+        u = np.zeros((32, 32))
+        u[2:-2, 2:-2] = peak
+        path = tmp_path / "field.gvf"
+        io.write_field(gv.VectorField.from_arrays(u, u), path)
+        out = tmp_path / "s"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.run(["snake", "--field", str(path), "--out", str(out),
+                                  "--init-circle", "16,16,8", "--force-scale", scale], capsys)
+        assert code == EXIT_VALIDATION
+        assert f"--force-peak 0.3 over the gradient peak {float(scale)!r}" in err
+        assert "float range" in err
+        assert not (out / "contour.csv").exists()
+
     @pytest.mark.parametrize("circle", ["a,b,c", "16,16", "16,16,nan", "16,16,8,x"])
     def test_malformed_init_circle_is_validation_error(self, stored_field, tmp_path, capsys,
                                                        circle):

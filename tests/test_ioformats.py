@@ -1,6 +1,8 @@
 """Codecs, synthetic corpus, rendering."""
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -400,6 +402,46 @@ class TestRender:
         rgb = self._read_ppm(path)
         # red polyline present
         assert ((rgb[:, :, 0] == 255) & (rgb[:, :, 1] == 0)).any()
+
+    def _overlay(self, tmp_path, points, shape=(24, 32)):
+        path = tmp_path / "o.ppm"
+        io.render(gv.VectorField.zeros(gv.GridSpec(shape[1], shape[0])), "magnitude-heatmap",
+                  path, snake_points=np.asarray(points, dtype=float))
+        return self._read_ppm(path)[:, :, 0] == 255
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_contour_in_the_image_draws_its_bresenham_pixels(self, tmp_path_factory, n, seed):
+        # every end rounds to a pixel of the image, as every snake's does
+        pts = np.random.default_rng(seed).uniform(-0.5, [31.5, 23.5], (n, 2))
+        expected = np.zeros((24, 32, 3), np.uint8)
+        ends = np.rint(pts).astype(int)
+        for (x0, y0), (x1, y1) in zip(ends, np.roll(ends, -1, axis=0)):
+            io._draw_line(expected, x0, y0, x1, y1, (255, 0, 0))
+        got = self._overlay(tmp_path_factory.mktemp("o"), pts)
+        assert np.array_equal(got, expected[:, :, 0] == 255)
+
+    @pytest.mark.parametrize("far", [1e9, 1e300, 1.7e308])
+    def test_far_contour_points_are_clipped_quickly_without_a_warning(self, tmp_path, far):
+        # rasterizing every pixel up to x = 1e9 took minutes, and 1e300
+        # overflowed the integer cast
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a row through the image, a diagonal through it, and one
+            # segment that misses it
+            got = self._overlay(tmp_path, [[-far, 3.0], [far, 3.0], [far, far], [-far, -far]],
+                                shape=(24, 24))
+        assert time.perf_counter() - t0 < 5.0
+        expected = np.zeros((24, 24), bool)
+        expected[3] = True
+        expected[np.arange(24), np.arange(24)] = True
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("points", [[[1.0, np.nan], [3.0, 4.0]], [[1.0, 2.0, 3.0]], [1.0, 2.0]])
+    def test_contour_must_be_finite_pairs(self, tmp_path, points):
+        with pytest.raises(ParameterError, match="contour points"):
+            self._overlay(tmp_path, points)
 
     def test_unknown_mode(self, tmp_path):
         with pytest.raises(ParameterError):

@@ -540,9 +540,9 @@ class TestAgainstTheReference:
         real_resample = snake_mod._resample
 
         class Workspace(snake_mod._Workspace):
-            def __init__(self, field, n, resampling):
+            def __init__(self, field, n):
                 built.append(n)
-                super().__init__(field, n, resampling)
+                super().__init__(field, n)
 
         def resample(*args):
             xy = real_resample(*args)

@@ -1,5 +1,6 @@
 """Explicit solvers, parameter validation, steady-state oracles."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -845,6 +846,35 @@ class TestDirectSolveAgreesWithSpsolve:
         for _ in range(3):
             ref += spsolve_steady_state(f, p, np.ones(shape, bool), ref)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestDirectSolveOnEmptyLines:
+    """Grid lines without interior pixels are empty blocks of the
+    elimination, so they change nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=steady_problems(), pads=st.tuples(*[st.integers(0, 5)] * 4))
+    def test_padded_domain_gives_the_same_bits(self, problem, pads):
+        f, p, mask = problem
+        top, bottom, left, right = pads
+        widths = ((top, bottom), (left, right))
+        inside = np.ones(f.spec.shape, bool) if mask is None else mask.inside
+        # the edge-padded image keeps every central difference of f
+        big_f = gv.ScalarField.from_array(np.pad(f.values, widths, mode="edge"))
+
+        def pad(c):
+            if not isinstance(c, gv.ScalarField):
+                return c
+            return gv.ScalarField(big_f.spec, np.pad(c.values, widths, mode="edge"))
+
+        big_p = dataclasses.replace(p, g=pad(p.g), h=pad(p.h))
+        big_mask = gv.DomainMask(big_f.spec, np.pad(inside, widths))
+        out = gv.direct_steady_solve(f, p, mask).values
+        big = gv.direct_steady_solve(big_f, big_p, big_mask).values
+        window = (slice(None), slice(top, top + f.spec.height), slice(left, left + f.spec.width))
+        assert np.array_equal(big[window].view(np.int64), out.view(np.int64))
+        big[window] = 0.0
+        assert not np.any(big)
 
 
 class TestOracleWithoutScipy:
