@@ -13,7 +13,8 @@ no abbreviations, and a malformed command line is a parameter
 validation failure.
 
 Exit codes: 0 success, 1 parameter validation failure, 2 I/O or format
-error, 3 divergence, 4 non-convergence at the iteration cap.
+error, 3 divergence, 4 non-convergence at the iteration cap or a snake
+that collapsed.
 
 All artifacts are deterministic except the wall-time entries in
 summaries and sweep tables.
@@ -227,12 +228,6 @@ def _sanitize(obj):
     return obj
 
 
-def _write_summary(out_dir: Path, summary: dict) -> None:
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(_sanitize(summary), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _solve_settings(cfg: dict) -> dict:
     """The run settings of a solve, shared by GvfParams and GgvfParams."""
     return dict(dt=cfg["dt"], delta=cfg["delta"], cap=float(cfg["threshold"]),
@@ -274,8 +269,11 @@ def _run_snake_stage(field: VectorField, grad_peak: float, cfg: dict, params: Sn
     contour, overlay = (out_dir / name for name in _SNAKE_ARTIFACTS)
     ioformats.write_contour(result.snake.points, contour)
     ioformats.render(field, "magnitude-heatmap", overlay, snake_points=result.snake.points)
-    return dict(iterations=result.iterations, converged=result.converged,
-                snaxels=len(result.snake))
+    entries = dict(iterations=result.iterations, converged=result.converged,
+                   snaxels=len(result.snake))
+    if result.collapsed:  # only where true, so other runs keep their entries
+        entries["collapsed"] = True
+    return entries
 
 
 # the synth flags that one shape reads, and that shape
@@ -299,115 +297,109 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _pipeline(args) -> int:
-    cfg = _effective(args)
+def _summarized(body):
+    """body(args, cfg, summary, open_out) as the command of a run that
+    leaves summary.json.  The body checks its flags, then makes the --out
+    directory with open_out(source), which also records the run's input
+    path args.<source>; it adds its entries to summary and returns whether
+    its solve and snake converged, for exit 0 or 4.  Once the directory is
+    made, summary.json is written there however the run ends, with
+    command, effective_config, wall_ms (the run's wall time after config
+    parsing) and, where a GvfError or OSError ends it, that error's
+    message as error, before main maps the error to its exit code."""
+    def command(args) -> int:
+        cfg = _effective(args)
+        t0 = time.perf_counter()
+        summary = {"command": args.command, "effective_config": cfg}
+        made = []
+
+        def open_out(source: str) -> Path:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+            made.append(Path(args.out))
+            summary[source] = str(getattr(args, source))
+            return made[0]
+
+        try:
+            return EXIT_OK if body(args, cfg, summary, open_out) else EXIT_NO_CONVERGENCE
+        except (GvfError, OSError) as exc:
+            summary["error"] = str(exc)
+            raise
+        finally:
+            if made:
+                summary["wall_ms"] = (time.perf_counter() - t0) * 1000.0
+                with open(made[0] / "summary.json", "w", encoding="utf-8") as fh:
+                    json.dump(_sanitize(summary), fh, sort_keys=True, indent=2)
+                    fh.write("\n")
+    return command
+
+
+@_summarized
+def _pipeline(args, cfg, summary, open_out) -> bool:
     circle = _parse_circle(args.snake) if args.snake else None
     snake_params = _snake_params(cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = open_out("image")
     image = ioformats.read_pgm(args.image)
     init = _circle_snake(circle, image.spec) if circle else None
     f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
     mask = build_mask(image, cfg["outer_margin"], cfg["inner_box"])
-
-    t0 = time.perf_counter()
     run = _solve_settings(cfg)
     if args.command == "ggvf":
         solve, params = ggvf_solve, GgvfParams(K=cfg["k"], **run)
     else:
         solve, params = gvf_solve, GvfParams(g=cfg["g"], h=cfg["h"], **run)
     report = solve(f, params, mask, periodic=cfg["periodic"], force=cfg["force"])
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-
+    residual = steady_residual(report.field, f, report.params, mask, periodic=cfg["periodic"])
+    summary.update(NI=report.iterations, converged=report.converged, residual=residual,
+                   inside_count=report.inside_count, pixel_updates=report.pixel_updates,
+                   artifacts=["field.gvf", "field_magnitude.ppm", "field_arrows.ppm"])
     ioformats.write_field(report.field, out_dir / "field.gvf")
     ioformats.render(report.field, "magnitude-heatmap", out_dir / "field_magnitude.ppm")
     ioformats.render(report.field, "arrows", out_dir / "field_arrows.ppm")
-    residual = steady_residual(report.field, f, report.params, mask, periodic=cfg["periodic"])
-
-    summary = {
-        "command": args.command,
-        "image": str(args.image),
-        "effective_config": cfg,
-        "NI": report.iterations,
-        "converged": report.converged,
-        "residual": residual,
-        "inside_count": report.inside_count,
-        "pixel_updates": report.pixel_updates,
-        "wall_ms": wall_ms,
-        "artifacts": ["field.gvf", "field_magnitude.ppm", "field_arrows.ppm"],
-    }
-
-    if init is not None:
-        grad_peak = float(clamp_magnitude(gradient_central(f), params.cap).magnitude().max())
-        summary["snake"] = _run_snake_stage(report.field, grad_peak, cfg, snake_params,
-                                            out_dir, init)
-        summary["artifacts"] += _SNAKE_ARTIFACTS
-
-    _write_summary(out_dir, summary)
-    snake = summary.get("snake", {"converged": True})
-    return EXIT_OK if report.converged and snake["converged"] else EXIT_NO_CONVERGENCE
+    if init is None:
+        return report.converged
+    grad_peak = float(clamp_magnitude(gradient_central(f), params.cap).magnitude().max())
+    snake = summary["snake"] = _run_snake_stage(report.field, grad_peak, cfg, snake_params,
+                                                out_dir, init)
+    summary["artifacts"] += _SNAKE_ARTIFACTS
+    return report.converged and snake["converged"]
 
 
-def cmd_snake(args) -> int:
-    cfg = _effective(args)
+@_summarized
+def cmd_snake(args, cfg, summary, open_out) -> bool:
     params = _snake_params(cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    field = ioformats.read_field(args.field)
-    if args.init_circle:
-        init = _circle_snake(_parse_circle(args.init_circle), field.spec)
-    elif args.init_contour:
-        init = Snake(ioformats.read_contour(args.init_contour))
-    else:
+    if not (args.init_circle or args.init_contour):
         raise ParameterError("need --init-circle or --init-contour")
-    if args.force_scale is None:
-        peak = float(field.magnitude().max())
-    elif 0 < args.force_scale < math.inf:
-        peak = args.force_scale
-    else:
+    circle = _parse_circle(args.init_circle) if args.init_circle else None
+    if args.force_scale is not None and not 0 < args.force_scale < math.inf:
         raise ParameterError(f"--force-scale must be finite and > 0, got {args.force_scale!r}")
-    t0 = time.perf_counter()
+    out_dir = open_out("field")
+    field = ioformats.read_field(args.field)
+    init = (_circle_snake(circle, field.spec) if circle
+            else Snake(ioformats.read_contour(args.init_contour)))
+    peak = float(field.magnitude().max()) if args.force_scale is None else args.force_scale
     snake = _run_snake_stage(field, peak, cfg, params, out_dir, init)
-    _write_summary(out_dir, {
-        "command": "snake",
-        "field": str(args.field),
-        "effective_config": cfg,
-        **snake,
-        "wall_ms": (time.perf_counter() - t0) * 1000.0,
-        "artifacts": _SNAKE_ARTIFACTS,
-    })
-    return EXIT_OK if snake["converged"] else EXIT_NO_CONVERGENCE
+    summary.update(snake, artifacts=_SNAKE_ARTIFACTS)
+    return snake["converged"]
 
 
-def cmd_spectral(args) -> int:
-    cfg = _effective(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+@_summarized
+def cmd_spectral(args, cfg, summary, open_out) -> bool:
+    open_out("image")
     image = ioformats.read_pgm(args.image)
     f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
     run = _solve_settings(cfg)
     grad = clamp_magnitude(gradient_central(f), run["cap"])
     params = GvfParams(g=cfg["g"], h=cfg["h"], **run)
-    t0 = time.perf_counter()
     # the oracle checks g and h (h > 0, g/h finite) before the solve runs
     exact = spectral_steady_state(grad, cfg["g"], cfg["h"])
     report = gvf_solve(f, params, periodic=True)
     steady = parseval_energy(exact)
     error = parseval_energy(VectorField(exact.spec, report.field.values - exact.values))
     rel = math.sqrt(error) / math.sqrt(steady) if steady > 0 else 0.0
-    _write_summary(out_dir, {
-        "command": "spectral",
-        "image": str(args.image),
-        "effective_config": cfg,
-        "NI": report.iterations,
-        "converged": report.converged,
-        "relative_l2_error": rel,
-        "source_energy": parseval_energy(grad),
-        "steady_energy": steady,
-        "wall_ms": (time.perf_counter() - t0) * 1000.0,
-    })
+    summary.update(NI=report.iterations, converged=report.converged, relative_l2_error=rel,
+                   source_energy=parseval_energy(grad), steady_energy=steady)
     print(json.dumps({"relative_l2_error": rel}, sort_keys=True))
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+    return report.converged
 
 
 def _floats(text: str) -> list[float]:

@@ -14,7 +14,8 @@ tensile_sign = -1, which is exposed but not the default.
 Iteration stops once the largest snaxel displacement of a step falls
 below eps (measured before any resampling).  Optional arc-length
 resampling keeps snaxel spacing uniform so the tensile force stays
-meaningful while the contour stretches.
+meaningful while the contour stretches; a contour due for resampling
+whose perimeter has shrunk below 1e-9 stops the run as collapsed.
 
 A step is the same short sequence of whole-array calls in every
 setting, and allocates nothing.  A workspace (_Workspace), built once
@@ -69,6 +70,9 @@ _NORM_FLOOR = 1e-12
 # The most snaxels resample_contour makes: 2**20, 16 MiB per coordinate
 # array at (2, N) float64.
 _MAX_RESAMPLED = 1 << 20
+
+# The least perimeter a contour is resampled at; below it, it has collapsed.
+_MIN_PERIMETER = 1e-9
 
 
 def _constant(x: float) -> np.ndarray:
@@ -149,6 +153,7 @@ class SnakeResult:
     iterations: int
     converged: bool
     displacement_history: np.ndarray
+    collapsed: bool = False
 
 
 def tensile_force(s: Snake, i: int) -> tuple[float, float]:
@@ -254,23 +259,16 @@ def resample_contour(s: Snake, spacing: float) -> Snake:
     ring.close()
     seg = ring.next - ring.pts
     seglen = np.hypot(seg[:, 0], seg[:, 1])
-    perimeter, count = _resample_count(seglen, spacing)
+    perimeter = float(seglen.sum())
+    if perimeter < _MIN_PERIMETER:
+        raise GeometryError("contour has (near) zero perimeter")
+    count = perimeter / spacing
     # compared unrounded, as in snake_evolve, so that inf is caught too
     if not count < _MAX_RESAMPLED + 0.5:
         raise ParameterError(
             f"spacing {spacing:.6g} is too small for a contour of perimeter "
             f"{perimeter:.6g}: {count:.6g} snaxels, past the cap of {_MAX_RESAMPLED}")
     return Snake(_resample(ring.full, seg, seglen, perimeter, count))
-
-
-def _resample_count(seglen: np.ndarray, spacing: float) -> tuple[float, float]:
-    """Perimeter of a closed contour with these segment lengths, and
-    perimeter / spacing, the unrounded snaxel count of its resampling
-    at this spacing; inf where the division overflows."""
-    perimeter = float(seglen.sum())
-    if perimeter < 1e-9:
-        raise GeometryError("contour has (near) zero perimeter")
-    return perimeter, perimeter / spacing
 
 
 def _resample(ring: np.ndarray, seg: np.ndarray, seglen: np.ndarray,
@@ -402,7 +400,9 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     Resampling runs only once a segment length leaves [1/2, 2] times the
     target spacing: redistributing every step would keep displacing
     snaxels tangentially, and a settled contour could never pass the
-    termination test.
+    termination test.  A run that resamples refuses a clamped initial
+    contour of (near) zero perimeter (GeometryError), and stops as
+    collapsed, not converged, at a step whose contour shrinks to one.
 
     A resampling may not raise the snaxel count past the field's pixel
     count (or the initial count, if larger): a contour that grows past
@@ -419,9 +419,11 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     # initial snaxels outside the image are clamped onto it, as every
     # updated point is
     ws.load(ws.sample.clamp(s.points, ws.cur.pts))
+    if resampling and Snake(ws.cur.pts).perimeter() < _MIN_PERIMETER:
+        raise GeometryError("contour has (near) zero perimeter")
     tension, gamma, step = map(_constant, (p.tensile_sign * p.b, p.gamma, p.step))
     history: list[float] = []
-    converged = False
+    converged = collapsed = False
     iterations = 0
     # The field and the contour are finite, so a displacement is
     # non-finite exactly when an operation of its step overflows or is
@@ -438,7 +440,11 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
                     break
                 if resampling and (ws.longest > too_long
                                    or np.minimum.reduce(ws.seglen) < too_short):
-                    perimeter, count = _resample_count(ws.seglen, p.resample_spacing)
+                    perimeter = float(ws.seglen.sum())
+                    if perimeter < _MIN_PERIMETER:
+                        collapsed = True
+                        break
+                    count = perimeter / p.resample_spacing
                     # compared unrounded, so that an overflow to inf is caught too
                     if not count < max_snaxels + 0.5:
                         raise DivergenceError(
@@ -452,4 +458,4 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     except FloatingPointError:
         raise DivergenceError("non-finite snaxel displacement", n) from None
     return SnakeResult(Snake(ws.cur.pts.copy()), iterations, converged,
-                       np.asarray(history))
+                       np.asarray(history), collapsed)

@@ -663,9 +663,9 @@ class _LineBlocks:
 
     and back substitution runs from the last row up.  The factorization
     keeps the S_k^-1 only, so solve() serves any right-hand side, both
-    components at once.  Rows without interior pixels are empty blocks.
-    With s_k interior pixels in row k it costs O(sum s_k^3) time and
-    keeps sum s_k^2 doubles.
+    components at once.  Rows without interior pixels hold no block, and
+    a row after one of them has U_k = 0.  With s_k interior pixels in row
+    k it costs O(sum s_k^3) time and keeps sum s_k^2 doubles.
     """
 
     def __init__(self, inside: np.ndarray, c: np.ndarray, h: np.ndarray):
@@ -686,22 +686,23 @@ class _LineBlocks:
         above_in_row = (np.cumsum(inside, axis=1) - 1)[ys - 1, xs]
         from_above = c[self._above_at] * above
 
-        starts = np.concatenate([[0], np.cumsum(inside.sum(axis=1))]).tolist()
-        self._spans = list(zip(starts[:-1], starts[1:]))
+        counts = inside.sum(axis=1)
+        ends = np.cumsum(counts)
+        rows = np.flatnonzero(counts)
+        self._spans = list(zip((ends - counts)[rows].tolist(), ends[rows].tolist()))
         self._inverses = []
-        inverse = np.zeros((0, 0))
         east, west, above = -self._east, -self._west, self._above[:, None]
-        for lo, hi in self._spans:
+        # whether the row kept before is the row above
+        for (lo, hi), coupled in zip(self._spans, (np.diff(rows, prepend=-2) == 1).tolist()):
             s = hi - lo
             S = np.zeros((s, s))
             S.flat[::s + 1] = self._diag[lo:hi]
             S.flat[1::s + 1] = east[lo:hi - 1]
             S.flat[s::s + 1] = west[lo + 1:hi]
-            if len(inverse):
+            if coupled:
                 j = above_in_row[lo:hi]
-                S -= above[lo:hi] * from_above[lo:hi] * inverse.take(j, 0).take(j, 1)
-            inverse = np.linalg.inv(S)
-            self._inverses.append(inverse)
+                S -= above[lo:hi] * from_above[lo:hi] * self._inverses[-1].take(j, 0).take(j, 1)
+            self._inverses.append(np.linalg.inv(S))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b, for b of shape (n, 2)."""
@@ -742,9 +743,9 @@ def direct_steady_solve(
     min(W, H)^3) time and, at the 4096-pixel limit, at most 2 MiB of
     inverses.  Where g and h allow an ill-conditioned system, one step
     of iterative refinement restores the digits elimination loses.  The
-    coefficients come from the mask's neighbor flags, not from the
-    stencil's neighbor table, so the oracle shares no code with the
-    solver it checks.  Limited to small test-scale domains.
+    coefficients come from the mask's neighbor flags, _neighbor_flags,
+    which the solver's _border_table reads too; the tests' pixel-by-pixel
+    scipy assembly checks both.  Limited to small test-scale domains.
 
     Raises RankError when the steady state is not unique: g and h both
     vanish at a pixel, or h vanishes on a whole connected component.

@@ -260,6 +260,70 @@ class TestSnakeCommand:
         assert d.mean() < 1.5
 
 
+# a small circle in the U's corner that shrinks to a point in 50 steps
+COLLAPSING = ["--b", "0.5", "--tensile-sign", "-1", "--eps", "0.002", "--snake-iters", "5000"]
+
+
+class TestRunEnd:
+    """How a run of gvf, ggvf, snake or spectral ends: summary.json is
+    written however a run that made its artifact directory ends, and the
+    exit code follows the solve and the snake."""
+
+    @pytest.fixture
+    def u48(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        io.write_pgm(io.synth_ushape(48, 48), "u48.pgm")
+        return ["--image", "u48.pgm", "--sigma", "0", "--threshold", "40"]
+
+    def test_collapsed_snake_exits_4_with_the_solve_in_the_summary(self, u48, capsys):
+        assert main(["gvf", *u48, "--out", "c", "--snake", "6,6,4,16", *COLLAPSING]) == 4
+        s = summary_of(Path("c"))
+        assert s["converged"] is True and s["NI"] > 0 and s["residual"] > 0
+        assert s["snake"] == {"iterations": 50, "converged": False, "snaxels": 4,
+                              "collapsed": True}
+        assert "error" not in s and s["wall_ms"] > 0
+        assert len(io.read_contour("c/contour.csv")) == 4
+        # the stored field, scaled by the gvf run's gradient peak (the threshold)
+        assert main(["snake", "--field", "c/field.gvf", "--out", "cs", "--init-circle",
+                     "6,6,4,16", "--force-scale", "40", *COLLAPSING]) == 4
+        assert without_wall(summary_of(Path("cs"))) == {
+            "command": "snake", "field": "c/field.gvf",
+            "effective_config": summary_of(Path("cs"))["effective_config"],
+            **s["snake"], "artifacts": list(cli._SNAKE_ARTIFACTS)}
+        assert capsys.readouterr().err == ""
+
+    def test_snake_divergence_after_the_solve_keeps_the_solve_in_the_summary(self, u48,
+                                                                            capsys):
+        assert main(["gvf", *u48, "--out", "d", "--snake", "24,24,20,32",
+                     "--b", "1e308"]) == EXIT_DIVERGENCE
+        s = summary_of(Path("d"))
+        assert s["NI"] > 0 and s["residual"] > 0 and "snake" not in s
+        assert s["error"] == "non-finite snaxel displacement (iteration 3)"
+        assert capsys.readouterr().err == f"error: {s['error']}\n"
+        assert s["artifacts"] == ["field.gvf", "field_magnitude.ppm", "field_arrows.ppm"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["gvf", "--dt", "1"], EXIT_VALIDATION),
+        (["spectral", "--h", "0"], EXIT_VALIDATION),
+    ])
+    def test_error_after_the_directory_is_made_is_in_the_summary(self, u48, capsys, argv,
+                                                                 code):
+        assert main([*argv, *u48, "--out", "e"]) == code
+        s = summary_of(Path("e"))
+        assert capsys.readouterr().err == f"error: {s['error']}\n"
+        assert set(s) == {"command", "image", "effective_config", "wall_ms", "error"}
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "need --init-circle or --init-contour"),
+        (["--init-circle", "6,6,4", "--force-scale", "0"], "--force-scale must be finite"),
+        (["--init-circle", "1,2"], "expected finite cx,cy,r[,n]"),
+    ])
+    def test_snake_flag_errors_make_no_directory(self, tmp_path, capsys, flags, message):
+        code = main(["snake", "--field", "missing.gvf", "--out", str(tmp_path / "bad"), *flags])
+        assert code == EXIT_VALIDATION and message in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+
 class TestTypedErrors:
     """Malformed input ends in a typed error and its exit code, never a traceback."""
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import gvflow as gv
 from gvflow import snake as snake_mod
 from gvflow.errors import DivergenceError, GeometryError, GvfError, ParameterError
-from gvflow.snake import _resample_count, _unit_field
+from gvflow.snake import _unit_field
 
 
 def constant_field(spec, ux, vy):
@@ -50,6 +50,13 @@ def reference_ring(xy):
     return np.concatenate((xy[:, -1:], xy, xy[:, :1]), axis=1)
 
 
+def resample_count(seglen, spacing):
+    """The perimeter of a closed contour with these segment lengths, and
+    perimeter / spacing, the unrounded snaxel count of its resampling."""
+    perimeter = float(seglen.sum())
+    return perimeter, perimeter / spacing
+
+
 def reference_resample(ring, seg, seglen, perimeter, count):
     n_new = max(4, int(round(count)))
     targets = perimeter * np.arange(n_new) / n_new
@@ -66,6 +73,8 @@ def reference_snake_evolve(s, field, p):
     max_snaxels = max(field.spec.width * field.spec.height, len(s))
     xy = at = sample.clamp(s.points.T)
     ring = reference_ring(xy)
+    if p.resample_spacing > 0 and np.hypot(*(ring[:, 2:] - ring[:, 1:-1])).sum() < 1e-9:
+        raise GeometryError("contour has (near) zero perimeter")
     history = []
     converged = False
     iterations = 0
@@ -89,7 +98,10 @@ def reference_snake_evolve(s, field, p):
             seglen = np.hypot(*seg)
             if (seglen.max() > 2.0 * p.resample_spacing
                     or seglen.min() < 0.5 * p.resample_spacing):
-                perimeter, count = _resample_count(seglen, p.resample_spacing)
+                perimeter, count = resample_count(seglen, p.resample_spacing)
+                if perimeter < 1e-9:
+                    return gv.SnakeResult(gv.Snake(np.ascontiguousarray(xy.T)), n, False,
+                                          np.asarray(history), collapsed=True)
                 if not count < max_snaxels + 0.5:
                     raise DivergenceError(
                         f"resampling would grow the contour to {count:.6g} snaxels, past "
@@ -103,12 +115,12 @@ def reference_snake_evolve(s, field, p):
 
 def outcome(evolve, s, field, p):
     """What a run gives, bit for bit: the typed error it raises, or its
-    iterations, convergence, points and history as int64 views."""
+    iterations, convergence, collapse, points and history as int64 views."""
     try:
         r = evolve(s, field, p)
     except GvfError as e:
         return type(e), str(e)
-    return (r.iterations, r.converged, r.snake.points.view(np.int64).tolist(),
+    return (r.iterations, r.converged, r.collapsed, r.snake.points.view(np.int64).tolist(),
             r.displacement_history.view(np.int64).tolist())
 
 
@@ -334,7 +346,7 @@ class TestResampleContour:
         ring = reference_ring(pts.T)
         seg = ring[:, 2:] - ring[:, 1:-1]
         seglen = np.hypot(*seg)
-        want = reference_resample(ring, seg, seglen, *_resample_count(seglen, spacing))
+        want = reference_resample(ring, seg, seglen, *resample_count(seglen, spacing))
         got = gv.resample_contour(gv.Snake(pts), spacing).points
         assert np.array_equal(got.view(np.int64), np.ascontiguousarray(want.T).view(np.int64))
 
@@ -358,7 +370,7 @@ class TestResampleContour:
         ring = reference_ring(pts.T)
         seg = ring[:, 2:] - ring[:, 1:-1]
         seglen = np.hypot(*seg)
-        perimeter, count = _resample_count(seglen, spacing)
+        perimeter, count = resample_count(seglen, spacing)
         want = np.ascontiguousarray(
             reference_resample(ring, seg, seglen, stretch * perimeter, count).T)
         got = snake_mod._resample(np.ascontiguousarray(ring.T), np.ascontiguousarray(seg.T),
@@ -504,6 +516,62 @@ class TestSnakeEvolve:
         assert np.array_equal(res.snake.points, ref.snake.points)
         assert np.array_equal(res.displacement_history, ref.displacement_history)
         assert res.displacement_history[0] < 0.5
+
+
+class TestCollapse:
+    """A contour that shrinks to a point stops the run; one that is a
+    point from the start is refused."""
+
+    def test_circle_in_the_u_corner_collapses_before_the_cap(self):
+        # the library calls of gvf --sigma 0 --threshold 40 --snake 6,6,4,16
+        from gvflow.ioformats import synth_ushape
+
+        f = gv.edge_map(synth_ushape(48, 48), sigma=0.0)
+        rep = gv.gvf_solve(f, gv.GvfParams(g=2.0, h=0.02, cap=40.0))
+        peak = gv.clamp_magnitude(gv.gradient_central(f), 40.0).magnitude().max()
+        field = gv.VectorField(rep.field.spec, rep.field.values * (0.3 / peak))
+        s = gv.Snake.circle(6.0, 6.0, 4.0, 16)
+        p = gv.SnakeParams(b=0.5, tensile_sign=-1.0, eps=0.002, max_iter=5000)
+        res = gv.snake_evolve(s, field, p)
+        assert res.collapsed and not res.converged
+        assert res.iterations == len(res.displacement_history) < p.max_iter
+        assert res.snake.perimeter() < 1e-9
+        assert outcome(gv.snake_evolve, s, field, p) == outcome(reference_snake_evolve, s, field, p)
+
+    def test_a_drifting_square_shrinks_to_a_point(self):
+        # tension halves a square each step while the field drifts it by
+        # 0.01 px, more than eps, so the run cannot converge first
+        field = constant_field(gv.GridSpec(32, 32), 0.01, 0.0)
+        s = gv.Snake(np.array([[8.0, 8.0], [12.0, 8.0], [12.0, 12.0], [8.0, 12.0]]))
+        p = gv.SnakeParams(b=1.0, tensile_sign=-1.0, step=0.5, eps=1e-3, max_iter=200)
+        res = gv.snake_evolve(s, field, p)
+        assert res.collapsed and not res.converged and 20 < res.iterations < 200
+        assert outcome(gv.snake_evolve, s, field, p) == outcome(reference_snake_evolve, s, field, p)
+        assert not gv.snake_evolve(s, field, gv.SnakeParams(b=0.0, max_iter=5)).collapsed
+
+    def test_point_contour_is_refused_before_the_first_step(self, monkeypatch):
+        steps = []
+        real_advance = snake_mod._Workspace.advance
+
+        def advance(self, *args):
+            steps.append(1)
+            return real_advance(self, *args)
+
+        monkeypatch.setattr(snake_mod._Workspace, "advance", advance)
+        point = gv.Snake(np.full((4, 2), 5.0))
+        field = gv.VectorField.zeros(gv.GridSpec(16, 16))
+        with pytest.raises(GeometryError, match=r"contour has \(near\) zero perimeter"):
+            gv.snake_evolve(point, field, gv.SnakeParams())
+        assert steps == []
+        # a run that does not resample takes it, and a point does not move
+        res = gv.snake_evolve(point, field, gv.SnakeParams(resample_spacing=0.0))
+        assert res.converged and not res.collapsed and steps == [1]
+
+    def test_contour_clamped_onto_a_corner_is_refused(self):
+        outside = gv.Snake.circle(-20.0, -20.0, 5.0, 16)
+        with pytest.raises(GeometryError):
+            gv.snake_evolve(outside, gv.VectorField.zeros(gv.GridSpec(16, 16)),
+                            gv.SnakeParams())
 
 
 class TestAgainstTheReference:

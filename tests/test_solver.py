@@ -23,7 +23,7 @@ from gvflow.errors import (
 )
 from gvflow.grid import _aligned_zeros
 from gvflow.ioformats import synth_ushape
-from gvflow.solver import _Stencil
+from gvflow.solver import _LineBlocks, _Stencil
 
 
 def impulse(n=8, value=1.0):
@@ -849,8 +849,25 @@ class TestDirectSolveAgreesWithSpsolve:
 
 
 class TestDirectSolveOnEmptyLines:
-    """Grid lines without interior pixels are empty blocks of the
-    elimination, so they change nothing."""
+    """Grid lines without interior pixels hold no block of the
+    elimination, so they change nothing and cost nothing."""
+
+    def test_a_small_window_in_a_large_grid_holds_a_block_per_line(self):
+        inside = np.zeros((1024, 1024), bool)
+        inside[500:512, 300:312] = True
+        c = np.full(inside.shape, 2.0)
+        assert len(_LineBlocks(inside, c, c / 100.0)._inverses) == 12
+
+    def test_lines_on_either_side_of_an_empty_line_are_not_coupled(self):
+        # two 5x5 squares that touch only diagonally across row 5 and column 5
+        rng = np.random.default_rng(5)
+        f = gv.ScalarField.from_array(rng.random((11, 11)) * 100.0)
+        inside = np.zeros((11, 11), bool)
+        inside[:5, :5] = inside[6:, 6:] = True
+        p = gv.GvfParams(g=0.9, h=0.2)
+        got = gv.direct_steady_solve(f, p, gv.DomainMask(f.spec, inside)).values
+        ref = spsolve_steady_state(f, p, inside)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @settings(max_examples=100, deadline=None)
     @given(problem=steady_problems(), pads=st.tuples(*[st.integers(0, 5)] * 4))
