@@ -38,6 +38,11 @@ bit.  Every buffer the iteration writes starts its written span on a
 and a ufunc whose output is split across cache lines runs about half as
 fast.
 
+A solve holds each full-size array once, and makes none that it does
+not keep: the field, its spare, the neighbor sum (whose first plane
+takes the squared change), the coefficients (_Stencil.coeffs) and a
+GGVF solve's g and h.  The capped source, v(0), is freed once copied.
+
 One step scales each cosine mode of the field by a_k = 1 - h*dt -
 g*dt*lam_k, with lam_k in [0, 8) the stencil's symbol: with constant
 coefficients the scheme is stable iff dt*(h + 8g) < 2, which is
@@ -47,8 +52,9 @@ demonstrate divergence, but are never silent.
 
 The generalized variant (GGVF) is the same solve with the per-pixel
 pair g(x) = exp(-|grad_f|^2 / K^2), h(x) = 1 - g(x), frozen from the
-initial gradient: ggvf_solve resolves its GgvfParams to that GvfParams
-in one place and validates the worst case g = 1, whatever the image.
+initial gradient: _iterate resolves a GgvfParams to that GvfParams in
+one place, and ggvf_solve validates the worst case g = 1, whatever the
+image.
 
 Termination: iteration stops once the largest per-pixel change
 |v_new - v|_2 drops below delta.  A converged run's field is an
@@ -57,8 +63,9 @@ for periodic borders, a Fourier-domain solution) pin it down exactly.
 The direct solve is block LU of the block-tridiagonal steady-state
 system with numpy.linalg alone, one block per grid line (across the
 shorter side of a rectangle): O(L * S^3) for L lines of S pixels, and
-one factorization serves both components.  No code in gvflow imports
-scipy.
+one factorization serves both components.  It works on the domain's
+bounding box grown by one pixel, so its cost follows the domain, not the
+grid.  No code in gvflow imports scipy.
 """
 
 from __future__ import annotations
@@ -364,10 +371,11 @@ class _Stencil:
     one gather of a (4, 2n) table of the neighbors, stand-ins in place
     of the ones outside the domain (_border_table), summed in the same
     order and scattered back, overwrites the sum: one border mechanism
-    for the full rectangle, masks and periodic borders.  The two
-    buffers, every view of them, the table and the planes
-    squared_change adds are built once, in __init__: an iteration makes
-    no view, reshape or slice.
+    for the full rectangle, masks and periodic borders.  The neighbor
+    sum's buffer and the field's, their views, the table and the planes
+    that squared_change adds (into the first, self.change) are built
+    once, in __init__; coeffs(), which only steppers call, makes the
+    spare field buffer.  An iteration makes no view, reshape or slice.
 
     All arithmetic runs on the span; the pad rows inside it, between the
     planes, hold scratch values that no result reads.  Coefficients are
@@ -391,18 +399,22 @@ class _Stencil:
         self._nb_span = self._nb_flat[span]
         self._nb_field = self._nb[:, 1:-1]
         self._nb_planes = tuple(self._nb_field)
-        self._inside = None if mask.is_full else mask.inside
-        self._cur, self._old = (
-            _Buffer(b.reshape(-1)[span], b.reshape(-1), b[:, 1:-1],
-                    _neighbor_terms(b.reshape(-1), span, ww))
-            for b in (_aligned_zeros(shape, ww), _aligned_zeros(shape, ww))
-        )
+        self.change = self._nb_planes[0]
+        self._outside = None if mask.is_full else ~mask.inside
+        self._cur, self._old = self._buffer(), None
         self.field[...] = field.values
         at, table = _border_table(mask, periodic)
         self._fix_at = np.concatenate([at, at + plane])
         self._fix_table = np.concatenate([table, table + plane], axis=1)
         self._fix_vals = np.empty(self._fix_table.shape)
         self._fix_rows = tuple(self._fix_vals)
+
+    def _buffer(self) -> _Buffer:
+        """A zero (2, H+2, W) field buffer, span on a cache line, and its views."""
+        ww = self._spec.width
+        b = _aligned_zeros(self._nb.shape, ww)
+        flat = b.reshape(-1)
+        return _Buffer(flat[self._span], flat, b[:, 1:-1], _neighbor_terms(flat, self._span, ww))
 
     @property
     def field(self) -> np.ndarray:
@@ -412,17 +424,27 @@ class _Stencil:
     def coeffs(self, g, h, dt: float, src: VectorField):
         """The coefficients of step() for g, h (scalars or ScalarFields)
         and the source field: keep = 1 - h*dt, hsrc = h*dt*src and
-        rc = g*dt, zero outside the domain and in the pad rows."""
-        g = _coeff_grid(g, self._spec)
-        hdt = _coeff_grid(h, self._spec) * dt
-        return self._spread(1.0 - hdt), self._spread(hdt * src.values), self._spread(g * dt)
+        rc = g*dt, zero outside the domain and in the pad rows.  Each is
+        computed in its own span buffer; on the full rectangle a scalar
+        keep or rc stays a scalar.  Also makes the spare field buffer."""
+        g, h = _coeff_grid(g, self._spec), _coeff_grid(h, self._spec)
+        self._old = self._buffer()
+        full = self._outside is None
+        keep = (1.0 - h * dt if full and np.ndim(h) == 0 else self._span_buffer(
+            lambda out: np.subtract(1.0, np.multiply(h, dt, out=out), out=out)))
+        hsrc = self._span_buffer(
+            lambda out: np.multiply(np.multiply(h, dt, out=out), src.values, out=out))
+        rc = (g * dt if full and np.ndim(g) == 0 else self._span_buffer(
+            lambda out: np.multiply(g, dt, out=out)))
+        return keep, hsrc, rc
 
-    def _spread(self, a):
-        """Span layout; on the full rectangle a scalar passes through."""
-        if self._inside is None and np.ndim(a) == 0:
-            return a
+    def _span_buffer(self, fill) -> np.ndarray:
+        """The span of a new coefficient buffer whose (2, H, W) interior
+        fill(interior) writes, zeroed outside the domain."""
         out = _aligned_zeros(self._nb.shape, self._span.start)
-        out[:, 1:-1] = a if self._inside is None else np.where(self._inside, a, 0.0)
+        fill(out[:, 1:-1])
+        if self._outside is not None:
+            np.copyto(out[:, 1:-1], 0.0, where=self._outside)
         return out.reshape(-1)[self._span]
 
     def neighbor_sum(self) -> np.ndarray:
@@ -448,12 +470,12 @@ class _Stencil:
         np.add(new, nb, out=new)
         self._cur, self._old = self._old, self._cur
 
-    def squared_change(self, out: np.ndarray) -> np.ndarray:
-        """|v_new - v_old|^2 per pixel of the last step, into out (H, W);
-        overwrites the neighbor sum."""
+    def squared_change(self) -> np.ndarray:
+        """|v_new - v_old|^2 per pixel of the last step, into the
+        (H, W) plane self.change; overwrites the neighbor sum."""
         d = np.subtract(self._cur.span, self._old.span, out=self._nb_span)
         np.multiply(d, d, out=d)
-        return np.add(*self._nb_planes, out=out)
+        return np.add(*self._nb_planes, out=self.change)
 
 
 def _domain(mask: DomainMask | None, spec: GridSpec) -> DomainMask:
@@ -484,50 +506,56 @@ def gvf_step(
     return VectorField(spec, out)
 
 
-# a forced run may overflow, which the loop reports as a DivergenceError
-@np.errstate(over="ignore", invalid="ignore")
-def _iterate(source: VectorField, p: GvfParams, mask: DomainMask, periodic: bool):
+def _iterate(source: VectorField, p: GvfParams | GgvfParams, mask: DomainMask,
+             periodic: bool) -> SolveReport:
     """Run the explicit iteration from v(0) = source until the largest
-    per-pixel change drops below p.delta; shared by both solvers.
-
-    source must be zero outside the domain."""
+    per-pixel change drops below p.delta; shared by both solvers.  A
+    GgvfParams resolves to the GvfParams iterated: g = ggvf_weight(source,
+    K), h = 1 - g.  source, zero outside the domain, must have no other
+    reference, so that it is freed once the stencil has copied it."""
     spec = source.spec
-    stencil = _Stencil(mask, periodic, source)
-    coeffs = stencil.coeffs(p.g, p.h, p.dt, source)
-    # the energy sums interior pixels only, in row-major order
-    inside = None if mask.is_full else np.flatnonzero(mask.inside)
-    sq = _aligned_zeros(spec.shape)
-    # the calls of every iteration, bound once
-    step, squared_change = stencil.step, stencil.squared_change
-    sq_max, sq_sum, sq_take = sq.max, sq.sum, sq.take
+    if isinstance(p, GgvfParams):
+        weight = ggvf_weight(source, p.K)
+        p = GvfParams(g=weight, h=ScalarField(spec, 1.0 - weight.values),
+                      dt=p.dt, delta=p.delta, cap=p.cap, max_iter=p.max_iter)
+    # a forced run may overflow, which the loop reports as a DivergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        stencil = _Stencil(mask, periodic, source)
+        del source
+        coeffs = stencil.coeffs(p.g, p.h, p.dt, VectorField(spec, stencil.field))
+        # the energy sums interior pixels only, in row-major order
+        inside = None if mask.is_full else np.flatnonzero(mask.inside)
+        # the calls of every iteration, bound once
+        step, squared_change, sq = stencil.step, stencil.squared_change, stencil.change
+        sq_max, sq_sum, sq_take = sq.max, sq.sum, sq.take
 
-    changes: list[float] = []
-    energies: list[float] = []
-    converged = False
-    iterations = 0
-    first_change = None
-    for n in range(1, p.max_iter + 1):
-        step(*coeffs)
-        squared_change(sq)
-        change = math.sqrt(float(sq_max()))
-        energy = float(sq_sum() if inside is None else sq_take(inside).sum())
-        iterations = n
-        changes.append(change)
-        energies.append(energy)
-        if not math.isfinite(change):
-            raise DivergenceError("non-finite values in the field", n)
-        if first_change is None:
-            first_change = change
-        elif change > _DIVERGENCE_GROWTH * (first_change + 1e-300):
-            raise DivergenceError(
-                f"per-iteration change grew past {_DIVERGENCE_GROWTH:g} times its "
-                f"initial value ({change:.3g} vs {first_change:.3g})",
-                n,
-            )
-        if change < p.delta:
-            converged = True
-            break
+        changes: list[float] = []
+        energies: list[float] = []
+        converged, iterations, first_change = False, 0, None
+        for n in range(1, p.max_iter + 1):
+            step(*coeffs)
+            squared_change()
+            change = math.sqrt(float(sq_max()))
+            energy = float(sq_sum() if inside is None else sq_take(inside).sum())
+            iterations = n
+            changes.append(change)
+            energies.append(energy)
+            if not math.isfinite(change):
+                raise DivergenceError("non-finite values in the field", n)
+            if first_change is None:
+                first_change = change
+            elif change > _DIVERGENCE_GROWTH * (first_change + 1e-300):
+                raise DivergenceError(
+                    f"per-iteration change grew past {_DIVERGENCE_GROWTH:g} times its "
+                    f"initial value ({change:.3g} vs {first_change:.3g})",
+                    n,
+                )
+            if change < p.delta:
+                converged = True
+                break
 
+    # the report's copy of the field is made without the coefficients
+    del coeffs
     return SolveReport(
         field=VectorField(spec, stencil.field.copy()),
         iterations=iterations,
@@ -583,16 +611,6 @@ def ggvf_weight(grad_f: VectorField, K: float) -> ScalarField:
         return ScalarField(grad_f.spec, np.exp(-mag2 / (K * K)))
 
 
-def _resolve(p: GgvfParams, source: VectorField) -> GvfParams:
-    """The GvfParams a GGVF solve iterates: g = ggvf_weight(source, K)
-    and h = 1 - g, from the capped source zeroed outside the domain."""
-    weight = ggvf_weight(source, p.K)
-    return GvfParams(
-        g=weight, h=ScalarField(source.spec, 1.0 - weight.values),
-        dt=p.dt, delta=p.delta, cap=p.cap, max_iter=p.max_iter,
-    )
-
-
 def ggvf_solve(
     f: ScalarField,
     p: GgvfParams,
@@ -613,8 +631,7 @@ def ggvf_solve(
     violations = validate_params(GvfParams(g=1.0, h=0.0, dt=p.dt))
     if violations and not force:
         raise ParameterError("; ".join(violations) + " (GGVF worst case g = 1, h = 0)")
-    source = _masked_source(f, p.cap, mask)
-    return _iterate(source, _resolve(p, source), mask, periodic)
+    return _iterate(_masked_source(f, p.cap, mask), p, mask, periodic)
 
 
 # --- steady-state oracles -----------------------------------------------------------
@@ -757,11 +774,13 @@ def direct_steady_solve(
         raise SizeError(
             f"{m} interior pixels exceed the oracle limit of {_ORACLE_LIMIT}"
         )
-    g = _coeff_grid(p.g, spec)
-    h = _coeff_grid(p.h, spec)
-    source = _masked_source(f, p.cap, mask)
-    inside = mask.inside
-    grids = np.empty((4,) + spec.shape)
+    box = _bounding_box(mask.inside)
+    g, h = (c if np.ndim(c) == 0 else c[box]
+            for c in (_coeff_grid(p.g, spec), _coeff_grid(p.h, spec)))
+    inside = mask.inside[box]
+    sub = GridSpec(inside.shape[1], inside.shape[0])
+    source = _masked_source(ScalarField(sub, f.values[box]), p.cap, DomainMask(sub, inside))
+    grids = np.empty((4,) + sub.shape)
     grids[0], grids[1], grids[2:] = g, h, h * source.values
     if np.any((grids[0] == 0) & (grids[1] == 0) & inside):
         raise RankError("g and h both vanish at an interior pixel")
@@ -789,8 +808,22 @@ def direct_steady_solve(
     if not np.all(np.isfinite(x)):
         raise RankError("steady-state system is singular")
     out = np.zeros((2,) + spec.shape)
-    (out.transpose(0, 2, 1) if transpose else out)[:, inside] = x.T
+    window = out[(slice(None),) + box]
+    (window.transpose(0, 2, 1) if transpose else window)[:, inside] = x.T
     return VectorField(spec, out)
+
+
+def _bounding_box(inside: np.ndarray) -> tuple[slice, slice]:
+    """The domain's bounding box grown by one pixel, and to at least 3
+    pixels a side, clipped to the grid.  The central differences at the
+    domain's pixels read only pixels in it, and at the grid border edge
+    padding agrees, so the gradient there is the full grid's."""
+    box = []
+    for axis, n in ((1, inside.shape[0]), (0, inside.shape[1])):
+        at = np.flatnonzero(inside.any(axis=axis))
+        lo = max(min(int(at[0]) - 1, n - 3), 0)
+        box.append(slice(lo, min(max(int(at[-1]) + 2, lo + 3), n)))
+    return box[0], box[1]
 
 
 @np.errstate(over="ignore")
@@ -805,21 +838,26 @@ def steady_residual(
     rectangle only.  Zero exactly at the steady state; one explicit
     step moves the field by dt times this quantity, so the fixed-point
     identity is exact.  A residual past the float range (g near 1e308,
-    say) is inf.
+    say) is inf.  Besides its own copy of the capped source it allocates
+    one field buffer, the stencil's, and works in place in the two.
     """
     spec = v.spec
     if f.spec != spec:
         raise DimensionError("field and edge map grids differ")
     mask = _domain(mask, spec)
-    g = _coeff_grid(p.g, spec)
-    h = _coeff_grid(p.h, spec)
-    source = _masked_source(f, p.cap, mask).values
+    g, h = _coeff_grid(p.g, spec), _coeff_grid(p.h, spec)
+    r = _masked_source(f, p.cap, mask).values
     stencil = _Stencil(mask, periodic, v)
     c = stencil.field
-    lap = stencil.neighbor_sum() - 4.0 * c
-    r = g * lap + h * (source - c)
-    res_sq = r[0] * r[0] + r[1] * r[1]
-    return math.sqrt(float(res_sq[mask.inside].max()))
+    nb = stencil.neighbor_sum()
+    # r = g*(nb - 4c) + h*(source - c) in place, in the source's copy and
+    # the neighbor sum, from the operands of that expression's every step
+    np.multiply(h, np.subtract(r, c, out=r), out=r)
+    np.subtract(nb, np.multiply(c, 4.0, out=c), out=nb)
+    np.add(np.multiply(g, nb, out=nb), r, out=r)
+    np.multiply(r, r, out=r)
+    res_sq = np.add(r[0], r[1], out=r[0])
+    return math.sqrt(float(np.max(res_sq, where=mask.inside, initial=-np.inf)))
 
 
 # --- expansion consistency check ---------------------------------------------------

@@ -5,8 +5,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -740,6 +742,31 @@ class TestStencilNeighborSum:
             assert np.array_equal(got[comp].view(np.int64), expected.view(np.int64))
 
 
+class TestEnergyNeverIncreases:
+    """With constant g and h the step d = v^{n+1} - v^n evolves as
+    d <- A d, A symmetric with eigenvalues a_k in (-1, 1] (a_k = 1 only
+    for the mean with h = 0), so the step energy |d|^2 never increases."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stencil_domains(), st.floats(0.01, 5.0), st.floats(0.0, 0.999),
+           st.floats(0.01, 0.999), st.integers(0, 2**32 - 1))
+    def test_for_constant_coefficients(self, domain, g, h_over_g, dt_share, seed):
+        spec, mask, periodic = domain
+        h = h_over_g * g
+        # dt at the given share of the limits dt*(h + 8g) < 2 and h*dt < 1
+        dt = dt_share * min(2.0 / (h + 8.0 * g), 1.0 / h if h else math.inf)
+        p = gv.GvfParams(g=g, h=h, dt=dt, delta=1e-300, max_iter=300)
+        assume(not gv.validate_params(p))
+        f = gv.ScalarField(spec, np.random.default_rng(seed).random(spec.shape) * 100.0)
+        rep = gv.gvf_solve(f, p, mask, periodic)
+        e = rep.energy_history
+        # near its floating-point fixed point a step is rounding noise, at
+        # most 16 ulp of the field's scale at each of the domain's pixels
+        scale = max(np.abs(rep.field.values).max(), np.abs(gv.gradient_central(f).values).max())
+        floor = mask.inside_count * (16.0 * np.finfo(float).eps * scale) ** 2
+        assert np.all(np.diff(e) <= 1e-12 * e[:-1] + floor)
+
+
 def spsolve_steady_state(f, p, inside, x=None):
     """The steady state by scipy's sparse LU, with the system assembled
     pixel by pixel from the equation in direct_steady_solve's docstring:
@@ -892,6 +919,79 @@ class TestDirectSolveOnEmptyLines:
         assert np.array_equal(big[window].view(np.int64), out.view(np.int64))
         big[window] = 0.0
         assert not np.any(big)
+
+
+class TestDirectSolveCrop:
+    """direct_steady_solve works on the domain's bounding box grown by
+    one pixel, so its cost follows the domain, with the full grid's bits."""
+
+    def test_a_small_window_in_a_large_grid_peaks_near_its_output(self):
+        rng = np.random.default_rng(7)
+        f = gv.ScalarField.from_array(rng.random((1024, 1024)) * 100.0)
+        inside = np.zeros(f.spec.shape, bool)
+        inside[500:512, 300:312] = True
+        mask = gv.DomainMask(f.spec, inside)
+        # the output alone is 2 full-grid arrays
+        peak = traced_peak(lambda: gv.direct_steady_solve(f, gv.GvfParams(), mask), f.spec)
+        assert peak <= 2.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(stencil_domains(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_equals_the_uncropped_bits(self, domain, per_pixel, seed):
+        spec, mask, _ = domain
+        rng = np.random.default_rng(seed)
+        f = gv.ScalarField(spec, rng.random(spec.shape) * 100.0)
+        p = gv.GvfParams(g=0.9, h=0.2, cap=30.0)
+        if per_pixel:
+            p = gv.GvfParams(g=gv.ScalarField(spec, rng.uniform(0.1, 2.0, spec.shape)),
+                             h=gv.ScalarField(spec, rng.uniform(0.01, 1.0, spec.shape)))
+        out = gv.direct_steady_solve(f, p, mask).values
+        whole = (slice(None), slice(None))
+        with mock.patch("gvflow.solver._bounding_box", lambda inside: whole):
+            ref = gv.direct_steady_solve(f, p, mask).values
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
+def traced_peak(call, spec) -> float:
+    """The peak of the memory that tracemalloc traces during call(), over
+    what it traced at entry, in float64 arrays the size of grid spec."""
+    tracemalloc.start()
+    try:
+        at_entry = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - at_entry) / (8 * spec.width * spec.height)
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """The explicit solve and steady_residual hold each full-size array
+    once and make no full-size temporaries: their traced peaks at 256^2,
+    in H x W float64 arrays.  A GGVF solve holds the field, its spare,
+    the neighbor sum, three coefficients (two planes each) and g and h;
+    a GVF solve with constant g and h on the full rectangle has one
+    coefficient array, h*dt*grad_f."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        f = gv.edge_map(synth_ushape(256, 256), sigma=1.0)
+        mask = gv.DomainMask.from_rects(f.spec, (8, 8, 240, 240), (85, 85, 64, 64))
+        return f, mask, gv.ggvf_solve(f, gv.GgvfParams(max_iter=3))
+
+    @pytest.mark.parametrize("case, budget", [
+        ("ggvf_solve", 15), ("gvf_solve", 9), ("gvf_solve-masked", 15), ("steady_residual", 9),
+    ])
+    def test_budget(self, problem, case, budget):
+        f, mask, rep = problem
+        p = gv.GvfParams(max_iter=3)
+        call = {
+            "ggvf_solve": lambda: gv.ggvf_solve(f, gv.GgvfParams(max_iter=3)),
+            "gvf_solve": lambda: gv.gvf_solve(f, p),
+            "gvf_solve-masked": lambda: gv.gvf_solve(f, p, mask),
+            # the per-pixel pair, as the CLI's GGVF residual
+            "steady_residual": lambda: gv.steady_residual(rep.field, f, rep.params),
+        }[case]
+        assert traced_peak(call, f.spec) <= budget
 
 
 class TestOracleWithoutScipy:
