@@ -422,8 +422,8 @@ def _margin(tok: str) -> int | None:
 _SWEEP_AXES = {"g": "g", "h": "h", "dt": "dt", "delta": "delta", "T": "cap"}
 
 
-def cmd_sweep(args) -> int:
-    cfg = _effective(args)
+@_summarized
+def cmd_sweep(args, cfg, summary, open_out) -> bool:
     base = dict(g=cfg["g"], h=cfg["h"], **_solve_settings(cfg))
     lists = [getattr(args, f"{column.lower()}_list") for column in _SWEEP_AXES]
     axes = [_floats(t) if t else [base[k]] for t, k in zip(lists, _SWEEP_AXES.values())]
@@ -433,8 +433,7 @@ def cmd_sweep(args) -> int:
         else [None]
     )
     outers = [_margin(tok) for tok in args.outer_list.split(";")] if args.outer_list else [None]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = open_out("image")
     image = ioformats.read_pgm(args.image)
     f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
 
@@ -467,8 +466,9 @@ def cmd_sweep(args) -> int:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
+    summary.update(rows=len(rows), artifacts=["sweep.csv"])
     print(json.dumps({"rows": len(rows), "wrote": str(out_dir / "sweep.csv")}, sort_keys=True))
-    return EXIT_OK
+    return True
 
 
 def cmd_render(args) -> int:

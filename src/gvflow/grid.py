@@ -283,12 +283,12 @@ def edge_map(image: ScalarField, sigma: float = 0.0, sign: str = "attractive") -
 def clamp_magnitude(field: VectorField, cap: float) -> VectorField:
     """Rescale pixel vectors longer than cap down to magnitude cap.
 
-    Direction is preserved; an infinite cap is the identity.  Vectors
-    within one part in 1e12 of the cap are left alone, which makes the
-    operation exactly idempotent.
+    Direction is preserved; an infinite cap returns field itself, not a
+    copy.  Vectors within one part in 1e12 of the cap are left alone,
+    which makes the operation exactly idempotent.
     """
     if math.isinf(check_real("cap", cap, above=True, inf=True)):
-        return field.copy()
+        return field
     mag = field.magnitude()
     over = mag > cap * (1.0 + _CLAMP_SLACK)
     scale = np.ones_like(mag)

@@ -3,12 +3,15 @@
 Codecs are deliberately minimal: PGM (P2/P5) in, PGM/PPM (P6) out, a
 plain-text "GVF1" vector field container, and a one-pair-per-line
 contour CSV.  All writers are deterministic: identical inputs produce
-byte-identical files.
+byte-identical files.  A PGM header field or P2 sample is a token: a run
+of bytes that are neither ASCII whitespace nor "#", after any whitespace
+and "#" comments, each comment running to the end of its line.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -30,60 +33,42 @@ SYNTH_MAX_PIXELS = 2048 * 2048
 # --- PGM ------------------------------------------------------------------------
 
 
-class _Tokenizer:
-    """Header tokenizer for netpbm files; tracks byte offsets for errors."""
+# the token rule of the module docstring
+_SPACE = re.compile(rb"(?:\s|#[^\n]*\n?)*")
+_TOKEN = re.compile(rb"[^\s#]*")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def skip_space(self):
-        while self.pos < len(self.data):
-            c = self.data[self.pos : self.pos + 1]
-            if c == b"#":
-                nl = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if nl < 0 else nl + 1
-            elif c.isspace():
-                self.pos += 1
-            else:
-                return
-
-    def token(self) -> bytes:
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.data) and not self.data[self.pos : self.pos + 1].isspace():
-            if self.data[self.pos : self.pos + 1] == b"#":
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise FormatError("unexpected end of header", start)
-        return self.data[start : self.pos]
-
-    def int_token(self, what: str) -> int:
-        """The next token as an integer of ASCII digits only: PGM has no
-        sign, and int() would also take underscores and other digits."""
-        self.skip_space()
-        start = self.pos
-        tok = self.token()
-        try:
-            if tok.isdigit():
-                return int(tok)
-        except ValueError:  # past int()'s limit on digits
-            pass
-        raise FormatError(f"bad {what} token {tok!r}", start)
+def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """The first token at or after offset pos, as an integer of ASCII
+    digits only, and the offset past it: PGM has no sign, and int()
+    would also take underscores and other digits."""
+    start = _SPACE.match(data, pos).end()
+    end = _TOKEN.match(data, start).end()
+    if end == start:
+        raise FormatError("unexpected end of header", start)
+    tok = data[start:end]
+    try:
+        if tok.isdigit():
+            return int(tok), end
+    except ValueError:  # past int()'s limit on digits
+        pass
+    raise FormatError(f"bad {what} token {tok!r}", start)
 
 
 def read_pgm(path) -> ScalarField:
     """Read a P2 (ASCII) or P5 (binary) grayscale image, maxval <= 65535."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tok = _Tokenizer(data)
-    magic = tok.token()
+    start = _SPACE.match(data).end()
+    pos = _TOKEN.match(data, start).end()
+    magic = data[start:pos]
+    if not magic:
+        raise FormatError("unexpected end of header", start)
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"not a PGM file (magic {magic!r})", 0)
-    width = tok.int_token("width")
-    height = tok.int_token("height")
-    maxval = tok.int_token("maxval")
+    width, pos = _int_token(data, pos, "width")
+    height, pos = _int_token(data, pos, "height")
+    maxval, pos = _int_token(data, pos, "maxval")
     if width < 3 or height < 3:
         raise FormatError(f"bad dimensions {width}x{height}: images must be at least 3x3", 0)
     if not (0 < maxval <= 65535):
@@ -91,9 +76,9 @@ def read_pgm(path) -> ScalarField:
     count = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the raster
-        if tok.pos >= len(data) or not data[tok.pos : tok.pos + 1].isspace():
-            raise FormatError("missing raster separator", tok.pos)
-        start = tok.pos + 1
+        if pos >= len(data) or not data[pos : pos + 1].isspace():
+            raise FormatError("missing raster separator", pos)
+        start = pos + 1
         nbytes = count * (2 if maxval > 255 else 1)
         raster = data[start : start + nbytes]
         if len(raster) != nbytes:
@@ -106,16 +91,18 @@ def read_pgm(path) -> ScalarField:
     else:
         # every sample takes a byte at least: a header that claims more
         # samples than there are bytes left is refused before allocating
-        left = len(data) - tok.pos
+        left = len(data) - pos
         if count > left:
             raise FormatError(
                 f"truncated raster: {count} samples, only {left} bytes left", len(data))
         values = np.empty(count, dtype=np.float64)
         try:
             for i in range(count):
-                values[i] = tok.int_token("sample")
+                # pos moves past the token before the store that may overflow
+                sample, pos = _int_token(data, pos, "sample")
+                values[i] = sample
         except OverflowError:
-            raise FormatError(f"sample exceeds maxval {maxval}", tok.pos) from None
+            raise FormatError(f"sample exceeds maxval {maxval}", pos) from None
     if np.any(values > maxval):
         raise FormatError(f"sample exceeds maxval {maxval}", 0)
     return ScalarField(GridSpec(width, height), values.reshape(height, width))

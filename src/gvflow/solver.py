@@ -210,17 +210,12 @@ class DomainMask:
         hole: tuple[int, int, int, int] | None = None,
     ) -> "DomainMask":
         """Window (x, y, w, h) minus an optional rectangular hole, clipped."""
-        inside = np.zeros(spec.shape, dtype=bool)
-        if outer is None:
-            inside[:, :] = True
-        else:
-            x0, y0, w, h = outer
-            x1, y1 = min(x0 + w, spec.width), min(y0 + h, spec.height)
-            inside[max(y0, 0):max(y1, 0), max(x0, 0):max(x1, 0)] = True
-        if hole is not None:
-            x0, y0, w, h = hole
-            x1, y1 = min(x0 + w, spec.width), min(y0 + h, spec.height)
-            inside[max(y0, 0):max(y1, 0), max(x0, 0):max(x1, 0)] = False
+        inside = np.full(spec.shape, outer is None)
+        for rect, value in ((outer, True), (hole, False)):
+            if rect is not None:
+                x0, y0, w, h = rect
+                x1, y1 = min(x0 + w, spec.width), min(y0 + h, spec.height)
+                inside[max(y0, 0):max(y1, 0), max(x0, 0):max(x1, 0)] = value
         return cls(spec, inside)
 
     @property
@@ -575,6 +570,21 @@ def _masked_source(f: ScalarField, cap: float, mask: DomainMask) -> VectorField:
     return grad
 
 
+def _solve(f, p, checked: GvfParams, suffix: str, mask, periodic, force) -> SolveReport:
+    """Both solvers' entry: check the coefficients checked (suffix ends
+    the stability message), then iterate p from the masked source, which
+    no local name holds, so that _iterate can free it."""
+    spec = f.spec
+    mask = _domain(mask, spec)
+    violations = validate_params(checked)
+    if violations and not force:
+        raise ParameterError("; ".join(violations) + suffix)
+    if np.any((_coeff_grid(checked.g, spec) == 0) & (_coeff_grid(checked.h, spec) == 0)
+              & mask.inside):
+        raise ParameterError("g and h both vanish at an interior pixel")
+    return _iterate(_masked_source(f, p.cap, mask), p, mask, periodic)
+
+
 def gvf_solve(
     f: ScalarField,
     p: GvfParams,
@@ -589,14 +599,7 @@ def gvf_solve(
     Raises ParameterError when the scheme constraints fail, unless
     force=True; divergence always raises.
     """
-    spec = f.spec
-    mask = _domain(mask, spec)
-    violations = validate_params(p)
-    if violations and not force:
-        raise ParameterError("; ".join(violations))
-    if np.any((_coeff_grid(p.g, spec) == 0) & (_coeff_grid(p.h, spec) == 0) & mask.inside):
-        raise ParameterError("g and h both vanish at an interior pixel")
-    return _iterate(_masked_source(f, p.cap, mask), p, mask, periodic)
+    return _solve(f, p, p, "", mask, periodic, force)
 
 
 def ggvf_weight(grad_f: VectorField, K: float) -> ScalarField:
@@ -626,12 +629,8 @@ def ggvf_solve(
     The scheme constraints are checked for the worst case g = 1, h = 0,
     whatever the image; report.params holds the resolved pair.
     """
-    spec = f.spec
-    mask = _domain(mask, spec)
-    violations = validate_params(GvfParams(g=1.0, h=0.0, dt=p.dt))
-    if violations and not force:
-        raise ParameterError("; ".join(violations) + " (GGVF worst case g = 1, h = 0)")
-    return _iterate(_masked_source(f, p.cap, mask), p, mask, periodic)
+    return _solve(f, p, GvfParams(g=1.0, h=0.0, dt=p.dt), " (GGVF worst case g = 1, h = 0)",
+                  mask, periodic, force)
 
 
 # --- steady-state oracles -----------------------------------------------------------

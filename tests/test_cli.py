@@ -265,7 +265,7 @@ COLLAPSING = ["--b", "0.5", "--tensile-sign", "-1", "--eps", "0.002", "--snake-i
 
 
 class TestRunEnd:
-    """How a run of gvf, ggvf, snake or spectral ends: summary.json is
+    """How a run of gvf, ggvf, snake, spectral or sweep ends: summary.json is
     written however a run that made its artifact directory ends, and the
     exit code follows the solve and the snake."""
 
@@ -311,6 +311,23 @@ class TestRunEnd:
         assert main([*argv, *u48, "--out", "e"]) == code
         s = summary_of(Path("e"))
         assert capsys.readouterr().err == f"error: {s['error']}\n"
+        assert set(s) == {"command", "image", "effective_config", "wall_ms", "error"}
+
+    def test_sweep_summary_holds_the_frame_rows_and_table(self, u48, capsys):
+        assert main(["sweep", *u48, "--out", "sw", "--g-list", "1,2", "--t-max", "50"]) == 0
+        s = summary_of(Path("sw"))
+        assert without_wall(s) == {
+            "command": "sweep", "image": "u48.pgm", "effective_config": s["effective_config"],
+            "rows": 2, "artifacts": ["sweep.csv"]}
+        assert s["effective_config"]["sigma"] == 0 and s["effective_config"]["t_max"] == 50
+        assert len(Path("sw/sweep.csv").read_text().splitlines()) == 3
+        assert capsys.readouterr().err == ""
+
+    def test_sweep_with_a_missing_image_leaves_the_error_in_the_summary(self, u48, capsys):
+        assert main(["sweep", "--image", "missing.pgm", "--out", "m"]) == EXIT_IO
+        s = summary_of(Path("m"))
+        assert capsys.readouterr().err == f"error: {s['error']}\n"
+        assert "missing.pgm" in s["error"]
         assert set(s) == {"command", "image", "effective_config", "wall_ms", "error"}
 
     @pytest.mark.parametrize("flags, message", [
@@ -671,8 +688,7 @@ class TestCommandLine:
         assert code in (EXIT_OK, EXIT_NO_CONVERGENCE)
         echoed = json.loads(captured.out.splitlines()[0])["effective_config"]
         assert set(echoed) == registered
-        if command != "sweep":
-            assert set(summary_of(out)["effective_config"]) == registered
+        assert set(summary_of(out)["effective_config"]) == registered
 
     @pytest.mark.parametrize("command, flags", [
         # flags the command does not read

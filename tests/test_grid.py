@@ -194,6 +194,10 @@ class TestClampMagnitude:
         out = gv.clamp_magnitude(field, math.inf)
         assert np.array_equal(out.u.values, field.u.values)
 
+    def test_infinite_cap_returns_the_field_itself(self):
+        field = gv.VectorField.from_arrays(np.ones((4, 4)), np.zeros((4, 4)))
+        assert gv.clamp_magnitude(field, math.inf) is field
+
     def test_idempotent_and_never_grows(self):
         rng = np.random.default_rng(8)
         field = gv.VectorField.from_arrays(

@@ -70,9 +70,35 @@ class TestPgm:
 
     def test_p2_sample_beyond_float_range_is_format_error(self, tmp_path):
         path = tmp_path / "big.pgm"
-        path.write_bytes(b"P2\n3 3\n255\n1 2 3 4 5 6 7 8 " + b"9" * 400 + b"\n")
-        with pytest.raises(FormatError, match="exceeds maxval 255"):
+        data = b"P2\n3 3\n255\n1 2 3 4 5 6 7 8 " + b"9" * 400 + b"\n"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="exceeds maxval 255") as err:
             io.read_pgm(path)
+        # the offset is the end of the sample's token
+        assert err.value.offset == data.index(b"9" * 400) + 400
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), width=st.integers(3, 6), height=st.integers(3, 6),
+           maxval=st.sampled_from([255, 65535]))
+    def test_p2_with_any_whitespace_and_comments_reads_as_its_p5(self, tmp_path_factory, data,
+                                                                 width, height, maxval):
+        # a separator: runs of ASCII whitespace and "#" comments to the end of a line
+        space = st.text(" \t\r\n\v\f", min_size=1, max_size=3).map(str.encode)
+        comment = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+        gap = st.lists(st.one_of(space, comment), min_size=1, max_size=3).map(b"".join)
+        values = data.draw(st.lists(st.integers(0, maxval), min_size=width * height,
+                                    max_size=width * height))
+        tokens = [b"P2", b"%d" % width, b"%d" % height, b"%d" % maxval]
+        text = data.draw(gap | st.just(b""))
+        for token in tokens + [b"%d" % v for v in values]:
+            text += token + data.draw(gap)
+        img = gv.ScalarField.from_array(np.array(values, float).reshape(height, width))
+        d = tmp_path_factory.mktemp("p2")
+        p2, p5 = d / "a.pgm", d / "b.pgm"
+        p2.write_bytes(text)
+        io.write_pgm(img, p5, maxval=maxval)
+        a, b = io.read_pgm(p2), io.read_pgm(p5)
+        assert a.spec == b.spec and np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("token", [b"-5", b"+9", b"1_0"])
     @pytest.mark.parametrize("where, what", [(0, "width"), (1, "height"), (2, "maxval"),

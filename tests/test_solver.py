@@ -25,7 +25,7 @@ from gvflow.errors import (
 )
 from gvflow.grid import _aligned_zeros
 from gvflow.ioformats import synth_ushape
-from gvflow.solver import _LineBlocks, _Stencil
+from gvflow.solver import _LineBlocks, _masked_source, _Stencil
 
 
 def impulse(n=8, value=1.0):
@@ -970,7 +970,8 @@ class TestPeakMemory:
     in H x W float64 arrays.  A GGVF solve holds the field, its spare,
     the neighbor sum, three coefficients (two planes each) and g and h;
     a GVF solve with constant g and h on the full rectangle has one
-    coefficient array, h*dt*grad_f."""
+    coefficient array, h*dt*grad_f.  The source at an infinite cap is
+    the gradient (two arrays) and the edge padding it reads, no copy."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -980,6 +981,7 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("case, budget", [
         ("ggvf_solve", 15), ("gvf_solve", 9), ("gvf_solve-masked", 15), ("steady_residual", 9),
+        ("masked_source", 3.5),
     ])
     def test_budget(self, problem, case, budget):
         f, mask, rep = problem
@@ -990,6 +992,7 @@ class TestPeakMemory:
             "gvf_solve-masked": lambda: gv.gvf_solve(f, p, mask),
             # the per-pixel pair, as the CLI's GGVF residual
             "steady_residual": lambda: gv.steady_residual(rep.field, f, rep.params),
+            "masked_source": lambda: _masked_source(f, math.inf, mask),
         }[case]
         assert traced_peak(call, f.spec) <= budget
 
