@@ -259,13 +259,16 @@ def _run_snake_stage(field: VectorField, grad_peak: float, cfg: dict, params: Sn
     force_peak pixels per step, evolve, write the _SNAKE_ARTIFACTS, and
     return the run's summary entries."""
     scale = cfg["force_peak"] / grad_peak if grad_peak > 0 else 1.0
-    # checked before the multiply, which would overflow, or give NaN at 0
-    if not float(np.abs(field.values).max()) * scale < math.inf:
+    # checked before the multiply, which would overflow, or give NaN at 0;
+    # the field is finite, so its largest |value| is max or -min, and
+    # neither copies it
+    if not max(float(field.values.max()), -float(field.values.min())) * scale < math.inf:
         raise ParameterError(
             f"--force-peak {cfg['force_peak']!r} over the gradient peak {grad_peak!r} "
             "(--force-scale, where given) scales the force field past the float range")
-    scaled = VectorField(field.spec, field.values * scale)
-    result = snake_evolve(init, scaled, params)
+    # the scaled field is held by no local name, so it is freed before
+    # the overlay is rendered
+    result = snake_evolve(init, VectorField(field.spec, field.values * scale), params)
     contour, overlay = (out_dir / name for name in _SNAKE_ARTIFACTS)
     ioformats.write_contour(result.snake.points, contour)
     ioformats.render(field, "magnitude-heatmap", overlay, snake_points=result.snake.points)

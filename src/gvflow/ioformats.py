@@ -11,9 +11,10 @@ and "#" comments, each comment running to the end of its line.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -79,15 +80,19 @@ def read_pgm(path) -> ScalarField:
         if pos >= len(data) or not data[pos : pos + 1].isspace():
             raise FormatError("missing raster separator", pos)
         start = pos + 1
-        nbytes = count * (2 if maxval > 255 else 1)
+        size = 2 if maxval > 255 else 1
+        nbytes = count * size
         raster = data[start : start + nbytes]
         if len(raster) != nbytes:
             raise FormatError(
                 f"truncated raster: expected {nbytes} bytes, got {len(raster)}",
                 start + len(raster),
             )
-        dtype = ">u2" if maxval > 255 else np.uint8
-        values = np.frombuffer(raster, dtype=dtype).astype(np.float64)
+        values = np.frombuffer(raster, dtype=">u2" if size == 2 else np.uint8).astype(np.float64)
+        over = values > maxval
+        if over.any():
+            # at the first bad sample's first byte
+            raise FormatError(f"sample exceeds maxval {maxval}", start + int(over.argmax()) * size)
     else:
         # every sample takes a byte at least: a header that claims more
         # samples than there are bytes left is refused before allocating
@@ -96,15 +101,13 @@ def read_pgm(path) -> ScalarField:
             raise FormatError(
                 f"truncated raster: {count} samples, only {left} bytes left", len(data))
         values = np.empty(count, dtype=np.float64)
-        try:
-            for i in range(count):
-                # pos moves past the token before the store that may overflow
-                sample, pos = _int_token(data, pos, "sample")
-                values[i] = sample
-        except OverflowError:
-            raise FormatError(f"sample exceeds maxval {maxval}", pos) from None
-    if np.any(values > maxval):
-        raise FormatError(f"sample exceeds maxval {maxval}", 0)
+        for i in range(count):
+            sample, pos = _int_token(data, pos, "sample")
+            # at the end of the token, checked before a store that could
+            # overflow the float
+            if sample > maxval:
+                raise FormatError(f"sample exceeds maxval {maxval}", pos)
+            values[i] = sample
     return ScalarField(GridSpec(width, height), values.reshape(height, width))
 
 
@@ -149,18 +152,8 @@ def _check_ascii(data: bytes, what: str) -> None:
         raise FormatError(f"non-ASCII byte in {what}", offset)
 
 
-def read_field(path) -> VectorField:
-    """Read a write_field container; values come back bit for bit.
-
-    The body is parsed in one pass that builds no per-line objects: the
-    tokens of every line stream through float() into one array.  Only a
-    malformed body goes back over the lines, to name the first bad one.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    _check_ascii(data, "field file")
-    lines = data.splitlines()
-    header = [line.decode("ascii") for line in lines[:3]]
+def _field_header(header: list) -> tuple[int, int]:
+    """Width and height from the first three lines of a field file, as str."""
     if not header or header[0] != FIELD_MAGIC:
         raise FormatError(f"bad field-file magic {header[0]!r}" if header else "empty file", 0)
     try:
@@ -172,6 +165,79 @@ def read_field(path) -> VectorField:
         raise FormatError(f"bad field dimensions {width}x{height}: grids must be at least 3x3")
     if not (dx == 1 and dy == 1):
         raise FormatError(f"bad grid spacing {header[2]!r}: pixels are unit squares, spacing 1 1")
+    return width, height
+
+
+def _plain_lines(text: bytes) -> bool:
+    """Whether text is ASCII and every "\\r" in it ends a line as "\\r\\n":
+    then bytes.splitlines and a file's line iterator cut it alike."""
+    return text.isascii() and (b"\r" not in text or text.count(b"\r") == text.count(b"\r\n"))
+
+
+def _stream_field(fh) -> VectorField | None:
+    """The field in the open file fh, parsed a grid row of lines at a
+    time into the output array, or None unless the file is one that
+    _parse_whole_field reads to the same values."""
+    header = list(islice(fh, 3))
+    if len(header) < 3 or not all(line.endswith(b"\n") and _plain_lines(line) for line in header):
+        return None
+    try:
+        width, height = _field_header([line.decode("ascii").rstrip("\r\n") for line in header])
+    except FormatError:
+        return None
+    # a value line takes 4 bytes at least, "0 0\n", the last one 3: the
+    # output is made only once the file could hold it
+    if os.fstat(fh.fileno()).st_size - fh.tell() < 4 * width * height - 1:
+        return None
+    uv = np.empty((2, height, width))
+    for row in range(height):
+        lines = list(islice(fh, width))
+        # at most one split per line, as _parse_whole_field splits: only
+        # width lines of two tokens each leave 2 * width of them
+        tokens = list(chain.from_iterable(map(bytes.split, lines, repeat(None), repeat(1))))
+        if len(tokens) != 2 * width or not _plain_lines(b"".join(lines)):
+            return None
+        try:
+            values = np.fromiter(map(float, tokens), np.float64, 2 * width)
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        uv[:, row] = values.reshape(width, 2).T
+    if any(line.strip() for line in fh):
+        return None
+    return VectorField(GridSpec(width, height), uv)
+
+
+def read_field(path) -> VectorField:
+    """Read a write_field container; values come back bit for bit.
+
+    The body is parsed a grid row of lines at a time straight into the
+    output, so the reader holds the output plus one row.  A file that
+    this stream does not take whole, every malformed one among them, is
+    read again whole by _parse_whole_field, which names its fault; so
+    is a pipe, which cannot be read twice.
+    """
+    with open(path, "rb") as fh:
+        if fh.seekable():
+            field = _stream_field(fh)
+            if field is not None:
+                return field
+            fh.seek(0)
+        data = fh.read()
+    return _parse_whole_field(data)
+
+
+def _parse_whole_field(data: bytes) -> VectorField:
+    """read_field on the bytes of the whole file at once.
+
+    The body is parsed in one pass that builds no per-line objects: the
+    tokens of every line stream through float() into one array.  Only a
+    malformed body goes back over the lines, to name the first bad one.
+    """
+    _check_ascii(data, "field file")
+    lines = data.splitlines()
+    width, height = _field_header([line.decode("ascii") for line in lines[:3]])
     count = width * height
     body = lines[3 : 3 + count]
     if len(body) != count or any(s.strip() for s in lines[3 + count :]):
@@ -340,6 +406,24 @@ def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+# Pixels per block of rows in render: each float temporary of a block
+# takes 32 KiB.
+_RENDER_BLOCK = 4096
+
+
+def _pixel_colors(mode: str, u: np.ndarray, v: np.ndarray, mag: np.ndarray,
+                  peak: float) -> np.ndarray:
+    """The (rows, W, 3) uint8 colors of magnitude-heatmap or direction-hue
+    for rows of the field components and of their magnitude, whose peak
+    over the whole field is peak."""
+    if mode == "magnitude-heatmap":
+        gray = np.zeros_like(mag) if peak == 0 else mag / peak
+        return np.repeat((gray * 255.0).astype(np.uint8)[:, :, None], 3, axis=2)
+    hue = (np.arctan2(v, u) / (2.0 * math.pi)) % 1.0
+    value = np.where(mag > 0, 1.0, 0.0)
+    return (_hsv_to_rgb(hue, np.ones_like(hue), value) * 255.0).astype(np.uint8)
+
+
 def _draw_line(img: np.ndarray, x0: int, y0: int, x1: int, y1: int, color):
     """Integer Bresenham segment, silently clipped at the image border."""
     hgt, wdt = img.shape[:2]
@@ -427,30 +511,29 @@ def render(
     u, v = field.values
     mag = np.hypot(u, v)
     peak = mag.max()
-    if mode == "magnitude-heatmap":
-        gray = np.zeros_like(mag) if peak == 0 else mag / peak
-        rgb = np.repeat((gray * 255.0).astype(np.uint8)[:, :, None], 3, axis=2)
-    elif mode == "direction-hue":
-        hue = (np.arctan2(v, u) / (2.0 * math.pi)) % 1.0
-        value = np.where(mag > 0, 1.0, 0.0)
-        rgb = (_hsv_to_rgb(hue, np.ones_like(hue), value) * 255.0).astype(np.uint8)
-    else:
-        rgb = np.zeros(mag.shape + (3,), dtype=np.uint8)
-        if peak > 0:
-            scale = arrow_stride / peak
-            hgt, wdt = mag.shape
-            for y in range(arrow_stride // 2, hgt, arrow_stride):
-                for x in range(arrow_stride // 2, wdt, arrow_stride):
-                    if mag[y, x] == 0:
-                        continue
-                    _draw_line(
-                        rgb,
-                        x,
-                        y,
-                        int(round(x + u[y, x] * scale)),
-                        int(round(y + v[y, x] * scale)),
-                        (255, 255, 255),
-                    )
+    rgb = np.zeros(mag.shape + (3,), dtype=np.uint8)
+    if mode != "arrows":
+        # a block of rows at a time, so the float temporaries stay small;
+        # each pixel's arithmetic is that of the whole image
+        step = max(1, _RENDER_BLOCK // mag.shape[1])
+        for top in range(0, mag.shape[0], step):
+            rows = slice(top, top + step)
+            rgb[rows] = _pixel_colors(mode, u[rows], v[rows], mag[rows], peak)
+    elif peak > 0:
+        scale = arrow_stride / peak
+        hgt, wdt = mag.shape
+        for y in range(arrow_stride // 2, hgt, arrow_stride):
+            for x in range(arrow_stride // 2, wdt, arrow_stride):
+                if mag[y, x] == 0:
+                    continue
+                _draw_line(
+                    rgb,
+                    x,
+                    y,
+                    int(round(x + u[y, x] * scale)),
+                    int(round(y + v[y, x] * scale)),
+                    (255, 255, 255),
+                )
     if snake_points is not None:
         pts = np.asarray(snake_points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):

@@ -518,11 +518,13 @@ def _iterate(source: VectorField, p: GvfParams | GgvfParams, mask: DomainMask,
         stencil = _Stencil(mask, periodic, source)
         del source
         coeffs = stencil.coeffs(p.g, p.h, p.dt, VectorField(spec, stencil.field))
-        # the energy sums interior pixels only, in row-major order
+        # the energy sums interior pixels only, in row-major order, taken
+        # into one buffer; the add.reduce of a 1-D array is its sum()
         inside = None if mask.is_full else np.flatnonzero(mask.inside)
+        taken = None if inside is None else np.empty(inside.size)
         # the calls of every iteration, bound once
         step, squared_change, sq = stencil.step, stencil.squared_change, stencil.change
-        sq_max, sq_sum, sq_take = sq.max, sq.sum, sq.take
+        sq_max, sq_sum, sq_take, add_reduce = sq.max, sq.sum, sq.take, np.add.reduce
 
         changes: list[float] = []
         energies: list[float] = []
@@ -531,7 +533,10 @@ def _iterate(source: VectorField, p: GvfParams | GgvfParams, mask: DomainMask,
             step(*coeffs)
             squared_change()
             change = math.sqrt(float(sq_max()))
-            energy = float(sq_sum() if inside is None else sq_take(inside).sum())
+            # mode "clip" writes straight into the buffer, where "raise"
+            # would copy it; every index is in range
+            energy = float(sq_sum() if inside is None
+                           else add_reduce(sq_take(inside, out=taken, mode="clip")))
             iterations = n
             changes.append(change)
             energies.append(energy)

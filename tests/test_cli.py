@@ -34,6 +34,7 @@ from gvflow.cli import (
     main,
 )
 from test_fingerprints import rational_ring
+from test_solver import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +259,23 @@ class TestSnakeCommand:
         pts = io.read_contour(out / "contour.csv")
         d = np.abs(np.hypot(pts[:, 0] - 64, pts[:, 1] - 64) - 25)
         assert d.mean() < 1.5
+
+    @pytest.mark.parametrize("command", ["snake", "render"])
+    def test_stored_field_commands_peak_below_seven_arrays(self, tmp_path, command):
+        # traced peak at 256^2 in H x W float64 arrays: the field read in
+        # two, the scaled force in two more, the overlay's magnitude and
+        # image; the reader used to hold twenty
+        rng = np.random.default_rng(53)
+        field = gv.VectorField.from_arrays(rng.normal(size=(256, 256)),
+                                           rng.normal(size=(256, 256)))
+        io.write_field(field, tmp_path / "field.gvf")
+        argv = {"snake": ["snake", "--field", str(tmp_path / "field.gvf"), "--out",
+                          str(tmp_path / "run"), "--init-circle", "127.5,127.5,100",
+                          "--force-scale", "4", "--snake-iters", "20"],
+                "render": ["render", "--field", str(tmp_path / "field.gvf"), "--mode",
+                           "direction-hue", "--out-image", str(tmp_path / "hue.ppm")]}[command]
+        main(argv)  # the first run's one-time costs are not the command's
+        assert traced_peak(lambda: main(argv), field.spec) <= 7
 
 
 # a small circle in the U's corner that shrinks to a point in 50 steps

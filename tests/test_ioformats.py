@@ -1,8 +1,11 @@
 """Codecs, synthetic corpus, rendering."""
 
 import math
+import os
 import time
 import warnings
+from itertools import chain, repeat
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 import gvflow as gv
 from gvflow import ioformats as io
 from gvflow.errors import FormatError, ParameterError
+from test_solver import traced_peak
 
 
 class TestPgm:
@@ -76,6 +80,26 @@ class TestPgm:
             io.read_pgm(path)
         # the offset is the end of the sample's token
         assert err.value.offset == data.index(b"9" * 400) + 400
+
+    @pytest.mark.parametrize("kind", ["P2", "P5", "P5-16"])
+    def test_sample_above_maxval_is_reported_at_the_sample(self, tmp_path, kind):
+        # samples 4 and 7 (0-based) exceed the header's maxval; the first
+        # one is named: at the end of its token in P2, at its first byte in P5
+        maxval = {"P2": 200, "P5": 200, "P5-16": 40000}[kind]
+        samples = [7, 0, 150, maxval, maxval + 1, 3, 9, 60000 if kind != "P5" else 255, 1]
+        header = f"{kind[:2]}\n# c\n3 3\n{maxval}\n".encode()
+        if kind == "P2":
+            data = header + b" ".join(b"%d" % s for s in samples) + b"\n"
+            offset = data.index(b" %d " % (maxval + 1)) + 1 + len(b"%d" % (maxval + 1))
+        else:
+            data = header + np.array(samples, ">u2" if kind == "P5-16" else np.uint8).tobytes()
+            offset = len(header) + 4 * (2 if kind == "P5-16" else 1)
+        path = tmp_path / "over.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"sample exceeds maxval {maxval} "
+                                              rf"\(byte offset {offset}\)") as err:
+            io.read_pgm(path)
+        assert err.value.offset == offset
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), width=st.integers(3, 6), height=st.integers(3, 6),
@@ -342,6 +366,195 @@ class TestMutatedFiles:
             reader(path)
 
 
+def _reference_read_field(path) -> gv.VectorField:
+    """read_field as it was before it streamed rows: the whole file's
+    bytes, split into lines, parsed in one pass.  The reference for every
+    value, message and offset of the streaming reader."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        offset = next(i for i, c in enumerate(data) if c > 127)
+        raise FormatError("non-ASCII byte in field file", offset)
+    lines = data.splitlines()
+    header = [line.decode("ascii") for line in lines[:3]]
+    if not header or header[0] != io.FIELD_MAGIC:
+        raise FormatError(f"bad field-file magic {header[0]!r}" if header else "empty file", 0)
+    try:
+        width, height = (int(t) for t in header[1].split())
+        dx, dy = (float(t) for t in header[2].split())
+    except (IndexError, ValueError):
+        raise FormatError("malformed field-file header") from None
+    if width < 3 or height < 3:
+        raise FormatError(f"bad field dimensions {width}x{height}: grids must be at least 3x3")
+    if not (dx == 1 and dy == 1):
+        raise FormatError(f"bad grid spacing {header[2]!r}: pixels are unit squares, spacing 1 1")
+    count = width * height
+    body = lines[3 : 3 + count]
+    if len(body) != count or any(s.strip() for s in lines[3 + count :]):
+        raise FormatError(f"expected {count} value lines, got {len(lines) - 3}")
+    tokens = chain.from_iterable(map(bytes.split, body, repeat(None), repeat(1)))
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, 2 * count).reshape(count, 2)
+    except ValueError:
+        def is_pair(tokens):
+            try:
+                _, _ = map(float, tokens)
+            except ValueError:
+                return False
+            return True
+        bad = next(i for i, line in enumerate(body) if not is_pair(line.split()))
+        raise FormatError(f"bad value pair on line {bad + 4}") from None
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise FormatError(f"non-finite value pair on line {bad[0] + 4}")
+    uv = np.ascontiguousarray(values.T).reshape(2, height, width)
+    return gv.VectorField(gv.GridSpec(width, height), uv)
+
+
+def _read_outcome(reader, path):
+    """("ok", grid spec, the values' bits) or ("error", message, offset)
+    of reader(path)."""
+    try:
+        field = reader(path)
+    except FormatError as err:
+        return "error", str(err), err.offset
+    return "ok", field.spec, field.values.view(np.int64).tobytes()
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# separators that bytes.split takes, and bytes that only str.split or
+# bytes.splitlines take
+_ODD_BYTES = [b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\xe9", b"\xc3\xa9",
+              b"\x85", b"1\r2\n", b"\r\r\n"]
+_FIELD_MUTATION = st.one_of(
+    _MUTATION,
+    st.tuples(st.just("insert"), _POSITION, st.sampled_from(_ODD_BYTES)),
+    # a whole line replaced: a pair split by a bare "\r", or a header
+    # that claims 10**10 value lines
+    st.tuples(st.just("line"), st.integers(0, 40),
+              st.sampled_from([b"1\r2", b"100000 100000", b"0 0 ", b"\x0b1\x0c2\x0b"])),
+)
+
+
+def _mutate_field(data: bytes, mutations) -> bytes:
+    """_mutate, plus ("line", k, text): line k (wrapping) replaced by text."""
+    for kind, at, arg in mutations:
+        if kind == "line":
+            lines = data.split(b"\n")
+            lines[at % len(lines)] = arg
+            data = b"\n".join(lines)
+        else:
+            data = _mutate(data, [(kind, at, arg)])
+    return data
+
+
+class TestStreamingFieldReader:
+    """read_field reads every file as _reference_read_field does: the same
+    values bit for bit, or the same FormatError message and offset."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), width=st.integers(3, 6), height=st.integers(3, 6))
+    def test_valid_files_stream_to_the_reference_values(self, tmp_path_factory, data, width,
+                                                        height):
+        u, v = (np.array(data.draw(st.lists(_FLOATS, min_size=width * height,
+                                            max_size=width * height))).reshape(height, width)
+                for _ in range(2))
+        path = tmp_path_factory.mktemp("f") / "f.gvf"
+        io.write_field(gv.VectorField.from_arrays(u, v), path)
+        lines = path.read_bytes().split(b"\n")[:-1]
+        space = st.text(" \t\x0b\x0c", max_size=3).map(str.encode)
+        gap = st.text(" \t\x0b\x0c", min_size=1, max_size=3).map(str.encode)
+        end = data.draw(st.sampled_from([b"\n", b"\r\n"]))
+        body = [data.draw(space) + a + data.draw(gap) + b + data.draw(space)
+                for a, b in (line.split(b" ") for line in lines[3:])]
+        tail = data.draw(st.lists(space, max_size=2))
+        text = end.join(lines[:3] + body + tail) + data.draw(st.sampled_from([b"", end]))
+        path.write_bytes(text)
+        # the stream takes every one of these files: the whole-file
+        # reader is never reached
+        with mock.patch.object(io, "_parse_whole_field", side_effect=AssertionError):
+            got = _read_outcome(io.read_field, path)
+        assert got == _read_outcome(_reference_read_field, path)
+        assert got[2] == np.stack([u, v]).view(np.int64).tobytes()
+
+    @settings(max_examples=600, deadline=None)
+    @given(mutations=st.lists(_FIELD_MUTATION, min_size=1, max_size=4),
+           crlf=st.booleans())
+    def test_mutated_files_read_as_the_reference_reads_them(self, valid_files, mutations, crlf):
+        d, files = valid_files
+        data = files["field.gvf"][1]
+        if crlf:
+            data = data.replace(b"\n", b"\r\n")
+        path = d / "differential.gvf"
+        path.write_bytes(_mutate_field(data, mutations))
+        assert _read_outcome(io.read_field, path) == _read_outcome(_reference_read_field, path)
+
+    @pytest.mark.parametrize("edit, message", [
+        # a pair the line iterator would take: two lines to splitlines
+        (lambda t: t.replace(b"1 0\n", b"1\r0\n", 1), "expected 20 value lines, got 21"),
+        (lambda t: t.replace(b"\n", b"\r"), None),
+        (lambda t: t[:-1] + b"\r", None),
+        (lambda t: t.replace(b"1 1\n", b"1\x0b1\n", 1), None),
+        (lambda t: t.replace(b"1 1\n", b"1\x1c1\n", 1), None),
+        (lambda t: t.replace(b"1 0\n", b"1\x1c0\n", 1), "bad value pair on line 4"),
+        (lambda t: t + b"\x0c\n", None),
+        (lambda t: t + b"0 0\n", "expected 20 value lines, got 21"),
+    ])
+    def test_line_breaks_and_spaces_of_the_whole_file_reader(self, tmp_path, edit, message):
+        # a bare "\r" breaks a line for bytes.splitlines but not for a
+        # file's line iterator; "\x1c" is a separator to str.split only
+        path = tmp_path / "e.gvf"
+        field = gv.VectorField.from_arrays(np.ones((4, 5)), np.zeros((4, 5)))
+        io.write_field(field, path)
+        path.write_bytes(edit(path.read_bytes()))
+        if message is None:
+            assert np.array_equal(io.read_field(path).values, field.values)
+        else:
+            with pytest.raises(FormatError, match=message):
+                io.read_field(path)
+        assert _read_outcome(io.read_field, path) == _read_outcome(_reference_read_field, path)
+
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_whole(self, valid_files):
+        # a pipe cannot be read twice, so it skips the stream
+        data = valid_files[1]["field.gvf"][1]
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            field = io.read_field(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert np.array_equal(field.values, io.read_field(valid_files[0] / "field.gvf").values)
+
+
+class TestPeakMemory:
+    """Traced peaks at 256^2, in H x W float64 arrays: read_field holds
+    its output plus one row's lines and values, and render builds its
+    image a block of rows at a time beside the magnitude."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        rng = np.random.default_rng(47)
+        field = gv.VectorField.from_arrays(rng.normal(size=(256, 256)), rng.normal(size=(256, 256)))
+        field.values[:, 100:110, 50:60] = 0.0
+        path = tmp_path_factory.mktemp("mem") / "field.gvf"
+        io.write_field(field, path)
+        return path, field
+
+    def test_read_field(self, stored):
+        path, field = stored
+        assert traced_peak(lambda: io.read_field(path), field.spec) <= 2.5
+
+    @pytest.mark.parametrize("mode", io.RENDER_MODES)
+    def test_render(self, stored, tmp_path, mode):
+        _, field = stored
+        call = lambda: io.render(field, mode, tmp_path / "r.ppm",
+                                 snake_points=np.array([[3.0, 4.0], [200.0, 9.0], [90.0, 250.0]]))
+        assert traced_peak(call, field.spec) <= 4
+
+
 class TestSynthCorpus:
     def test_disk_probe_pixels(self):
         img = io.synth_disk(64, 64, 32, 32, 10)
@@ -492,3 +705,21 @@ class TestRender:
         io.render(field, "direction-hue", a)
         io.render(field, "direction-hue", b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["magnitude-heatmap", "direction-hue"])
+    def test_row_blocks_color_as_the_whole_image(self, tmp_path, mode):
+        # 97 rows of 211 pixels make five blocks, the last one short; the
+        # whole-image expressions are those render used before it had blocks
+        rng = np.random.default_rng(46)
+        u, v = rng.normal(size=(2, 97, 211)) * rng.choice([1e-300, 1.0, 1e300], (2, 97, 211))
+        u[::3, ::2] = v[::3, ::2] = 0.0
+        path = tmp_path / "b.ppm"
+        io.render(gv.VectorField.from_arrays(u, v), mode, path)
+        mag = np.hypot(u, v)
+        if mode == "magnitude-heatmap":
+            expected = np.repeat((mag / mag.max() * 255.0).astype(np.uint8)[:, :, None], 3, axis=2)
+        else:
+            hue = (np.arctan2(v, u) / (2.0 * math.pi)) % 1.0
+            value = np.where(mag > 0, 1.0, 0.0)
+            expected = (io._hsv_to_rgb(hue, np.ones_like(hue), value) * 255.0).astype(np.uint8)
+        assert np.array_equal(self._read_ppm(path), expected)
