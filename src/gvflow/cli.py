@@ -12,9 +12,9 @@ run summary so a run is reconstructible from its artifacts.  Flags have
 no abbreviations, and a malformed command line is a parameter
 validation failure.
 
-Exit codes: 0 success, 1 parameter validation failure, 2 I/O or format
-error, 3 divergence, 4 non-convergence at the iteration cap or a snake
-that collapsed.
+Exit codes: 0 success, 1 parameter validation failure or a run out of
+memory, 2 I/O or format error, 3 divergence, 4 non-convergence at the
+iteration cap or a snake that collapsed.
 
 All artifacts are deterministic except the wall-time entries in
 summaries and sweep tables.
@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ioformats
-from .errors import DivergenceError, FormatError, GvfError, ParameterError
+from .errors import DivergenceError, FormatError, GvfError, ParameterError, SizeError
 from .grid import ScalarField, VectorField, clamp_magnitude, edge_map, gradient_central
 from .snake import Snake, SnakeParams, snake_evolve
 from .solver import (
@@ -300,33 +300,45 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _out_of_memory(command: str, spec=None) -> SizeError:
+    grid = f" on the {spec.width}x{spec.height} grid" if spec else ""
+    return SizeError(f"{command} ran out of memory{grid}")
+
+
 def _summarized(body):
     """body(args, cfg, summary, open_out) as the command of a run that
-    leaves summary.json.  The body checks its flags, then makes the --out
-    directory with open_out(source), which also records the run's input
-    path args.<source>; it adds its entries to summary and returns whether
-    its solve and snake converged, for exit 0 or 4.  Once the directory is
-    made, summary.json is written there however the run ends, with
-    command, effective_config, wall_ms (the run's wall time after config
-    parsing) and, where a GvfError or OSError ends it, that error's
-    message as error, before main maps the error to its exit code."""
+    leaves summary.json.  The body checks its flags, then calls
+    open_out(source), which makes the --out directory, records the run's
+    input path args.<source> and returns the directory and that input,
+    read; it adds its entries to summary and returns whether its solve
+    and snake converged, for exit 0 or 4.  Once the directory is made,
+    summary.json is written there however the run ends, with command,
+    effective_config, wall_ms (the run's wall time after config parsing)
+    and, where a GvfError or OSError ends it, that error's message as
+    error, before main maps the error to its exit code.  A MemoryError
+    ends it as a SizeError that names the command and the input's grid."""
     def command(args) -> int:
         cfg = _effective(args)
         t0 = time.perf_counter()
         summary = {"command": args.command, "effective_config": cfg}
-        made = []
+        made, grid = [], []
 
-        def open_out(source: str) -> Path:
+        def open_out(source: str):
             Path(args.out).mkdir(parents=True, exist_ok=True)
             made.append(Path(args.out))
             summary[source] = str(getattr(args, source))
-            return made[0]
+            read = ioformats.read_pgm if source == "image" else ioformats.read_field
+            data = read(getattr(args, source))
+            grid.append(data.spec)
+            return made[0], data
 
         try:
             return EXIT_OK if body(args, cfg, summary, open_out) else EXIT_NO_CONVERGENCE
-        except (GvfError, OSError) as exc:
+        except (GvfError, OSError, MemoryError) as exc:
+            if isinstance(exc, MemoryError):
+                exc = _out_of_memory(args.command, *grid)
             summary["error"] = str(exc)
-            raise
+            raise exc
         finally:
             if made:
                 summary["wall_ms"] = (time.perf_counter() - t0) * 1000.0
@@ -340,8 +352,7 @@ def _summarized(body):
 def _pipeline(args, cfg, summary, open_out) -> bool:
     circle = _parse_circle(args.snake) if args.snake else None
     snake_params = _snake_params(cfg)
-    out_dir = open_out("image")
-    image = ioformats.read_pgm(args.image)
+    out_dir, image = open_out("image")
     init = _circle_snake(circle, image.spec) if circle else None
     f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
     mask = build_mask(image, cfg["outer_margin"], cfg["inner_box"])
@@ -375,8 +386,7 @@ def cmd_snake(args, cfg, summary, open_out) -> bool:
     circle = _parse_circle(args.init_circle) if args.init_circle else None
     if args.force_scale is not None and not 0 < args.force_scale < math.inf:
         raise ParameterError(f"--force-scale must be finite and > 0, got {args.force_scale!r}")
-    out_dir = open_out("field")
-    field = ioformats.read_field(args.field)
+    out_dir, field = open_out("field")
     init = (_circle_snake(circle, field.spec) if circle
             else Snake(ioformats.read_contour(args.init_contour)))
     peak = float(field.magnitude().max()) if args.force_scale is None else args.force_scale
@@ -387,8 +397,7 @@ def cmd_snake(args, cfg, summary, open_out) -> bool:
 
 @_summarized
 def cmd_spectral(args, cfg, summary, open_out) -> bool:
-    open_out("image")
-    image = ioformats.read_pgm(args.image)
+    _, image = open_out("image")
     f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
     run = _solve_settings(cfg)
     grad = clamp_magnitude(gradient_central(f), run["cap"])
@@ -436,8 +445,7 @@ def cmd_sweep(args, cfg, summary, open_out) -> bool:
         else [None]
     )
     outers = [_margin(tok) for tok in args.outer_list.split(";")] if args.outer_list else [None]
-    out_dir = open_out("image")
-    image = ioformats.read_pgm(args.image)
+    out_dir, image = open_out("image")
     f = edge_map(image, sigma=cfg["sigma"], sign=cfg["edge_sign"])
 
     rows = []
@@ -572,7 +580,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except MemoryError:  # a command without a summary: synth or render
+            raise _out_of_memory(args.command) from None
     except (GvfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, DivergenceError):

@@ -1,11 +1,12 @@
 """Image and field serialization, synthetic test images, raster rendering.
 
 Codecs are deliberately minimal: PGM (P2/P5) in, PGM/PPM (P6) out, a
-plain-text "GVF1" vector field container, and a one-pair-per-line
-contour CSV.  All writers are deterministic: identical inputs produce
-byte-identical files.  A PGM header field or P2 sample is a token: a run
-of bytes that are neither ASCII whitespace nor "#", after any whitespace
-and "#" comments, each comment running to the end of its line.
+plain-text "GVF1" vector field container, read in one bounded pass, and
+a one-pair-per-line contour CSV.  All writers are deterministic:
+identical inputs produce byte-identical files.  A PGM header field or
+P2 sample is a token: a run of bytes that are neither ASCII whitespace
+nor "#", after any whitespace and "#" comments, each comment running to
+the end of its line.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -145,10 +146,11 @@ def write_field(field: VectorField, path) -> None:
             fh.write("".join(map("%.17g %.17g\n".__mod__, zip(u.tolist(), v.tolist()))))
 
 
-def _check_ascii(data: bytes, what: str) -> None:
-    """FormatError at the first byte of data outside ASCII, if any."""
+def _check_ascii(data: bytes, what: str, base: int = 0) -> None:
+    """FormatError at the first byte of data outside ASCII, if any; data
+    starts at byte offset base of its file."""
     if not data.isascii():
-        offset = next(i for i, c in enumerate(data) if c > 127)
+        offset = base + re.search(rb"[\x80-\xff]", data).start()
         raise FormatError(f"non-ASCII byte in {what}", offset)
 
 
@@ -168,93 +170,89 @@ def _field_header(header: list) -> tuple[int, int]:
     return width, height
 
 
-def _plain_lines(text: bytes) -> bool:
-    """Whether text is ASCII and every "\\r" in it ends a line as "\\r\\n":
-    then bytes.splitlines and a file's line iterator cut it alike."""
-    return text.isascii() and (b"\r" not in text or text.count(b"\r") == text.count(b"\r\n"))
+_FIELD_CHUNK = 1 << 14  # bytes read_field reads at a time
 
 
-def _stream_field(fh) -> VectorField | None:
-    """The field in the open file fh, parsed a grid row of lines at a
-    time into the output array, or None unless the file is one that
-    _parse_whole_field reads to the same values."""
-    header = list(islice(fh, 3))
-    if len(header) < 3 or not all(line.endswith(b"\n") and _plain_lines(line) for line in header):
-        return None
-    try:
-        width, height = _field_header([line.decode("ascii").rstrip("\r\n") for line in header])
-    except FormatError:
-        return None
-    # a value line takes 4 bytes at least, "0 0\n", the last one 3: the
-    # output is made only once the file could hold it
-    if os.fstat(fh.fileno()).st_size - fh.tell() < 4 * width * height - 1:
-        return None
-    uv = np.empty((2, height, width))
-    for row in range(height):
-        lines = list(islice(fh, width))
-        # at most one split per line, as _parse_whole_field splits: only
-        # width lines of two tokens each leave 2 * width of them
-        tokens = list(chain.from_iterable(map(bytes.split, lines, repeat(None), repeat(1))))
-        if len(tokens) != 2 * width or not _plain_lines(b"".join(lines)):
-            return None
-        try:
-            values = np.fromiter(map(float, tokens), np.float64, 2 * width)
-        except ValueError:
-            return None
-        if not np.isfinite(values).all():
-            return None
-        uv[:, row] = values.reshape(width, 2).T
-    if any(line.strip() for line in fh):
-        return None
-    return VectorField(GridSpec(width, height), uv)
+def _line_blocks(fh):
+    """The lines of the open binary file fh, a list per block, each block
+    cut where bytes.splitlines of the whole file ends a line; FormatError
+    at the first byte outside ASCII, as soon as it is read."""
+    held, offset = [], 0
+    while chunk := fh.read(_FIELD_CHUNK):
+        _check_ascii(chunk, "field file", offset)
+        offset += len(chunk)
+        # past the last line break; a "\r" at the end may be half of "\r\n"
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            yield b"".join((*held, memoryview(chunk)[:cut])).splitlines()
+            held = [chunk[cut:]]
+        else:
+            held.append(chunk)
+    yield b"".join(held).splitlines()
 
 
 def read_field(path) -> VectorField:
     """Read a write_field container; values come back bit for bit.
 
-    The body is parsed a grid row of lines at a time straight into the
-    output, so the reader holds the output plus one row.  A file that
-    this stream does not take whole, every malformed one among them, is
-    read again whole by _parse_whole_field, which names its fault; so
-    is a pipe, which cannot be read twice.
+    One pass parses the file a block of lines at a time straight into the
+    output.  A faulty file is read to its end, and its first fault is
+    raised in this order: a byte outside ASCII, the header, the number of
+    value lines (or text after them), a pair that is not two numbers, a
+    non-finite pair.
     """
-    with open(path, "rb") as fh:
-        if fh.seekable():
-            field = _stream_field(fh)
-            if field is not None:
-                return field
-            fh.seek(0)
-        data = fh.read()
-    return _parse_whole_field(data)
-
-
-def _parse_whole_field(data: bytes) -> VectorField:
-    """read_field on the bytes of the whole file at once.
-
-    The body is parsed in one pass that builds no per-line objects: the
-    tokens of every line stream through float() into one array.  Only a
-    malformed body goes back over the lines, to name the first bad one.
-    """
-    _check_ascii(data, "field file")
-    lines = data.splitlines()
-    width, height = _field_header([line.decode("ascii") for line in lines[:3]])
-    count = width * height
-    body = lines[3 : 3 + count]
-    if len(body) != count or any(s.strip() for s in lines[3 + count :]):
-        raise FormatError(f"expected {count} value lines, got {len(lines) - 3}")
-    # at most one split per line: a third token stays glued to the second
-    # and fails float(), a missing one leaves the iterator short
-    tokens = chain.from_iterable(map(bytes.split, body, repeat(None), repeat(1)))
-    try:
-        values = np.fromiter(map(float, tokens), np.float64, 2 * count).reshape(count, 2)
-    except ValueError:
-        bad = next(i for i, line in enumerate(body) if not _is_float_pair(line.split()))
-        raise FormatError(f"bad value pair on line {bad + 4}") from None
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        raise FormatError(f"non-finite value pair on line {bad[0] + 4}")
-    uv = np.ascontiguousarray(values.T).reshape(2, height, width)
-    return VectorField(GridSpec(width, height), uv)
+    with open(path, "rb", buffering=0) as fh:
+        blocks, lines = _line_blocks(fh), []
+        while len(lines) < 3 and (block := next(blocks, None)) is not None:
+            lines += block
+        blocks = chain([lines[3:]], blocks)
+        try:
+            width, height = _field_header([line.decode("ascii") for line in lines[:3]])
+        except FormatError:
+            for _ in blocks:  # a byte outside ASCII further on comes first
+                pass
+            raise
+        count = width * height
+        # once the file's size shows room for the count, at 4 bytes a value
+        # line ("0 0\n", the last one 3), u and v are the planes of the whole
+        # output; otherwise, as in a pipe, they grow apart as value lines
+        # arrive, never past the count, and are joined at the end
+        whole = 4 * count - 1 <= os.fstat(fh.fileno()).st_size
+        u = np.empty(2 * count if whole else 0)
+        v = u[count:] if whole else np.empty(0)
+        seen, trailing, bad, nonfinite = 0, False, None, None
+        for lines in blocks:
+            start, seen = seen, seen + len(lines)
+            body = lines[: max(0, count - start)]
+            trailing = trailing or any(s.strip() for s in lines[len(body) :])
+            if body and not (trailing or bad):
+                end = start + len(body)
+                if end > v.size:
+                    for plane in u, v:
+                        plane.resize(min(count, max(end, v.size * 5 // 4)), refcheck=False)
+                # one split a line at most: a third token stays glued to the
+                # second and fails float(), a missing one leaves the block
+                # short; the tokens are listed first, which parses faster
+                tokens = chain.from_iterable(map(bytes.split, body, repeat(None), repeat(1)))
+                try:
+                    values = np.fromiter(map(float, list(tokens)), np.float64, 2 * len(body))
+                except ValueError:
+                    bad = start + 4 + next(i for i, line in enumerate(body)
+                                           if not _is_float_pair(line.split()))
+                else:
+                    u[start:end], v[start:end] = values[0::2], values[1::2]
+                    if nonfinite is None and not np.isfinite(values).all():
+                        nonfinite = start + 4 + int(np.isfinite(values).argmin()) // 2
+            del lines, body  # freed before the next block is read
+    if trailing or seen < count:
+        raise FormatError(f"expected {count} value lines, got {seen}")
+    if bad:
+        raise FormatError(f"bad value pair on line {bad}")
+    if nonfinite:
+        raise FormatError(f"non-finite value pair on line {nonfinite}")
+    if not whole:
+        u.resize(2 * count, refcheck=False)
+        u[count:] = v
+    return VectorField(GridSpec(width, height), u.reshape(2, height, width))
 
 
 def _is_float_pair(tokens: list) -> bool:

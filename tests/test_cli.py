@@ -14,6 +14,11 @@ import warnings
 from io import StringIO
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -597,6 +602,41 @@ class TestTypedErrors:
         assert code == EXIT_IO
         assert "truncated raster" in err
         assert not (out / "field.gvf").exists()
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    @pytest.mark.parametrize("command", ["gvf", "ggvf"])
+    def test_memory_exhaustion_is_a_size_error(self, tmp_path, command):
+        # a 4096^2 image in a process whose address space is capped at
+        # 600 MiB: each H x W array takes 128 MiB, so the run cannot get
+        # its memory, and ends as a validation error with its summary
+        image = tmp_path / "big.pgm"
+        image.write_bytes(b"P5\n4096 4096\n255\n" + bytes(range(256)) * (4096 * 16))
+        out = tmp_path / "x"
+        cap = 600 * 2**20
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(Path(gv.__file__).resolve().parent.parent)]
+            + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        run = subprocess.run(
+            [sys.executable, "-m", "gvflow.cli", command, "--image", str(image), "--out", str(out),
+             "--sigma", "0", "--t-max", "2"],
+            env=env, capture_output=True, text=True, timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert run.returncode == EXIT_VALIDATION, run.stderr
+        assert "Traceback" not in run.stderr
+        message = f"{command} ran out of memory on the 4096x4096 grid"
+        assert run.stderr == f"error: {message}\n"
+        assert summary_of(out)["error"] == message
+
+    def test_memory_exhaustion_without_a_summary_is_a_size_error(self, stored_field, tmp_path,
+                                                                 capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(io, "render", exhausted)
+        code, err = self.run(["render", "--field", str(stored_field), "--mode", "arrows",
+                              "--out-image", str(tmp_path / "r.ppm")], capsys)
+        assert code == EXIT_VALIDATION
+        assert err == "error: render ran out of memory\n"
 
     def test_overflowing_snake_spacing_is_divergence(self, tmp_path, capsys):
         # perimeter / spacing is inf: past the snaxel cap, not an OverflowError

@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 import time
 import warnings
 from itertools import chain, repeat
@@ -335,6 +336,17 @@ def _mutate(data: bytes, mutations) -> bytes:
     return data
 
 
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    """A 256^2 field with a patch of zeros, and its file."""
+    rng = np.random.default_rng(47)
+    field = gv.VectorField.from_arrays(rng.normal(size=(256, 256)), rng.normal(size=(256, 256)))
+    field.values[:, 100:110, 50:60] = 0.0
+    path = tmp_path_factory.mktemp("mem") / "field.gvf"
+    io.write_field(field, path)
+    return path, field
+
+
 class TestMutatedFiles:
     """Every read of a damaged file either succeeds or raises FormatError."""
 
@@ -364,6 +376,20 @@ class TestMutatedFiles:
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(FormatError, match=message):
             reader(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_huge_dimensions_through_a_pipe_are_format_error(self, stored):
+        # a pipe has no size to check the header against: the output grows
+        # only as value lines arrive, so the lines of a 256^2 field under a
+        # header that claims 10**10 of them take less than 4 of its arrays
+        path, field = stored
+        data = path.read_bytes().replace(b"\n256 256\n", b"\n100000 100000\n", 1)
+
+        def read():
+            with pytest.raises(FormatError, match="expected 10000000000 value lines, got 65536"):
+                read_through_a_pipe(data)
+
+        assert traced_peak(read, field.spec) < 4
 
 
 def _reference_read_field(path) -> gv.VectorField:
@@ -470,10 +496,7 @@ class TestStreamingFieldReader:
         tail = data.draw(st.lists(space, max_size=2))
         text = end.join(lines[:3] + body + tail) + data.draw(st.sampled_from([b"", end]))
         path.write_bytes(text)
-        # the stream takes every one of these files: the whole-file
-        # reader is never reached
-        with mock.patch.object(io, "_parse_whole_field", side_effect=AssertionError):
-            got = _read_outcome(io.read_field, path)
+        got = _read_outcome(io.read_field, path)
         assert got == _read_outcome(_reference_read_field, path)
         assert got[2] == np.stack([u, v]).view(np.int64).tobytes()
 
@@ -514,38 +537,67 @@ class TestStreamingFieldReader:
                 io.read_field(path)
         assert _read_outcome(io.read_field, path) == _read_outcome(_reference_read_field, path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(mutations=st.lists(_FIELD_MUTATION, max_size=4),
+           ends=st.sampled_from([b"\n", b"\r\n", b"\r"]), chunk=st.sampled_from([1, 2, 3, 7]))
+    def test_chunks_of_a_few_bytes_read_as_the_reference_reads(self, valid_files, mutations,
+                                                              ends, chunk):
+        # every line, "\r\n" and token crosses a chunk boundary somewhere
+        d, files = valid_files
+        path = d / "chunked.gvf"
+        path.write_bytes(_mutate_field(files["field.gvf"][1].replace(b"\n", ends), mutations))
+        with mock.patch.object(io, "_FIELD_CHUNK", chunk):
+            got = _read_outcome(io.read_field, path)
+        assert got == _read_outcome(_reference_read_field, path)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_a_pipe_is_read_whole(self, valid_files):
-        # a pipe cannot be read twice, so it skips the stream
+        # a pipe has no size, so the output grows as the value lines
+        # arrive: in one step, or in many with chunks of 3 bytes
         data = valid_files[1]["field.gvf"][1]
-        read_end, write_end = os.pipe()
-        try:
-            os.write(write_end, data)
-            os.close(write_end)
-            field = io.read_field(f"/dev/fd/{read_end}")
-        finally:
-            os.close(read_end)
-        assert np.array_equal(field.values, io.read_field(valid_files[0] / "field.gvf").values)
+        expected = io.read_field(valid_files[0] / "field.gvf").values
+        for chunk in io._FIELD_CHUNK, 3:
+            with mock.patch.object(io, "_FIELD_CHUNK", chunk):
+                assert np.array_equal(read_through_a_pipe(data).values, expected)
+
+
+def read_through_a_pipe(data: bytes) -> gv.VectorField:
+    """read_field of the read end of a pipe that a writer thread fills
+    with data and closes."""
+    read_end, write_end = os.pipe()
+
+    def write():
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return io.read_field(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        writer.join()
 
 
 class TestPeakMemory:
     """Traced peaks at 256^2, in H x W float64 arrays: read_field holds
-    its output plus one row's lines and values, and render builds its
-    image a block of rows at a time beside the magnitude."""
+    its output plus one chunk's lines and values, whatever its line
+    breaks; through a pipe the output's two planes grow apart and are
+    joined at the end.  render builds its image a block of rows at a
+    time beside the magnitude."""
 
-    @pytest.fixture(scope="class")
-    def stored(self, tmp_path_factory):
-        rng = np.random.default_rng(47)
-        field = gv.VectorField.from_arrays(rng.normal(size=(256, 256)), rng.normal(size=(256, 256)))
-        field.values[:, 100:110, 50:60] = 0.0
-        path = tmp_path_factory.mktemp("mem") / "field.gvf"
-        io.write_field(field, path)
-        return path, field
-
-    def test_read_field(self, stored):
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_read_field(self, stored, tmp_path, end):
         path, field = stored
-        assert traced_peak(lambda: io.read_field(path), field.spec) <= 2.5
+        edited = tmp_path / "field.gvf"
+        edited.write_bytes(path.read_bytes().replace(b"\n", end))
+        assert traced_peak(lambda: io.read_field(edited), field.spec) <= 2.5
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_read_field_through_a_pipe(self, stored):
+        path, field = stored
+        data = path.read_bytes()
+        assert traced_peak(lambda: read_through_a_pipe(data), field.spec) <= 4
 
     @pytest.mark.parametrize("mode", io.RENDER_MODES)
     def test_render(self, stored, tmp_path, mode):
