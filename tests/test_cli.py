@@ -627,6 +627,21 @@ class TestTypedErrors:
         assert run.stderr == f"error: {message}\n"
         assert summary_of(out)["error"] == message
 
+    @pytest.mark.parametrize("stage, grid", [("read_field", ""),
+                                             ("snake_evolve", " on the 32x32 grid")])
+    def test_memory_exhaustion_names_the_grid_once_it_is_read(self, stored_field, tmp_path,
+                                                             capsys, monkeypatch, stage, grid):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(io if stage == "read_field" else cli, stage, exhausted)
+        out = tmp_path / "s"
+        code, err = self.run(["snake", "--field", str(stored_field), "--out", str(out),
+                              "--init-circle", "16,16,8"], capsys)
+        assert code == EXIT_VALIDATION
+        assert err == f"error: snake ran out of memory{grid}\n"
+        assert summary_of(out)["error"] == f"snake ran out of memory{grid}"
+
     def test_memory_exhaustion_without_a_summary_is_a_size_error(self, stored_field, tmp_path,
                                                                  capsys, monkeypatch):
         def exhausted(*args, **kwargs):
