@@ -18,25 +18,28 @@ the spectral oracle.
 
 One stencil operator (_Stencil) serves the iteration, gvf_step and
 steady_residual, and grid.laplacian_5pt shares its neighbor terms and
-their sum.  Each plane of the field's (2, H, W) array (grid.VectorField)
-sits between two zero rows of a (2, H+2, W) buffer, and the neighbor
-sum is four shifted views of the buffer's flattened span.  The stencil
-builds those views, and every other view an iteration touches, once: on
-a small grid a solve's cost is numpy's per-call overhead, so an
-iteration makes only the calls of its arithmetic.  The views are right
-at every pixel whose four neighbors lie in the domain.  For the others,
-the boundary pixels, one table (_border_table) lists the four neighbors,
-each one outside the domain replaced by its stand-in: the pixel itself
-under the mirror rule, the far end of its row or column under periodic
-borders.  The grid border counts as outside, so on every domain (the
-full rectangle, a mask, periodic borders) one gather of that table fixes
-up the sum at the boundary pixels, and a mask's exterior stays at zero.
-Every sum adds x+1, x-1, y+1, y-1 in that order
-(grid._neighbor_offsets), so all results are reproducible to the last
-bit.  Every buffer the iteration writes starts its written span on a
-64-byte cache line (grid._aligned_zeros): numpy aligns to 16 bytes only,
-and a ufunc whose output is split across cache lines runs about half as
-fast.
+their sum.  On it one function (_steady_defect) defines h*src - A*v, A
+the steady-state operator, for steady_residual and the direct oracle's
+refinement, both on the domain's bounding box grown by one pixel, so
+their cost follows the domain, not the grid.  Each plane of the field's
+(2, H, W) array (grid.VectorField) sits between two zero rows of a
+(2, H+2, W) buffer, and the neighbor sum is four shifted views of the
+buffer's flattened span.  The stencil builds those views, and every
+other view an iteration touches, once: on a small grid a solve's cost is
+numpy's per-call overhead, so an iteration makes only the calls of its
+arithmetic.  The views are right at every pixel whose four neighbors lie
+in the domain.  For the others, the boundary pixels, one table
+(_border_table) lists the four neighbors, each one outside the domain
+replaced by its stand-in: the pixel itself under the mirror rule, the
+far end of its row or column under periodic borders.  The grid border
+counts as outside, so on every domain (the full rectangle, a mask,
+periodic borders) one gather of that table fixes up the sum at the
+boundary pixels, and a mask's exterior stays at zero.  Every sum adds
+x+1, x-1, y+1, y-1 in that order (grid._neighbor_offsets), so all
+results are reproducible to the last bit.  Every buffer the iteration
+writes starts its written span on a 64-byte cache line
+(grid._aligned_zeros): numpy aligns to 16 bytes only, and a ufunc whose
+output is split across cache lines runs about half as fast.
 
 A solve holds each full-size array once, and makes none that it does
 not keep: the field, its spare, the neighbor sum (whose first plane
@@ -63,9 +66,8 @@ for periodic borders, a Fourier-domain solution) pin it down exactly.
 The direct solve is block LU of the block-tridiagonal steady-state
 system with numpy.linalg alone, one block per grid line (across the
 shorter side of a rectangle): O(L * S^3) for L lines of S pixels, and
-one factorization serves both components.  It works on the domain's
-bounding box grown by one pixel, so its cost follows the domain, not the
-grid.  No code in gvflow imports scipy.
+one factorization serves both components.  No code in gvflow imports
+scipy.
 """
 
 from __future__ import annotations
@@ -382,7 +384,7 @@ class _Stencil:
     ones.
     """
 
-    def __init__(self, mask: DomainMask, periodic: bool, field: VectorField):
+    def __init__(self, mask: DomainMask, periodic: bool, field: np.ndarray):
         if periodic and not mask.is_full:
             raise ParameterError("periodic borders require the full-rectangle domain")
         self._spec = mask.spec
@@ -397,7 +399,7 @@ class _Stencil:
         self.change = self._nb_planes[0]
         self._outside = None if mask.is_full else ~mask.inside
         self._cur, self._old = self._buffer(), None
-        self.field[...] = field.values
+        self.field[...] = field
         at, table = _border_table(mask, periodic)
         self._fix_at = np.concatenate([at, at + plane])
         self._fix_table = np.concatenate([table, table + plane], axis=1)
@@ -494,7 +496,7 @@ def gvf_step(
     if grad_f.spec != spec:
         raise DimensionError("field and gradient grids differ")
     mask = _domain(mask, spec)
-    stencil = _Stencil(mask, periodic, v)
+    stencil = _Stencil(mask, periodic, v.values)
     stencil.step(*stencil.coeffs(p.g, p.h, p.dt, grad_f))
     out = stencil.field.copy()
     np.copyto(out, v.values, where=~mask.inside)
@@ -515,7 +517,7 @@ def _iterate(source: VectorField, p: GvfParams | GgvfParams, mask: DomainMask,
                       dt=p.dt, delta=p.delta, cap=p.cap, max_iter=p.max_iter)
     # a forced run may overflow, which the loop reports as a DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        stencil = _Stencil(mask, periodic, source)
+        stencil = _Stencil(mask, periodic, source.values)
         del source
         coeffs = stencil.coeffs(p.g, p.h, p.dt, VectorField(spec, stencil.field))
         # the energy sums interior pixels only, in row-major order, taken
@@ -692,12 +694,11 @@ class _LineBlocks:
     def __init__(self, inside: np.ndarray, c: np.ndarray, h: np.ndarray):
         east, west, below, above = (nb[inside] for nb in _neighbor_flags(inside))
         c = c[inside]
-        self._diag = h[inside] + c * (east.astype(np.intp) + west + below + above)
+        diag = h[inside] + c * (east.astype(np.intp) + west + below + above)
         # weights to the x+1, x-1, y+1, y-1 neighbors: zero where that
         # neighbor is exterior, so every pixel may read a neighbor entry
         # unconditionally, at any valid index where there is none
-        self._east, self._west, self._below, self._above = (
-            c * flag for flag in (east, west, below, above))
+        east, west, self._below, self._above = (c * flag for flag in (east, west, below, above))
         ys, xs = np.nonzero(inside)
         index = np.cumsum(inside).reshape(inside.shape) - 1
         self._above_at = index[ys - 1, xs]
@@ -712,12 +713,12 @@ class _LineBlocks:
         rows = np.flatnonzero(counts)
         self._spans = list(zip((ends - counts)[rows].tolist(), ends[rows].tolist()))
         self._inverses = []
-        east, west, above = -self._east, -self._west, self._above[:, None]
+        east, west, above = -east, -west, self._above[:, None]
         # whether the row kept before is the row above
         for (lo, hi), coupled in zip(self._spans, (np.diff(rows, prepend=-2) == 1).tolist()):
             s = hi - lo
             S = np.zeros((s, s))
-            S.flat[::s + 1] = self._diag[lo:hi]
+            S.flat[::s + 1] = diag[lo:hi]
             S.flat[1::s + 1] = east[lo:hi - 1]
             S.flat[s::s + 1] = west[lo + 1:hi]
             if coupled:
@@ -736,13 +737,42 @@ class _LineBlocks:
             x[lo:hi] += inverse @ (below[lo:hi] * x[below_at[lo:hi]])
         return x
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x, for x of shape (n, 2)."""
-        ax = (self._diag[:, None] * x - self._above[:, None] * x[self._above_at]
-              - self._below[:, None] * x[self._below_at])
-        ax[:-1] -= self._east[:-1, None] * x[1:]
-        ax[1:] -= self._west[1:, None] * x[:-1]
-        return ax
+
+def _bounding_box(inside: np.ndarray) -> tuple[slice, slice]:
+    """The domain's bounding box grown by one pixel, and to at least 3
+    pixels a side, clipped to the grid.  The central differences at the
+    domain's pixels read only pixels in it, and at the grid border edge
+    padding agrees, so the gradient there is the full grid's."""
+    box = []
+    for axis, n in ((1, inside.shape[0]), (0, inside.shape[1])):
+        at = np.flatnonzero(inside.any(axis=axis))
+        lo = max(min(int(at[0]) - 1, n - 3), 0)
+        box.append(slice(lo, min(max(int(at[-1]) + 2, lo + 3), n)))
+    return box[0], box[1]
+
+
+def _box_problem(f: ScalarField, p: GvfParams, mask: DomainMask) -> tuple:
+    """The problem on the domain's box (_bounding_box): the box, the domain
+    on it, g and h (checked on the full grid, then cropped) and the masked
+    source of the cropped edge map, the full grid's at the domain."""
+    box = _bounding_box(mask.inside)
+    g, h = (c if np.ndim(c) == 0 else c[box]
+            for c in (_coeff_grid(p.g, f.spec), _coeff_grid(p.h, f.spec)))
+    edges = ScalarField.from_array(f.values[box])
+    domain = DomainMask(edges.spec, mask.inside[box])
+    return box, domain, g, h, _masked_source(edges, p.cap, domain)
+
+
+def _steady_defect(v, src: np.ndarray, g, h, domain: DomainMask, periodic: bool) -> np.ndarray:
+    """h*src - A*v = g*(nb - 4v) + h*(src - v) into src, A = diag(h) -
+    diag(g)*Lap the steady-state operator, for the (2, H, W) field v on
+    the grid of domain; right at the domain's pixels."""
+    stencil = _Stencil(domain, periodic, v)
+    c, nb = stencil.field, stencil.neighbor_sum()
+    # in place, in src and the neighbor sum, from the operands of every step
+    np.multiply(h, np.subtract(src, c, out=src), out=src)
+    np.subtract(nb, np.multiply(c, 4.0, out=c), out=nb)
+    return np.add(np.multiply(g, nb, out=nb), src, out=src)
 
 
 def direct_steady_solve(
@@ -763,71 +793,49 @@ def direct_steady_solve(
     W x H rectangle they cross the shorter side, for O(max(W, H) *
     min(W, H)^3) time and, at the 4096-pixel limit, at most 2 MiB of
     inverses.  Where g and h allow an ill-conditioned system, one step
-    of iterative refinement restores the digits elimination loses.  The
-    coefficients come from the mask's neighbor flags, _neighbor_flags,
-    which the solver's _border_table reads too; the tests' pixel-by-pixel
-    scipy assembly checks both.  Limited to small test-scale domains.
+    of iterative refinement from steady_residual's operator restores
+    the digits elimination loses.  The coefficients come from the mask's
+    neighbor flags, _neighbor_flags, which the solver's _border_table
+    reads too; the tests' pixel-by-pixel scipy assembly checks both.
+    Limited to small test-scale domains.
 
     Raises RankError when the steady state is not unique: g and h both
     vanish at a pixel, or h vanishes on a whole connected component.
     """
-    spec = f.spec
-    mask = _domain(mask, spec)
-    m = mask.inside_count
-    if m > _ORACLE_LIMIT:
-        raise SizeError(
-            f"{m} interior pixels exceed the oracle limit of {_ORACLE_LIMIT}"
-        )
-    box = _bounding_box(mask.inside)
-    g, h = (c if np.ndim(c) == 0 else c[box]
-            for c in (_coeff_grid(p.g, spec), _coeff_grid(p.h, spec)))
-    inside = mask.inside[box]
-    sub = GridSpec(inside.shape[1], inside.shape[0])
-    source = _masked_source(ScalarField(sub, f.values[box]), p.cap, DomainMask(sub, inside))
-    grids = np.empty((4,) + sub.shape)
-    grids[0], grids[1], grids[2:] = g, h, h * source.values
-    if np.any((grids[0] == 0) & (grids[1] == 0) & inside):
+    mask = _domain(mask, f.spec)
+    if (m := mask.inside_count) > _ORACLE_LIMIT:
+        raise SizeError(f"{m} interior pixels exceed the oracle limit of {_ORACLE_LIMIT}")
+    box, domain, g, h, source = _box_problem(f, p, mask)
+    inside = domain.inside
+    g_grid, h_grid = (np.broadcast_to(c, inside.shape) for c in (g, h))
+    if np.any((g_grid == 0) & (h_grid == 0) & inside):
         raise RankError("g and h both vanish at an interior pixel")
-    _check_reaction(inside, grids[1] > 0)
+    _check_reaction(inside, h_grid > 0)
 
     # the stencil is symmetric in x and y, so the transposed system is
     # the same system, with lines along the other axis
     transpose = (inside.sum(axis=0) ** 3).sum() < (inside.sum(axis=1) ** 3).sum()
-    if transpose:
-        inside, grids = inside.T, grids.transpose(0, 2, 1)
-    c, h = grids[0], grids[1]
-    b = grids[2:, inside].T.copy()
+    # the domain's pixels in the system's line order, as indices of the box
+    at = (slice(None),) + (np.nonzero(inside.T)[::-1] if transpose else np.nonzero(inside))
     try:
-        system = _LineBlocks(inside, c, h)
+        system = _LineBlocks(*(a.T if transpose else a for a in (inside, g_grid, h_grid)))
     except np.linalg.LinAlgError:
         raise RankError("steady-state system is singular") from None
-    x = system.solve(b)
-    # Rows are diagonally dominant by h, so cond(A) <= (max h + 8 max c)
+    x = system.solve((h * source.values)[at].T.copy())
+    # Rows are diagonally dominant by h, so cond(A) <= (max h + 8 max g)
     # / min h (Varah's bound), and elimination loses about that many
     # digits where g spans decades more than h.  One step of iterative
-    # refinement from the float64 residual wins them back.
-    h_in = h[inside]
-    if not h_in.max() + 8.0 * c[inside].max() <= _REFINE_ABOVE * h_in.min():
-        x += system.solve(b - system.apply(x))
+    # refinement from the float64 residual h*src - A*x wins them back.
+    h_in = h_grid[inside]
+    if not h_in.max() + 8.0 * g_grid[inside].max() <= _REFINE_ABOVE * h_in.min():
+        v = np.zeros((2,) + inside.shape)
+        v[at] = x.T
+        x += system.solve(_steady_defect(v, source.values, g, h, domain, False)[at].T)
     if not np.all(np.isfinite(x)):
         raise RankError("steady-state system is singular")
-    out = np.zeros((2,) + spec.shape)
-    window = out[(slice(None),) + box]
-    (window.transpose(0, 2, 1) if transpose else window)[:, inside] = x.T
-    return VectorField(spec, out)
-
-
-def _bounding_box(inside: np.ndarray) -> tuple[slice, slice]:
-    """The domain's bounding box grown by one pixel, and to at least 3
-    pixels a side, clipped to the grid.  The central differences at the
-    domain's pixels read only pixels in it, and at the grid border edge
-    padding agrees, so the gradient there is the full grid's."""
-    box = []
-    for axis, n in ((1, inside.shape[0]), (0, inside.shape[1])):
-        at = np.flatnonzero(inside.any(axis=axis))
-        lo = max(min(int(at[0]) - 1, n - 3), 0)
-        box.append(slice(lo, min(max(int(at[-1]) + 2, lo + 3), n)))
-    return box[0], box[1]
+    out = np.zeros((2,) + f.spec.shape)
+    out[(slice(None),) + box][at] = x.T
+    return VectorField(f.spec, out)
 
 
 @np.errstate(over="ignore")
@@ -839,29 +847,21 @@ def steady_residual(
 
     Lap is the solvers' stencil under the same border rule: mirrored, or
     wrapped for periodic=True, which the solvers allow on the full
-    rectangle only.  Zero exactly at the steady state; one explicit
-    step moves the field by dt times this quantity, so the fixed-point
-    identity is exact.  A residual past the float range (g near 1e308,
-    say) is inf.  Besides its own copy of the capped source it allocates
-    one field buffer, the stencil's, and works in place in the two.
+    rectangle only, whose box is the grid.  Zero exactly at the steady
+    state; one explicit step moves the field by dt times this quantity, so
+    the fixed-point identity is exact.  A residual past the float range (g
+    near 1e308, say) is inf.  It is h*grad_f - A*v (_steady_defect) on the
+    domain's box (_box_problem), as in direct_steady_solve's refinement:
+    its cost follows the domain, with the full grid's bits.
     """
-    spec = v.spec
-    if f.spec != spec:
+    if f.spec != v.spec:
         raise DimensionError("field and edge map grids differ")
-    mask = _domain(mask, spec)
-    g, h = _coeff_grid(p.g, spec), _coeff_grid(p.h, spec)
-    r = _masked_source(f, p.cap, mask).values
-    stencil = _Stencil(mask, periodic, v)
-    c = stencil.field
-    nb = stencil.neighbor_sum()
-    # r = g*(nb - 4c) + h*(source - c) in place, in the source's copy and
-    # the neighbor sum, from the operands of that expression's every step
-    np.multiply(h, np.subtract(r, c, out=r), out=r)
-    np.subtract(nb, np.multiply(c, 4.0, out=c), out=nb)
-    np.add(np.multiply(g, nb, out=nb), r, out=r)
+    mask = _domain(mask, v.spec)
+    box, domain, g, h, source = _box_problem(f, p, mask)
+    r = _steady_defect(v.values[(slice(None),) + box], source.values, g, h, domain, periodic)
     np.multiply(r, r, out=r)
     res_sq = np.add(r[0], r[1], out=r[0])
-    return math.sqrt(float(np.max(res_sq, where=mask.inside, initial=-np.inf)))
+    return math.sqrt(float(np.max(res_sq, where=domain.inside, initial=-np.inf)))
 
 
 # --- expansion consistency check ---------------------------------------------------
@@ -892,7 +892,7 @@ def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
     if unstable:
         raise ParameterError(unstable)
     grad = gradient_central(f)
-    stencil = _Stencil(DomainMask.full(f.spec), False, grad)
+    stencil = _Stencil(DomainMask.full(f.spec), False, grad.values)
     coeffs = stencil.coeffs(p.g, p.h, p.dt, grad)
     for _ in range(n):
         stencil.step(*coeffs)

@@ -25,7 +25,7 @@ from gvflow.errors import (
 )
 from gvflow.grid import _aligned_zeros
 from gvflow.ioformats import synth_ushape
-from gvflow.solver import _LineBlocks, _masked_source, _Stencil
+from gvflow.solver import _LineBlocks, _masked_source, _Stencil, _steady_defect
 
 
 def impulse(n=8, value=1.0):
@@ -679,7 +679,7 @@ class TestAlignedBuffers:
         mask = gv.DomainMask.full(spec)
         if kind == "masked":
             mask = gv.DomainMask.from_rects(spec, hole=(1, 2, 1, 1))
-        stencil = _Stencil(mask, kind == "periodic", field)
+        stencil = _Stencil(mask, kind == "periodic", field.values)
         weight = gv.ScalarField(spec, rng.random(spec.shape))
         coeffs = stencil.coeffs(weight, gv.ScalarField(spec, 1.0 - weight.values), 0.1, field)
         spans = [stencil._nb_span, stencil._cur.span, stencil._old.span, *coeffs]
@@ -719,7 +719,7 @@ class TestStencilNeighborSum:
         # magnitudes spread over 16 decades, so any other order changes last bits
         shape = (2,) + spec.shape
         u, v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
-        stencil = _Stencil(mask, periodic, gv.VectorField.from_arrays(u, v))
+        stencil = _Stencil(mask, periodic, np.stack([u, v]))
         got = stencil.neighbor_sum()[:, mask.inside]
 
         # each pixel's neighbor in 2-D indices, from the mask alone: wrapped
@@ -767,13 +767,45 @@ class TestEnergyNeverIncreases:
         assert np.all(np.diff(e) <= 1e-12 * e[:-1] + floor)
 
 
-def spsolve_steady_state(f, p, inside, x=None):
-    """The steady state by scipy's sparse LU, with the system assembled
-    pixel by pixel from the equation in direct_steady_solve's docstring:
-    an independent reference for the block elimination.  Given a
-    solution x, it returns the correction from x's residual instead."""
+class TestWeightedEnergyNeverIncreases:
+    """With per-pixel g and h the step evolves as d <- (I - dt*A) d, A =
+    diag(g) (diag(h/g) - Lap) self-adjoint in the inner product sum
+    x*y/g.  validate_params' rule keeps the eigenvalues of dt*A in
+    [0, 2), so sum |d|^2 / g never increases."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stencil_domains(), st.floats(0.01, 0.999), st.integers(0, 2**32 - 1))
+    def test_for_per_pixel_coefficients(self, domain, dt_share, seed):
+        spec, mask, periodic = domain
+        rng = np.random.default_rng(seed)
+        g = rng.uniform(0.01, 2.0, spec.shape)
+        h = g * rng.uniform(0.0, 1.0, spec.shape)
+        # dt at the given share of the limits dt*max(h + 4g + 4*sqrt(g*max g)) < 2
+        # and h*dt < 1
+        decay = np.max(h + 4.0 * g + 4.0 * np.sqrt(g * g.max()))
+        dt = dt_share * min(2.0 / decay, 1.0 / h.max() if h.max() else math.inf)
+        p = gv.GvfParams(g=gv.ScalarField(spec, g), h=gv.ScalarField(spec, h), dt=dt)
+        assume(not gv.validate_params(p))
+        grad = gv.gradient_central(gv.ScalarField(spec, rng.random(spec.shape) * 100.0))
+        v, weighted = grad, []
+        for _ in range(150):
+            new = gv.gvf_step(v, grad, p, mask, periodic)
+            d = (new.values - v.values)[:, mask.inside]
+            weighted.append(float(np.sum(d * d / g[mask.inside])))
+            v = new
+        e = np.array(weighted)
+        # the constant-coefficient test's rounding floor, weighted by at most 1/min g
+        scale = max(np.abs(v.values).max(), np.abs(grad.values).max())
+        floor = mask.inside_count * (16.0 * np.finfo(float).eps * scale) ** 2
+        assert np.all(np.diff(e) <= 1e-12 * e[:-1] + floor / g[mask.inside].min())
+
+
+def steady_system(f, p, inside):
+    """The steady-state system A x = b at the pixels of inside, in
+    row-major order, assembled pixel by pixel from the equation in
+    direct_steady_solve's docstring: A a scipy CSC matrix, b of shape
+    (n, 2)."""
     import scipy.sparse as sp
-    from scipy.sparse.linalg import spsolve
 
     height, width = inside.shape
     g, h = (np.broadcast_to(c.values if isinstance(c, gv.ScalarField) else c, inside.shape)
@@ -796,7 +828,17 @@ def spsolve_steady_state(f, p, inside, x=None):
     A = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n))
     grad = gv.clamp_magnitude(gv.gradient_central(f), p.cap)
-    b = np.stack([h[ys, xs] * grad.u.values[ys, xs], h[ys, xs] * grad.v.values[ys, xs]], 1)
+    return A, np.stack([h[ys, xs] * grad.u.values[ys, xs], h[ys, xs] * grad.v.values[ys, xs]], 1)
+
+
+def spsolve_steady_state(f, p, inside, x=None):
+    """The steady state by scipy's sparse LU on steady_system: an
+    independent reference for the block elimination.  Given a solution
+    x, it returns the correction from x's residual instead."""
+    from scipy.sparse.linalg import spsolve
+
+    A, b = steady_system(f, p, inside)
+    ys, xs = np.nonzero(inside)
     if x is not None:
         b = b - A @ x[:, ys, xs].T
     out = np.zeros((2,) + inside.shape)
@@ -875,6 +917,26 @@ class TestDirectSolveAgreesWithSpsolve:
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+class TestSteadyDefectIsTheAssembledOperator:
+    """_steady_defect, the h*src - A*v of steady_residual and of the
+    direct oracle's refinement, against the pixel-by-pixel assembly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=steady_problems(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_b_minus_a_v_to_1e_12_of_the_largest_term(self, problem, seed):
+        f, p, mask = problem
+        mask = mask or gv.DomainMask.full(f.spec)
+        A, b = steady_system(f, p, mask.inside)
+        # the exterior too holds values, which the mirror rule never reads
+        v = np.random.default_rng(seed).standard_normal((2,) + f.spec.shape) * 100.0
+        x = v[:, mask.inside].T
+        g, h = (c.values if isinstance(c, gv.ScalarField) else c for c in (p.g, p.h))
+        got = _steady_defect(v, _masked_source(f, p.cap, mask).values, g, h, mask, False)
+        A = A.tocoo()
+        largest = max(np.abs(b).max(), np.abs(A.data[:, None] * x[A.col]).max())
+        assert np.abs(got[:, mask.inside].T - (b - A @ x)).max() <= 1e-12 * largest
+
+
 class TestDirectSolveOnEmptyLines:
     """Grid lines without interior pixels hold no block of the
     elimination, so they change nothing and cost nothing."""
@@ -950,6 +1012,38 @@ class TestDirectSolveCrop:
         with mock.patch("gvflow.solver._bounding_box", lambda inside: whole):
             ref = gv.direct_steady_solve(f, p, mask).values
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+
+class TestSteadyResidualCrop:
+    """steady_residual works on the domain's bounding box grown by one
+    pixel, as the direct oracle does, with the full grid's bits."""
+
+    def test_a_small_window_in_a_large_grid_traces_almost_nothing(self):
+        rng = np.random.default_rng(7)
+        f = gv.ScalarField.from_array(rng.random((1024, 1024)) * 100.0)
+        v = gv.gradient_central(f)
+        inside = np.zeros(f.spec.shape, bool)
+        inside[500:512, 300:312] = True
+        mask = gv.DomainMask(f.spec, inside)
+        peak = traced_peak(lambda: gv.steady_residual(v, f, gv.GvfParams(), mask), f.spec)
+        assert peak <= 0.05
+
+    @settings(max_examples=100, deadline=None)
+    @given(stencil_domains(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_equals_the_uncropped_bits(self, domain, per_pixel, seed):
+        spec, mask, periodic = domain
+        rng = np.random.default_rng(seed)
+        f = gv.ScalarField(spec, rng.random(spec.shape) * 100.0)
+        v = gv.VectorField(spec, rng.standard_normal((2,) + spec.shape) * 10.0)
+        p = gv.GvfParams(g=0.9, h=0.2, cap=30.0)
+        if per_pixel:
+            p = gv.GvfParams(g=gv.ScalarField(spec, rng.uniform(0.1, 2.0, spec.shape)),
+                             h=gv.ScalarField(spec, rng.uniform(0.01, 1.0, spec.shape)))
+        got = gv.steady_residual(v, f, p, mask, periodic)
+        whole = (slice(None), slice(None))
+        with mock.patch("gvflow.solver._bounding_box", lambda inside: whole):
+            ref = gv.steady_residual(v, f, p, mask, periodic)
+        assert got.hex() == ref.hex()
 
 
 def traced_peak(call, spec) -> float:
