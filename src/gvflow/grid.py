@@ -125,6 +125,14 @@ class VectorField:
         return VectorField(self.spec, self.values.copy())
 
 
+def _constant(x: float) -> np.ndarray:
+    """x as a read-only 0-d float64 array, which a ufunc call takes
+    faster than a Python float."""
+    a = np.array(float(x))
+    a.flags.writeable = False
+    return a
+
+
 # --- the five-point neighbor sum -----------------------------------------------
 
 def _aligned_zeros(shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
@@ -157,13 +165,19 @@ def _neighbor_terms(flat: np.ndarray, span: slice, row: int) -> tuple[np.ndarray
     return tuple(flat[lo + d:hi + d] for d in _neighbor_offsets(row))
 
 
-def _sum_terms(terms, out: np.ndarray) -> np.ndarray:
-    """out = ((t0 + t1) + t2) + t3, left to right."""
+def _term_sum(terms, out: np.ndarray):
+    """out = ((t0 + t1) + t2) + t3, left to right, as a call whose
+    operands are bound, for a caller that sums the same views again and
+    again."""
     t0, t1, t2, t3 = terms
-    np.add(t0, t1, out=out)
-    np.add(out, t2, out=out)
-    np.add(out, t3, out=out)
-    return out
+    add = np.add
+
+    def term_sum() -> None:
+        add(t0, t1, out=out)
+        add(out, t2, out=out)
+        add(out, t3, out=out)
+
+    return term_sum
 
 
 # --- operators ----------------------------------------------------------------
@@ -187,7 +201,7 @@ def laplacian_5pt(f: ScalarField) -> ScalarField:
     row = p.shape[1]
     span = slice(row + 1, p.size - row - 1)
     nb = np.empty_like(p)
-    _sum_terms(_neighbor_terms(p.reshape(-1), span, row), nb.reshape(-1)[span])
+    _term_sum(_neighbor_terms(p.reshape(-1), span, row), nb.reshape(-1)[span])()
     return ScalarField(f.spec, nb[1:-1, 1:-1] - 4.0 * a)
 
 

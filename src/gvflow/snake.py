@@ -62,7 +62,7 @@ from .errors import (
     check_real,
     is_integer,
 )
-from .grid import VectorField
+from .grid import VectorField, _constant
 
 # Floor used when normalizing field vectors to unit length.
 _NORM_FLOOR = 1e-12
@@ -73,14 +73,6 @@ _MAX_RESAMPLED = 1 << 20
 
 # The least perimeter a contour is resampled at; below it, it has collapsed.
 _MIN_PERIMETER = 1e-9
-
-
-def _constant(x: float) -> np.ndarray:
-    """x as a read-only 0-d float64 array, which a ufunc call takes
-    faster than a Python float."""
-    a = np.array(float(x))
-    a.flags.writeable = False
-    return a
 
 
 _ZERO, _HALF, _ONE = _constant(0.0), _constant(0.5), _constant(1.0)

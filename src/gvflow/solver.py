@@ -16,24 +16,29 @@ the center pixel (zero-flux rule), both at the grid border and at the
 boundary of a masked domain; a periodic variant wraps instead and backs
 the spectral oracle.
 
-One stencil operator (_Stencil) serves the iteration, gvf_step and
-steady_residual, and grid.laplacian_5pt shares its neighbor terms and
-their sum.  On it one function (_steady_defect) defines h*src - A*v, A
-the steady-state operator, for steady_residual and the direct oracle's
-refinement, both on the domain's bounding box grown by one pixel, so
-their cost follows the domain, not the grid.  Each plane of the field's
-(2, H, W) array (grid.VectorField) sits between two zero rows of a
-(2, H+2, W) buffer, and the neighbor sum is four shifted views of the
-buffer's flattened span.  The stencil builds those views, and every
-other view an iteration touches, once: on a small grid a solve's cost is
-numpy's per-call overhead, so an iteration makes only the calls of its
-arithmetic.  The views are right at every pixel whose four neighbors lie
-in the domain.  For the others, the boundary pixels, one table
-(_border_table) lists the four neighbors, each one outside the domain
-replaced by its stand-in: the pixel itself under the mirror rule, the
-far end of its row or column under periodic borders.  The grid border
-counts as outside, so on every domain (the full rectangle, a mask,
-periodic borders) one gather of that table fixes up the sum at the
+One stencil operator (_Stencil) serves the iteration, gvf_step,
+expansion_check and steady_residual, and grid.laplacian_5pt shares its
+neighbor terms and their sum.  The explicit update lives in one generator
+(_Stencil.steps) that binds its operands once per solve, and the
+iteration, gvf_step and expansion_check drive it: an iteration makes the
+numpy calls of its arithmetic, no method call of the stencil and no
+attribute lookup but the swap of its two field buffers.  On the stencil
+one function (_steady_defect) defines h*src - A*v, A the steady-state
+operator, for steady_residual and the direct oracle's refinement, both
+on the domain's bounding box grown by one pixel, so their cost follows
+the domain, not the grid.  Each plane of the field's (2, H, W) array
+(grid.VectorField) sits between two zero rows of a (2, H+2, W) buffer,
+and the neighbor sum is four shifted views of the buffer's flattened
+span.  The stencil builds those views, and every other view an iteration
+touches, once: on a small grid a solve's cost is numpy's per-call
+overhead, so an iteration makes only the calls of its arithmetic.  The
+views are right at every pixel whose four neighbors lie in the
+domain.  For the others, the boundary pixels, one table (_border_table)
+lists the four neighbors, each one outside the domain replaced by its
+stand-in: the pixel itself under the mirror rule, the far end of its row
+or column under periodic borders.  The grid border counts as outside, so
+on every domain (the full rectangle, a mask, periodic borders) one
+gather of that table and one reduction of it fix up the sum at the
 boundary pixels, and a mask's exterior stays at zero.  Every sum adds
 x+1, x-1, y+1, y-1 in that order (grid._neighbor_offsets), so all
 results are reproducible to the last bit.  Every buffer the iteration
@@ -93,9 +98,10 @@ from .grid import (
     ScalarField,
     VectorField,
     _aligned_zeros,
+    _constant,
     _neighbor_offsets,
     _neighbor_terms,
-    _sum_terms,
+    _term_sum,
     clamp_magnitude,
     gradient_central,
 )
@@ -266,11 +272,12 @@ def _coeff_grid(c: float | ScalarField, spec: GridSpec | None = None):
     """Per-pixel coefficient as an (H, W) array, on grid spec if one is
     given; scalars pass through.  GvfParams refuses negative values, but
     a ScalarField's array may be written after that, so each use checks
-    again."""
+    again, with no full-grid temporary: fmin skips NaN, so its minimum
+    is below zero exactly where some value is (-0.0 is not)."""
     if isinstance(c, ScalarField):
         if spec is not None and c.spec != spec:
             raise DimensionError("per-pixel coefficient grid does not match field grid")
-        if np.any(c.values < 0):
+        if np.fmin.reduce(c.values, axis=None) < 0:
             raise ParameterError("per-pixel coefficients must be >= 0")
         return c.values
     return float(c)
@@ -367,21 +374,25 @@ class _Stencil:
     boundary pixel, like every pixel next to a mask's exterior.  There
     one gather of a (4, 2n) table of the neighbors, stand-ins in place
     of the ones outside the domain (_border_table), summed in the same
-    order and scattered back, overwrites the sum: one border mechanism
-    for the full rectangle, masks and periodic borders.  The neighbor
-    sum's buffer and the field's, their views, the table and the planes
-    that squared_change adds (into the first, self.change) are built
-    once, in __init__; coeffs(), which only steppers call, makes the
-    spare field buffer.  An iteration makes no view, reshape or slice.
+    order by one reduction and scattered back, overwrites the sum: one
+    border mechanism for the full rectangle, masks and periodic borders.
+    The neighbor sum's buffer and the field's, their views and the table
+    are built once, in __init__; coeffs(), which only steppers call,
+    makes the spare field buffer.
 
-    All arithmetic runs on the span; the pad rows inside it, between the
+    The explicit update is written once, in the generator steps(), which
+    binds every operand of an iteration once per solve, and its callers
+    drive it, one next() a step.  An iteration makes the numpy calls of
+    its arithmetic, through the bound neighbor sum (_summer), and no
+    method call of the stencil, view, reshape or slice; the only
+    attributes it touches are the two field buffers, which it swaps.  All
+    arithmetic runs on the span; the pad rows inside it, between the
     planes, hold scratch values that no result reads.  Coefficients are
     zero outside a mask's domain (coeffs), so its exterior stays exactly
-    zero.  step() writes into the other buffer and swaps, so an
-    iteration allocates nothing.  The span of every written buffer
-    (neighbor sum, both fields, the coefficients) starts on a 64-byte
-    cache line, since split stores cost about twice as much as aligned
-    ones.
+    zero.  A step writes into the other buffer and swaps, so an iteration
+    allocates nothing.  The span of every written buffer (neighbor sum,
+    both fields, the coefficients) starts on a 64-byte cache line, since
+    split stores cost about twice as much as aligned ones.
     """
 
     def __init__(self, mask: DomainMask, periodic: bool, field: np.ndarray):
@@ -395,8 +406,6 @@ class _Stencil:
         self._nb_flat = self._nb.reshape(-1)
         self._nb_span = self._nb_flat[span]
         self._nb_field = self._nb[:, 1:-1]
-        self._nb_planes = tuple(self._nb_field)
-        self.change = self._nb_planes[0]
         self._outside = None if mask.is_full else ~mask.inside
         self._cur, self._old = self._buffer(), None
         self.field[...] = field
@@ -404,7 +413,7 @@ class _Stencil:
         self._fix_at = np.concatenate([at, at + plane])
         self._fix_table = np.concatenate([table, table + plane], axis=1)
         self._fix_vals = np.empty(self._fix_table.shape)
-        self._fix_rows = tuple(self._fix_vals)
+        self._fix_sum = np.empty(self._fix_at.shape)
 
     def _buffer(self) -> _Buffer:
         """A zero (2, H+2, W) field buffer, span on a cache line, and its views."""
@@ -419,7 +428,7 @@ class _Stencil:
         return self._cur.interior
 
     def coeffs(self, g, h, dt: float, src: VectorField):
-        """The coefficients of step() for g, h (scalars or ScalarFields)
+        """The coefficients of steps() for g, h (scalars or ScalarFields)
         and the source field: keep = 1 - h*dt, hsrc = h*dt*src and
         rc = g*dt, zero outside the domain and in the pad rows.  Each is
         computed in its own span buffer; on the full rectangle a scalar
@@ -444,35 +453,52 @@ class _Stencil:
             np.copyto(out[:, 1:-1], 0.0, where=self._outside)
         return out.reshape(-1)[self._span]
 
+    def _summer(self, buf: _Buffer):
+        """The four-neighbor sum of the field in buf, into the neighbor
+        sum's span, as a call whose operands are bound."""
+        term_sum, nb_flat, at = _term_sum(buf.terms, self._nb_span), self._nb_flat, self._fix_at
+        take, table, vals = buf.flat.take, self._fix_table, self._fix_vals
+        reduce, fixed = np.add.reduce, self._fix_sum
+
+        def neighbor_sum() -> None:
+            term_sum()
+            # "clip" lets take write straight into out; every index is in range
+            take(table, out=vals, mode="clip")
+            # ((t0 + t1) + t2) + t3 to the bit from -0.0, the identity of +
+            # (+0.0 + -0.0 is +0.0), so four -0.0 stand-ins sum to -0.0
+            reduce(vals, axis=0, out=fixed, initial=-0.0)
+            nb_flat[at] = fixed
+
+        return neighbor_sum
+
     def neighbor_sum(self) -> np.ndarray:
         """The four-neighbor sum of the current field, a (2, H, W) view."""
-        cur, rows = self._cur, self._fix_rows
-        _sum_terms(cur.terms, self._nb_span)
-        # "clip" lets take write straight into out; every index is in range
-        cur.flat.take(self._fix_table, out=self._fix_vals, mode="clip")
-        self._nb_flat[self._fix_at] = _sum_terms(rows, rows[0])
+        self._summer(self._cur)()
         return self._nb_field
 
-    def step(self, keep, hsrc, rc) -> None:
-        """One explicit update keep*c + hsrc + rc*(nb - 4c) of the field,
-        with hsrc = h*dt*grad_f; coefficients from coeffs()."""
-        # the other buffer receives the new field; until then it is scratch
-        old, new, nb = self._cur.span, self._old.span, self._nb_span
-        self.neighbor_sum()
-        np.multiply(old, 4.0, out=new)
-        np.subtract(nb, new, out=nb)
-        np.multiply(nb, rc, out=nb)
-        np.multiply(old, keep, out=new)
-        np.add(new, hsrc, out=new)
-        np.add(new, nb, out=new)
-        self._cur, self._old = self._old, self._cur
-
-    def squared_change(self) -> np.ndarray:
-        """|v_new - v_old|^2 per pixel of the last step, into the
-        (H, W) plane self.change; overwrites the neighbor sum."""
-        d = np.subtract(self._cur.span, self._old.span, out=self._nb_span)
-        np.multiply(d, d, out=d)
-        return np.add(*self._nb_planes, out=self.change)
+    def steps(self, keep, hsrc, rc):
+        """The explicit update keep*c + hsrc + rc*(nb - 4c) of the field,
+        with hsrc = h*dt*grad_f, coefficients from coeffs(): each next()
+        makes one step and yields the spans of the new field and the old.
+        The old span stays as it is until the next step, which writes the
+        new field into it."""
+        keep, rc = (_constant(c) if np.ndim(c) == 0 else c for c in (keep, rc))
+        four, multiply, subtract, add = _constant(4.0), np.multiply, np.subtract, np.add
+        nb = self._nb_span
+        sum_old, sum_new = self._summer(self._cur), self._summer(self._old)
+        old, new = self._cur.span, self._old.span
+        while True:
+            # the other buffer receives the new field; until then it is scratch
+            sum_old()
+            multiply(old, four, out=new)
+            subtract(nb, new, out=nb)
+            multiply(nb, rc, out=nb)
+            multiply(old, keep, out=new)
+            add(new, hsrc, out=new)
+            add(new, nb, out=new)
+            self._cur, self._old = self._old, self._cur
+            yield new, old
+            old, new, sum_old, sum_new = new, old, sum_new, sum_old
 
 
 def _domain(mask: DomainMask | None, spec: GridSpec) -> DomainMask:
@@ -497,7 +523,7 @@ def gvf_step(
         raise DimensionError("field and gradient grids differ")
     mask = _domain(mask, spec)
     stencil = _Stencil(mask, periodic, v.values)
-    stencil.step(*stencil.coeffs(p.g, p.h, p.dt, grad_f))
+    next(stencil.steps(*stencil.coeffs(p.g, p.h, p.dt, grad_f)))
     out = stencil.field.copy()
     np.copyto(out, v.values, where=~mask.inside)
     return VectorField(spec, out)
@@ -519,25 +545,33 @@ def _iterate(source: VectorField, p: GvfParams | GgvfParams, mask: DomainMask,
     with np.errstate(over="ignore", invalid="ignore"):
         stencil = _Stencil(mask, periodic, source.values)
         del source
-        coeffs = stencil.coeffs(p.g, p.h, p.dt, VectorField(spec, stencil.field))
+        steps = stencil.steps(*stencil.coeffs(p.g, p.h, p.dt, VectorField(spec, stencil.field)))
+        # the squared change |v_new - v_old|^2 per pixel goes into the
+        # neighbor sum's buffer, free until the next step, and its planes
+        # are added into the first; its max and sum are those of the flat
+        # plane, whose reductions ndarray.max and sum run
+        d, (sq, sq_v) = stencil._nb_span, stencil._nb_field
+        sq_flat = sq.reshape(-1)
+        subtract, multiply, add = np.subtract, np.multiply, np.add
+        max_reduce, add_reduce = np.maximum.reduce, np.add.reduce
         # the energy sums interior pixels only, in row-major order, taken
-        # into one buffer; the add.reduce of a 1-D array is its sum()
+        # into one buffer
         inside = None if mask.is_full else np.flatnonzero(mask.inside)
         taken = None if inside is None else np.empty(inside.size)
-        # the calls of every iteration, bound once
-        step, squared_change, sq = stencil.step, stencil.squared_change, stencil.change
-        sq_max, sq_sum, sq_take, add_reduce = sq.max, sq.sum, sq.take, np.add.reduce
+        sq_take = sq_flat.take
 
         changes: list[float] = []
         energies: list[float] = []
         converged, iterations, first_change = False, 0, None
-        for n in range(1, p.max_iter + 1):
-            step(*coeffs)
-            squared_change()
-            change = math.sqrt(float(sq_max()))
+        # the range comes first, so that no step runs past max_iter
+        for n, (new, old) in zip(range(1, p.max_iter + 1), steps):
+            subtract(new, old, out=d)
+            multiply(d, d, out=d)
+            add(sq, sq_v, out=sq)
+            change = math.sqrt(float(max_reduce(sq_flat)))
             # mode "clip" writes straight into the buffer, where "raise"
             # would copy it; every index is in range
-            energy = float(sq_sum() if inside is None
+            energy = float(add_reduce(sq_flat) if inside is None
                            else add_reduce(sq_take(inside, out=taken, mode="clip")))
             iterations = n
             changes.append(change)
@@ -556,8 +590,9 @@ def _iterate(source: VectorField, p: GvfParams | GgvfParams, mask: DomainMask,
                 converged = True
                 break
 
-    # the report's copy of the field is made without the coefficients
-    del coeffs
+    # the report's copy of the field is made without the coefficients,
+    # which the generator's frame holds
+    del steps
     return SolveReport(
         field=VectorField(spec, stencil.field.copy()),
         iterations=iterations,
@@ -893,9 +928,8 @@ def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
         raise ParameterError(unstable)
     grad = gradient_central(f)
     stencil = _Stencil(DomainMask.full(f.spec), False, grad.values)
-    coeffs = stencil.coeffs(p.g, p.h, p.dt, grad)
-    for _ in range(n):
-        stencil.step(*coeffs)
+    for _ in zip(range(n), stencil.steps(*stencil.coeffs(p.g, p.h, p.dt, grad))):
+        pass
 
     hdt = p.h * p.dt
 

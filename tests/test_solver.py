@@ -25,7 +25,7 @@ from gvflow.errors import (
 )
 from gvflow.grid import _aligned_zeros
 from gvflow.ioformats import synth_ushape
-from gvflow.solver import _LineBlocks, _masked_source, _Stencil, _steady_defect
+from gvflow.solver import _coeff_grid, _LineBlocks, _masked_source, _Stencil, _steady_defect
 
 
 def impulse(n=8, value=1.0):
@@ -94,6 +94,22 @@ class TestParamTypes:
         g.values[3, 4] = -0.5
         with pytest.raises(ParameterError, match="per-pixel coefficients must be >= 0"):
             gv.direct_steady_solve(gv.gradient_central(impulse(8)), p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 63), st.sampled_from(
+        [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.0, -1.0])),
+        max_size=6))
+    def test_check_at_use_refuses_exactly_the_arrays_with_a_value_below_zero(self, writes):
+        # NaN, signed zeros and infinities written after construction, which
+        # the ScalarField's own finiteness check never sees
+        c = gv.ScalarField.from_array(np.ones((8, 8)))
+        for at, value in writes:
+            c.values.flat[at] = value
+        if np.any(c.values < 0):
+            with pytest.raises(ParameterError, match="^per-pixel coefficients must be >= 0$"):
+                _coeff_grid(c)
+        else:
+            assert _coeff_grid(c) is c.values
 
     @pytest.mark.parametrize("name", ["g", "h"])
     @pytest.mark.parametrize("call", [
@@ -742,6 +758,61 @@ class TestStencilNeighborSum:
             assert np.array_equal(got[comp].view(np.int64), expected.view(np.int64))
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(stencil_domains())
+    def test_negative_zero_field_sums_to_negative_zero(self, domain):
+        # ((-0.0 + -0.0) + -0.0) + -0.0 is -0.0, at the boundary pixels too,
+        # whose stand-ins one reduction sums
+        spec, mask, periodic = domain
+        stencil = _Stencil(mask, periodic, np.full((2,) + spec.shape, -0.0))
+        got = stencil.neighbor_sum()[:, mask.inside]
+        assert np.all(got == 0.0) and np.all(np.signbit(got))
+
+
+class TestOneLoopServesEveryCaller:
+    """gvf_step and gvf_solve drive the same update: n steps from the
+    masked source give the solve's field after n iterations, and the
+    change and energy recomputed from successive fields are its
+    histories, all to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stencil_domains(), st.booleans(), st.floats(0.01, 0.999), st.integers(1, 30),
+           st.integers(0, 2**32 - 1))
+    def test_steps_reproduce_the_solve(self, domain, per_pixel, dt_share, n, seed):
+        spec, mask, periodic = domain
+        rng = np.random.default_rng(seed)
+        if per_pixel:
+            g = rng.uniform(0.01, 2.0, spec.shape)
+            h = g * rng.uniform(0.0, 1.0, spec.shape)
+            decay = np.max(h + 4.0 * g + 4.0 * np.sqrt(g * g.max()))
+            g, h = gv.ScalarField(spec, g), gv.ScalarField(spec, h)
+        else:
+            g = float(rng.uniform(0.01, 5.0))
+            h = g * float(rng.uniform(0.0, 0.999))
+            decay = h + 8.0 * g
+        hmax = float(np.max(h.values if per_pixel else h))
+        dt = dt_share * min(2.0 / decay, 1.0 / hmax if hmax else math.inf)
+        p = gv.GvfParams(g=g, h=h, dt=dt, delta=1e-300, max_iter=n)
+        assume(not gv.validate_params(p))
+        f = gv.ScalarField(spec, rng.random(spec.shape) * 100.0)
+        rep = gv.gvf_solve(f, p, mask, periodic)
+        assert 1 <= rep.iterations <= n
+
+        src = _masked_source(f, p.cap, mask)
+        v, changes, energies = src, [], []
+        for _ in range(rep.iterations):
+            new = gv.gvf_step(v, src, p, mask, periodic)
+            d = new.values - v.values
+            d = d * d
+            sq = d[0] + d[1]
+            changes.append(math.sqrt(sq[mask.inside].max()))
+            energies.append(float(np.add.reduce(sq[mask.inside])))
+            v = new
+        assert np.array_equal(v.values.view(np.int64), rep.field.values.view(np.int64))
+        for got, want in ((changes, rep.change_history), (energies, rep.energy_history)):
+            assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+
 class TestEnergyNeverIncreases:
     """With constant g and h the step d = v^{n+1} - v^n evolves as
     d <- A d, A symmetric with eigenvalues a_k in (-1, 1] (a_k = 1 only
@@ -1018,14 +1089,20 @@ class TestSteadyResidualCrop:
     """steady_residual works on the domain's bounding box grown by one
     pixel, as the direct oracle does, with the full grid's bits."""
 
-    def test_a_small_window_in_a_large_grid_traces_almost_nothing(self):
+    @pytest.mark.parametrize("per_pixel", [False, True])
+    def test_a_small_window_in_a_large_grid_traces_almost_nothing(self, per_pixel):
         rng = np.random.default_rng(7)
         f = gv.ScalarField.from_array(rng.random((1024, 1024)) * 100.0)
         v = gv.gradient_central(f)
         inside = np.zeros(f.spec.shape, bool)
         inside[500:512, 300:312] = True
         mask = gv.DomainMask(f.spec, inside)
-        peak = traced_peak(lambda: gv.steady_residual(v, f, gv.GvfParams(), mask), f.spec)
+        p = gv.GvfParams()
+        if per_pixel:
+            # checked for negatives on the whole grid, still without a temporary
+            p = gv.GvfParams(g=gv.ScalarField(f.spec, rng.uniform(0.1, 2.0, f.spec.shape)),
+                             h=gv.ScalarField(f.spec, rng.uniform(0.01, 1.0, f.spec.shape)))
+        peak = traced_peak(lambda: gv.steady_residual(v, f, p, mask), f.spec)
         assert peak <= 0.05
 
     @settings(max_examples=100, deadline=None)
