@@ -17,10 +17,14 @@ resampling keeps snaxel spacing uniform so the tensile force stays
 meaningful while the contour stretches; a contour due for resampling
 whose perimeter has shrunk below 1e-9 stops the run as collapsed.
 
-A step is the same short sequence of whole-array calls in every
-setting, and allocates nothing.  A workspace (_Workspace), built once
-per snaxel count, owns the contour and every buffer and view a step
-touches; a resampling that keeps the count loads into the same one.
+A step is a short sequence of whole-array calls, the same at every step
+of a run, and makes no arrays.  A workspace (_Workspace), built once per
+snaxel count, owns the contour and every buffer and view a step
+touches, and its generator (_Workspace.steps) binds them all as it
+starts, so that a step makes the numpy calls of its arithmetic and no
+attribute lookup or call of a Python method.  A resampling that keeps
+the count writes into the workspace's own buffers and loads the result
+into the same workspace, and a new generator steps from it.
 The contour lives in one of two rings of N + 2 (x, y) rows, used in
 turn: a step reads one and writes the other.  A ring's two wrap rows
 repeat its last and first snaxel, so it gives both neighbors of every
@@ -30,12 +34,17 @@ step's own arrays are contiguous (N, 2) blocks, so the elementwise
 calls on them run as one flat loop; a numpy call on a strided two-row
 view costs about twice as much at a few hundred snaxels.  One take of
 flat indices fetches the four bilinear corners of every snaxel, u and v
-together (_Sampler).  Each clamp is a minimum and a maximum against the
-upper corner (w-1, h-1).  One hypot gives the length of every move and
-of every new segment, and one maximum.reduceat the largest of each, for
-the stop test and the upper spacing bound; the shortest segment is
-looked for only when the run resamples, the contour has not settled and
-no segment is too long.  A step is 27 numpy calls.
+together (_bilinear); the lower corner is found in float, truncated and
+lowered to (w-2, h-2), and cast to an index once.  Each clamp is a
+minimum against the upper corner (w-1, h-1) and a maximum against 0.
+A gamma or step of exactly 1 is not multiplied, since x * 1.0 is x to
+the bit.  One hypot gives the length of every move and of every new
+segment, and one maximum.reduceat the largest of each, for the stop
+test and the upper spacing bound; the shortest segment is looked for,
+by argmin, only when the run resamples, the contour has not settled and
+no segment is too long.  A step is 25 numpy calls, and 27 when gamma and step are
+not 1.  numpy's iterator still takes a buffer of its own, and returns
+it, for each call that broadcasts one operand against another.
 
 The loop runs with numpy's overflow and invalid-value errors raised:
 the field and the contour are finite, so a step's displacement is
@@ -157,69 +166,75 @@ def tensile_force(s: Snake, i: int) -> tuple[float, float]:
     return float(b[0]), float(b[1])
 
 
-class _Sampler:
-    """Bilinear samples of both field components at n points, with one
-    gather, into buffers of its own.
+def _bilinear(field: VectorField, n: int):
+    """sample(xy): bilinear samples of both field components at n points
+    of the image rectangle, with one gather, into a buffer of its own
+    that the next call overwrites.
 
     Points come as an (n, 2) array of (x, y) rows, as the contour holds
     them, and the samples go out as an (n, 2) array of (u, v) rows.  In
     between, the work runs along the n points: the field's values are
     viewed as a (2, H*W) array, and the four corners of every point, u
     and v together, come from one take of a (4, n) array of flat
-    indices.  The lower corner is clamped to [0, w-2] x [0, h-2], so
-    every index is in range and the take may clip.  The corners are
-    weighted and summed in the order w00*c00 + w10*c10 + w01*c01 +
-    w11*c11, with c10 one step along x; the sum starts from -0.0, which
-    leaves every first term as it is.  The bounds are held at full size
-    and the scalars as 0-d arrays: a ufunc call that broadcasts or
-    converts a Python float costs more than the arithmetic at a few
-    hundred points.
+    indices.  The lower corner is found in float: the truncated point,
+    lowered to (w-2, h-2) where it is above, so every index is in range
+    and the take may clip.  Its flat index is worked out in float too,
+    exactly, and cast to intp once, as the four corners are added to it.
+    On a clamped point the truncation gives the fractions that a cast of
+    the point to an integer gives, signed zeros included: the two differ
+    only at -0.0, which the clamp's maximum against 0.0 turns into 0.0.
+    The corners are weighted and summed in the order
+    w00*c00 + w10*c10 + w01*c01 + w11*c11, with c10 one step along x;
+    the sum starts from -0.0, which leaves every first term as it is.
+    The bounds are held at full size and the scalars as 0-d arrays: a
+    ufunc call that broadcasts or converts a Python float costs more
+    than the arithmetic at a few hundred points.
     """
+    w, h = field.spec.width, field.spec.height
+    base_hi = np.repeat([[w - 2.0, h - 2.0]], n, axis=0)
+    width, one = _constant(w), _ONE
+    corners = np.array([[0.0], [1.0], [w], [w + 1.0]])
+    take = field.values.reshape(2, -1).take
+    base = np.empty((n, 2))
+    base_x, base_y = base.T
+    row = np.empty(n)
+    index = np.empty((4, n), np.intp)
+    # q[0] = (1 - fx, 1 - fy), q[1] = (fx, fy), per point;
+    # w[ky, kx] = qy[ky] * qx[kx]
+    q = np.empty((2, n, 2))
+    cofrac, frac = q
+    qy, qx = q[:, None, :, 1], q[None, :, :, 0]
+    weights = np.empty((2, 2, n))
+    weights4 = weights.reshape(4, n)
+    terms = np.empty((2, 4, n))
+    out = np.empty((n, 2))
+    out_t = out.T
+    trunc, minimum, subtract, multiply, add = (
+        np.trunc, np.minimum, np.subtract, np.multiply, np.add)
+    add_reduce = np.add.reduce
 
-    def __init__(self, field: VectorField, n: int):
-        w, h = field.spec.width, field.spec.height
-        self._hi = np.repeat([[w - 1.0, h - 1.0]], n, axis=0)
-        self._base_hi = np.repeat(np.array([[w - 2, h - 2]], np.intp), n, axis=0)
-        self._width = np.array(w, np.intp)
-        self._uv = field.values.reshape(2, -1)
-        self._corners = np.array([[0], [1], [w], [w + 1]], np.intp)
-        self._base = np.empty((n, 2), np.intp)
-        self._base_x, self._base_y = self._base.T
-        self._row = np.empty(n, np.intp)
-        self._index = np.empty((4, n), np.intp)
-        # q[0] = (1 - fx, 1 - fy), q[1] = (fx, fy), per point;
-        # w[ky, kx] = qy[ky] * qx[kx]
-        q = np.empty((2, n, 2))
-        self._cofrac, self._frac = q
-        self._qy, self._qx = q[:, None, :, 1], q[None, :, :, 0]
-        self._weights = np.empty((2, 2, n))
-        self._weights4 = self._weights.reshape(4, n)
-        self._terms = np.empty((2, 4, n))
-        self._out = np.empty((n, 2))
-        self._out_t = self._out.T
+    def sample(xy: np.ndarray) -> np.ndarray:
+        trunc(xy, base)
+        minimum(base, base_hi, out=base)
+        subtract(xy, base, frac)
+        subtract(one, frac, cofrac)
+        multiply(qy, qx, weights)
+        multiply(base_y, width, row)
+        add(row, base_x, row)
+        add(row, corners, out=index, casting="unsafe")
+        take(index, axis=1, mode="clip", out=terms)
+        multiply(weights4, terms, terms)
+        add_reduce(terms, axis=1, out=out_t, initial=-0.0)
+        return out
 
-    def clamp(self, xy: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Points clamped to the pixel-center rectangle [0, w-1] x [0, h-1]."""
-        np.minimum(xy, self._hi, out=out)
-        return np.maximum(out, _ZERO, out=out)
+    return sample
 
-    def __call__(self, xy: np.ndarray) -> np.ndarray:
-        """(n, 2) clamped points in, (n, 2) samples (u, v) out, in a
-        buffer that the next call overwrites."""
-        base, terms = self._base, self._terms
-        # truncation is floor on the clamped, nonnegative coordinates
-        np.copyto(base, xy, casting="unsafe")
-        np.minimum(base, self._base_hi, out=base)
-        np.subtract(xy, base, self._frac)
-        np.subtract(_ONE, self._frac, self._cofrac)
-        np.multiply(self._qy, self._qx, self._weights)
-        np.multiply(self._base_y, self._width, self._row)
-        np.add(self._row, self._base_x, self._row)
-        np.add(self._row, self._corners, self._index)
-        self._uv.take(self._index, axis=1, mode="clip", out=terms)
-        np.multiply(self._weights4, terms, terms)
-        np.add.reduce(terms, axis=1, out=self._out_t, initial=-0.0)
-        return self._out
+
+def _clamp(xy: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Points clamped to the pixel-center rectangle [0, w-1] x [0, h-1],
+    whose upper corner is hi."""
+    out = np.minimum(xy, hi, out=out)
+    return np.maximum(out, _ZERO, out=out)
 
 
 def sample_field_bilinear(field: VectorField, x: float, y: float) -> tuple[float, float]:
@@ -227,9 +242,8 @@ def sample_field_bilinear(field: VectorField, x: float, y: float) -> tuple[float
     a position outside the image is clamped onto it."""
     if math.isnan(x) or math.isnan(y):
         raise ParameterError(f"sample position must not be NaN, got ({x!r}, {y!r})")
-    sample = _Sampler(field, 1)
-    xy = np.array([[x, y]], dtype=float)
-    (u, v), = sample(sample.clamp(xy, xy))
+    hi = np.array([[field.spec.width - 1.0, field.spec.height - 1.0]])
+    (u, v), = _bilinear(field, 1)(_clamp(np.array([[x, y]], dtype=float), hi))
     return float(u), float(v)
 
 
@@ -238,6 +252,11 @@ def _unit_field(field: VectorField) -> VectorField:
     scale = 1.0 / np.maximum(mag, _NORM_FLOOR)
     scale[mag == 0.0] = 0.0
     return VectorField(field.spec, field.values * scale)
+
+
+def _snaxel_count(count: float) -> int:
+    """The snaxel count of a resampling whose unrounded count is count."""
+    return max(4, int(round(count)))
 
 
 def resample_contour(s: Snake, spacing: float) -> Snake:
@@ -260,39 +279,57 @@ def resample_contour(s: Snake, spacing: float) -> Snake:
         raise ParameterError(
             f"spacing {spacing:.6g} is too small for a contour of perimeter "
             f"{perimeter:.6g}: {count:.6g} snaxels, past the cap of {_MAX_RESAMPLED}")
-    return Snake(_resample(ring.full, seg, seglen, perimeter, count))
+    return Snake(_resampler(len(s), _snaxel_count(count))(ring.full, seg, seglen, perimeter))
 
 
-def _resample(ring: np.ndarray, seg: np.ndarray, seglen: np.ndarray,
-              perimeter: float, count: float) -> np.ndarray:
-    """resample_contour on a closed ring (see _Ring), its (N, 2)
-    segments, their lengths and their sum, for a finite unrounded count;
-    returns the new (n_new, 2) points, n_new = max(4, round(count)).
+def _resampler(n: int, m: int):
+    """resample(ring, seg, seglen, perimeter): m points at uniform arc
+    length along a closed ring of n points (see _Ring), from its (n, 2)
+    segments, their lengths and their sum, into an (m, 2) buffer of its
+    own that the next call overwrites.
 
-    Target k lies at arc length perimeter * k / n_new, on the segment i
+    Target k lies at arc length perimeter * k / m, on the segment i
     whose cumulative start cum[i] is the last at or before it, at
     fraction (target - cum[i]) / seglen[i] of the segment.  On a
     segment of length 0 the fraction is left as target - cum[i], and
     the point is the segment's start, since the segment vector is 0.
     cum is the running sum of seglen while perimeter is their sum, so a
-    target past cum[N - 1] lands on the last segment.  Each per-target
-    array is a take of the segment arrays, worked on in place."""
-    n_new = max(4, int(round(count)))
-    targets = np.arange(n_new, dtype=np.float64)
-    targets *= perimeter
-    targets /= n_new
-    cum = np.empty(len(seglen) + 1)
-    cum[0] = 0.0
-    np.cumsum(seglen, out=cum[1:])
-    idx = np.searchsorted(cum[:-1], targets, side="right")
-    idx -= 1
-    lengths = seglen.take(idx)
-    targets -= cum.take(idx)
-    np.divide(targets, lengths, out=targets, where=lengths > 0)
-    xy = seg.take(idx, axis=0)
-    xy *= targets[:, None]
-    xy += ring[1:-1].take(idx, axis=0)
-    return xy
+    target past cum[n - 1] lands on the last segment.  Each per-target
+    array is a take of the segment arrays into a buffer, worked on in
+    place; only searchsorted, which takes no output array, allocates
+    (the segment of each target)."""
+    ks = np.arange(m, dtype=np.float64)
+    targets, lengths, starts = np.empty((3, m))
+    positive = np.empty(m, bool)
+    fraction = targets[:, None]
+    cum = np.zeros(n + 1)
+    cum_from, cum_to = cum[:-1], cum[1:]
+    out, gathered = np.empty((2, m, 2))
+    count = _constant(m)
+    add, subtract, multiply, divide, greater, cumsum = (
+        np.add, np.subtract, np.multiply, np.divide, np.greater, np.cumsum)
+
+    def resample(ring: np.ndarray, seg: np.ndarray, seglen: np.ndarray,
+                 perimeter: float) -> np.ndarray:
+        multiply(ks, perimeter, out=targets)
+        divide(targets, count, out=targets)
+        cumsum(seglen, out=cum_to)
+        idx = cum_from.searchsorted(targets, side="right")
+        idx -= 1
+        # mode "clip" writes straight into the buffer, where "raise"
+        # would copy it; every index is in range
+        seglen.take(idx, out=lengths, mode="clip")
+        cum.take(idx, out=starts, mode="clip")
+        subtract(targets, starts, out=targets)
+        greater(lengths, 0.0, out=positive)
+        divide(targets, lengths, out=targets, where=positive)
+        seg.take(idx, axis=0, out=out, mode="clip")
+        multiply(out, fraction, out=out)
+        ring[1:-1].take(idx, axis=0, out=gathered, mode="clip")
+        add(out, gathered, out=out)
+        return out
+
+    return resample
 
 
 class _Ring:
@@ -309,32 +346,34 @@ class _Ring:
         self.prev = full[:-2]
         self.next = full[2:]
         # rows 0 and n + 1 repeat rows n and 1
-        self._wraps = full[::n + 1]
-        self._wrapped = full[n:0:-(n - 1)]
+        self.wraps = full[::n + 1]
+        self.wrapped = full[n:0:-(n - 1)]
 
     def close(self) -> None:
         """Refresh the two wrap rows from the points."""
-        np.copyto(self._wraps, self._wrapped)
+        np.copyto(self.wraps, self.wrapped)
 
 
 class _Workspace:
     """A contour of n snaxels, and every buffer and view of its step.
 
     The contour lives in one of two rings, used in turn: a step reads
-    the current ring (cur) and writes the spare one, then swaps them.
-    Every step writes the move of each snaxel and the segments of the
-    new contour one after the other, so that one hypot gives both their
-    lengths and one reduceat the largest of each, whether or not the
-    run resamples.  at holds the clamped points where the field is
-    sampled at the next step: the current points after a step, a buffer
-    of its own after a load.
+    the current ring and writes the other.  Every step writes the move
+    of each snaxel and the segments of the new contour one after the
+    other, so that one hypot gives both their lengths and one reduceat
+    the largest of each, whether or not the run resamples.  load puts a
+    contour in the first ring, and the steps of steps() start from it;
+    resample resamples a contour at the same count into a buffer of its
+    own, for load.
     """
 
     def __init__(self, field: VectorField, n: int):
         self.n = n
-        self.sample = _Sampler(field, n)
-        self.cur, self._spare = _Ring(n), _Ring(n)
-        self.at = self._loaded = np.empty((n, 2))
+        self.resample = _resampler(n, n)
+        self.hi = np.repeat([[field.spec.width - 1.0, field.spec.height - 1.0]], n, axis=0)
+        self._sample = _bilinear(field, n)
+        self._rings = _Ring(n), _Ring(n)
+        self._loaded = np.empty((n, 2))
         self._tens = np.empty((n, 2))
         self._disp = np.empty((n, 2))
         diff = np.empty((2 * n, 2))
@@ -344,41 +383,63 @@ class _Workspace:
         self._dx, self._dy = diff.T
         self._starts = np.array([0, n], np.intp)
         self._tops = np.empty(2)
-        self.longest = 0.0
 
-    def load(self, xy: np.ndarray) -> None:
+    def load(self, xy: np.ndarray) -> np.ndarray:
         """Make the n points xy, which lie in the image rectangle up to
-        rounding, the current contour; the field is sampled at their
-        clamped copies."""
-        np.copyto(self.cur.pts, xy)
-        self.cur.close()
-        self.at = self.sample.clamp(xy, self._loaded)
+        rounding, the contour, and return the ring that holds it; the
+        first step of steps() samples the field at their clamped
+        copies."""
+        ring = self._rings[0]
+        np.copyto(ring.pts, xy)
+        ring.close()
+        _clamp(xy, self.hi, self._loaded)
+        return ring.full
 
-    def advance(self, tension: np.ndarray, gamma: np.ndarray, step: np.ndarray) -> float:
-        """Move the contour one step on, refresh seg and seglen, set
-        longest to the largest segment, and return the largest snaxel
-        move.  The contour lies in the image rectangle (clamped, or
-        interpolated between clamped points) and the clamp projects onto
-        it, so no move is longer than its displacement."""
-        cur, new, tens, disp = self.cur, self._spare, self._tens, self._disp
-        np.add(cur.prev, cur.next, tens)
-        np.multiply(_HALF, tens, tens)
-        np.subtract(cur.pts, tens, tens)
-        np.multiply(tension, tens, tens)
-        force = self.sample(self.at)
-        np.multiply(gamma, force, force)
-        np.add(tens, force, disp)
-        np.multiply(step, disp, disp)
-        np.add(cur.pts, disp, new.pts)
-        self.sample.clamp(new.pts, new.pts)
-        np.subtract(new.pts, cur.pts, self._move)
-        new.close()
-        np.subtract(new.next, new.pts, self.seg)
-        np.hypot(self._dx, self._dy, self._lengths)
-        np.maximum.reduceat(self._lengths, self._starts, out=self._tops)
-        self.cur, self._spare, self.at = new, cur, new.pts
-        moved, self.longest = self._tops.tolist()
-        return moved
+    def steps(self, tension: np.ndarray, gamma: np.ndarray | None, step: np.ndarray | None):
+        """The steps of the loaded contour, one per next(): each moves
+        every snaxel, writes the segments of the new contour into seg
+        and their lengths into seglen, and yields the largest move, the
+        longest segment and the ring that holds the new contour.  A
+        gamma or step of None is 1, and is not multiplied.  Every
+        operand and callable is bound once, as the generator starts, so
+        that a step makes the numpy calls of its arithmetic, one of them
+        through the sampler's closure, and no attribute lookup or call
+        of a Python method.  The contour lies in the image rectangle
+        (clamped, or interpolated between clamped points) and the clamp
+        projects onto it, so no move is longer than its displacement."""
+        add, subtract, multiply, minimum, maximum = (
+            np.add, np.subtract, np.multiply, np.minimum, np.maximum)
+        hypot, copyto, top = np.hypot, np.copyto, np.maximum.reduceat
+        half, zero = _HALF, _ZERO
+        sample, hi, at = self._sample, self.hi, self._loaded
+        tens, disp, move, seg = self._tens, self._disp, self._move, self.seg
+        lengths, dx, dy, starts = self._lengths, self._dx, self._dy, self._starts
+        tops, tolist = self._tops, self._tops.tolist
+        cur, new = ((r.full, r.pts, r.prev, r.next, r.wraps, r.wrapped) for r in self._rings)
+        while True:
+            _, pts, prev, after, _, _ = cur
+            full, out, _, out_next, wraps, wrapped = new
+            add(prev, after, tens)
+            multiply(half, tens, tens)
+            subtract(pts, tens, tens)
+            multiply(tension, tens, tens)
+            force = sample(at)
+            if gamma is not None:
+                multiply(gamma, force, force)
+            add(tens, force, disp)
+            if step is not None:
+                multiply(step, disp, disp)
+            add(pts, disp, out)
+            minimum(out, hi, out=out)
+            maximum(out, zero, out=out)
+            subtract(out, pts, move)
+            copyto(wraps, wrapped)
+            subtract(out_next, out, seg)
+            hypot(dx, dy, lengths)
+            top(lengths, starts, out=tops)
+            moved, longest = tolist()
+            yield moved, longest, full
+            cur, new, at = new, cur, out
 
 
 def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
@@ -407,14 +468,22 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     max_snaxels = max(field.spec.width * field.spec.height, len(s))
     resampling = p.resample_spacing > 0
     too_long, too_short = 2.0 * p.resample_spacing, 0.5 * p.resample_spacing
+    eps = p.eps
     ws = _Workspace(field, len(s))
     # initial snaxels outside the image are clamped onto it, as every
     # updated point is
-    ws.load(ws.sample.clamp(s.points, ws.cur.pts))
-    if resampling and Snake(ws.cur.pts).perimeter() < _MIN_PERIMETER:
+    ring = ws.load(_clamp(s.points, ws.hi))
+    if resampling and Snake(ring[1:-1]).perimeter() < _MIN_PERIMETER:
         raise GeometryError("contour has (near) zero perimeter")
-    tension, gamma, step = map(_constant, (p.tensile_sign * p.b, p.gamma, p.step))
+    # a factor of exactly 1 is not multiplied: x * 1.0 is x to the bit
+    tension = _constant(p.tensile_sign * p.b)
+    gamma, step = (None if c == 1.0 else _constant(c) for c in (p.gamma, p.step))
+    advance = ws.steps(tension, gamma, step).__next__
+    # the shortest segment by argmin, which costs a third of a minimum.reduce
+    seglen = ws.seglen
+    shortest = seglen.argmin
     history: list[float] = []
+    record = history.append
     converged = collapsed = False
     iterations = 0
     # The field and the contour are finite, so a displacement is
@@ -423,16 +492,15 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     try:
         with np.errstate(over="raise", invalid="raise"):
             for n in range(1, p.max_iter + 1):
-                moved = ws.advance(tension, gamma, step)
+                moved, longest, ring = advance()
                 iterations = n
-                history.append(moved)
+                record(moved)
                 # deformation = applied movement; a border-pinned snaxel is settled
-                if moved < p.eps:
+                if moved < eps:
                     converged = True
                     break
-                if resampling and (ws.longest > too_long
-                                   or np.minimum.reduce(ws.seglen) < too_short):
-                    perimeter = float(ws.seglen.sum())
+                if resampling and (longest > too_long or seglen[shortest()] < too_short):
+                    perimeter = float(seglen.sum())
                     if perimeter < _MIN_PERIMETER:
                         collapsed = True
                         break
@@ -443,11 +511,19 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
                             f"resampling would grow the contour to {count:.6g} snaxels, "
                             f"past the cap of {max_snaxels}", n
                         )
-                    xy = _resample(ws.cur.full, ws.seg, ws.seglen, perimeter, count)
-                    if len(xy) != ws.n:
-                        ws = _Workspace(field, len(xy))
-                    ws.load(xy)
+                    m = _snaxel_count(count)
+                    if m == ws.n:
+                        xy = ws.resample(ring, ws.seg, seglen, perimeter)
+                    else:
+                        xy = _resampler(ws.n, m)(ring, ws.seg, seglen, perimeter)
+                        ws = _Workspace(field, m)
+                        seglen = ws.seglen
+                        shortest = seglen.argmin
+                    # the resampled contour is the current one from here
+                    # on, whether or not another step follows
+                    ring = ws.load(xy)
+                    advance = ws.steps(tension, gamma, step).__next__
     except FloatingPointError:
         raise DivergenceError("non-finite snaxel displacement", n) from None
-    return SnakeResult(Snake(ws.cur.pts.copy()), iterations, converged,
+    return SnakeResult(Snake(ring[1:-1].copy()), iterations, converged,
                        np.asarray(history), collapsed)

@@ -1,6 +1,8 @@
 """Snaxel contour forces, sampling, evolution, resampling."""
 
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -122,6 +124,51 @@ def outcome(evolve, s, field, p):
         return type(e), str(e)
     return (r.iterations, r.converged, r.collapsed, r.snake.points.view(np.int64).tolist(),
             r.displacement_history.view(np.int64).tolist())
+
+
+def watch_steps(monkeypatch, record):
+    """Make snake_evolve call record() at each step of its loop."""
+    real_steps = snake_mod._Workspace.steps
+
+    def steps(self, *args):
+        for out in real_steps(self, *args):
+            record()
+            yield out
+
+    monkeypatch.setattr(snake_mod._Workspace, "steps", steps)
+
+
+def watch_resamplings(monkeypatch, record):
+    """Make snake_evolve call record(n, m, ring, seg, seglen, perimeter)
+    before each resampling of n snaxels to m."""
+    real_resampler = snake_mod._resampler
+
+    def resampler(n, m):
+        real_resample = real_resampler(n, m)
+
+        def resample(*args):
+            record(n, m, *args)
+            return real_resample(*args)
+
+        return resample
+
+    monkeypatch.setattr(snake_mod, "_resampler", resampler)
+
+
+def drawn_run(w, h, n, seed, b, gamma, step, sign, normalize, spacing, reach, max_iter):
+    """A snake, a field and parameters drawn from the seed: n snaxels
+    near a circle of radius reach times half the shorter side, which
+    reach > 1 puts partly outside the grid, so that some snaxels start,
+    and stay, pinned to the border."""
+    rng = np.random.default_rng(seed)
+    field = random_field(rng, w, h, rng.uniform(0.0, 2.0))
+    t = 2.0 * np.pi * np.sort(rng.random(n))
+    r = reach * min(w, h) / 2.0
+    pts = np.column_stack([(w - 1) / 2 + r * np.cos(t), (h - 1) / 2 + r * np.sin(t)])
+    p = gv.SnakeParams(b=b, gamma=gamma, step=step, eps=rng.uniform(1e-4, 0.1),
+                       max_iter=max_iter, resample_spacing=spacing, normalize=normalize,
+                       tensile_sign=sign)
+    return gv.Snake(pts + rng.normal(0.0, 0.3, pts.shape)), field, p
 
 
 def random_field(rng, w, h, scale):
@@ -373,8 +420,9 @@ class TestResampleContour:
         perimeter, count = resample_count(seglen, spacing)
         want = np.ascontiguousarray(
             reference_resample(ring, seg, seglen, stretch * perimeter, count).T)
-        got = snake_mod._resample(np.ascontiguousarray(ring.T), np.ascontiguousarray(seg.T),
-                                  seglen, stretch * perimeter, count)
+        resample = snake_mod._resampler(len(pts), snake_mod._snaxel_count(count))
+        got = resample(np.ascontiguousarray(ring.T), np.ascontiguousarray(seg.T), seglen,
+                       stretch * perimeter)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         if stretch == 1.0:
             got = gv.resample_contour(gv.Snake(pts), spacing).points
@@ -551,13 +599,7 @@ class TestCollapse:
 
     def test_point_contour_is_refused_before_the_first_step(self, monkeypatch):
         steps = []
-        real_advance = snake_mod._Workspace.advance
-
-        def advance(self, *args):
-            steps.append(1)
-            return real_advance(self, *args)
-
-        monkeypatch.setattr(snake_mod._Workspace, "advance", advance)
+        watch_steps(monkeypatch, lambda: steps.append(1))
         point = gv.Snake(np.full((4, 2), 5.0))
         field = gv.VectorField.zeros(gv.GridSpec(16, 16))
         with pytest.raises(GeometryError, match=r"contour has \(near\) zero perimeter"):
@@ -585,19 +627,23 @@ class TestAgainstTheReference:
            st.sampled_from([0.0, 0.7, 1.5, 3.0]), st.floats(0.2, 1.3), st.integers(1, 80))
     def test_equals_the_reference_loop(self, w, h, n, seed, b, gamma, step, sign, normalize,
                                        spacing, reach, max_iter):
-        # reach > 1 puts the initial ring partly outside the grid, so some
-        # snaxels start, and stay, pinned to the border; b, gamma and
-        # step are also drawn as exactly 1.0, the CLI's default gamma and step
-        rng = np.random.default_rng(seed)
-        field = random_field(rng, w, h, rng.uniform(0.0, 2.0))
-        t = 2.0 * np.pi * np.sort(rng.random(n))
-        r = reach * min(w, h) / 2.0
-        pts = np.column_stack([(w - 1) / 2 + r * np.cos(t), (h - 1) / 2 + r * np.sin(t)])
-        p = gv.SnakeParams(b=b, gamma=gamma, step=step, eps=rng.uniform(1e-4, 0.1),
-                           max_iter=max_iter, resample_spacing=spacing, normalize=normalize,
-                           tensile_sign=sign)
-        s = gv.Snake(pts + rng.normal(0.0, 0.3, pts.shape))
+        # b, gamma and step are also drawn as exactly 1.0, the CLI's
+        # default gamma and step, which the loop does not multiply by
+        s, field, p = drawn_run(w, h, n, seed, b, gamma, step, sign, normalize, spacing, reach,
+                                max_iter)
         assert outcome(gv.snake_evolve, s, field, p) == outcome(reference_snake_evolve, s, field, p)
+
+    def test_a_run_cut_on_a_resampling_at_the_same_count_ends_on_the_resampled_contour(
+            self, monkeypatch):
+        # max_iter ends on step 4, which resamples 4 snaxels at 4: the
+        # result is the resampled contour, not the one the step made
+        steps, resampled = [], []
+        watch_steps(monkeypatch, lambda: steps.append(1))
+        watch_resamplings(monkeypatch, lambda n, m, *_: resampled.append((len(steps), n, m)))
+        s, field, p = drawn_run(3, 3, 4, 0, 1.0, 1.0, 1.0, -1.0, True, 0.7, 1.0, 4)
+        got = outcome(gv.snake_evolve, s, field, p)
+        assert len(steps) == p.max_iter and resampled[-1] == (p.max_iter, 4, 4)
+        assert got == outcome(reference_snake_evolve, s, field, p)
 
     @pytest.mark.parametrize("sign, b, radius", [(1.0, 0.2, 4.0), (-1.0, 0.1, 4.0)])
     def test_workspace_is_rebuilt_for_a_new_count_and_kept_otherwise(self, monkeypatch, sign, b,
@@ -605,20 +651,14 @@ class TestAgainstTheReference:
         # an inflating ring grows and sheds snaxels, a contracting one
         # shrinks to 4 and is then resampled at 4 again and again
         built, resampled = [], []
-        real_resample = snake_mod._resample
 
         class Workspace(snake_mod._Workspace):
             def __init__(self, field, n):
                 built.append(n)
                 super().__init__(field, n)
 
-        def resample(*args):
-            xy = real_resample(*args)
-            resampled.append(len(xy))
-            return xy
-
         monkeypatch.setattr(snake_mod, "_Workspace", Workspace)
-        monkeypatch.setattr(snake_mod, "_resample", resample)
+        watch_resamplings(monkeypatch, lambda n, m, *_: resampled.append(m))
         s = gv.Snake.circle(15.5, 15.5, radius, 16)
         field = gv.VectorField.zeros(gv.GridSpec(32, 32))
         p = gv.SnakeParams(b=b, tensile_sign=sign, max_iter=150, eps=1e-9, resample_spacing=1.5)
@@ -634,13 +674,8 @@ class TestAgainstTheReference:
         # a unit radial field moves every snaxel straight in or out, so
         # the segments stay nearly equal and only one bound is crossed
         spacings = []
-        real_resample = snake_mod._resample
-
-        def resample(ring, seg, seglen, perimeter, count):
-            spacings.append((seglen.min(), seglen.max()))
-            return real_resample(ring, seg, seglen, perimeter, count)
-
-        monkeypatch.setattr(snake_mod, "_resample", resample)
+        watch_resamplings(monkeypatch, lambda n, m, ring, seg, seglen, perimeter:
+                          spacings.append((seglen.min(), seglen.max())))
         y, x = np.mgrid[0:64, 0:64] - 31.5
         outward = np.stack([x, y]) / np.hypot(x, y)
         field = gv.VectorField(gv.GridSpec(64, 64), -outward if inward else outward)
@@ -667,6 +702,44 @@ class TestAgainstTheReference:
         assert not caught
         assert err.value.iteration == 3
         assert want == (DivergenceError, str(err.value))
+
+
+class TestStepsAllocateNothing:
+    def test_memory_grows_by_the_history_only(self, monkeypatch):
+        # 1000 snaxels 0.25 px apart circle the centre of a field that
+        # turns them, faster on one side than on the other, and holds
+        # their radius: they bunch, and the contour is resampled at the
+        # same count every few hundred steps
+        n, spacing, warm, steps = 1000, 0.25, 100, 2000
+        size, c = 101, 50.0
+        radius = n * spacing / (2.0 * math.pi)
+        y, x = np.mgrid[0:size, 0:size] - c
+        r = np.maximum(np.hypot(x, y), 1e-9)
+        along = 0.05 * (1.0 + 0.8 * x / r)
+        inward = 0.5 * (r - radius)
+        field = gv.VectorField(gv.GridSpec(size, size),
+                               np.stack([-y * along - x * inward, x * along - y * inward]) / r)
+        p = gv.SnakeParams(b=0.0, eps=1e-9, max_iter=warm + steps, resample_spacing=spacing)
+        taken, resampled, marks = [0], [], []
+
+        def measure():
+            taken[0] += 1
+            if taken[0] in (warm, warm + steps):
+                marks.append(tracemalloc.get_traced_memory()[0])
+
+        watch_steps(monkeypatch, measure)
+        watch_resamplings(monkeypatch, lambda n, m, *_: resampled.append((taken[0], n, m)))
+        tracemalloc.start()
+        try:
+            res = gv.snake_evolve(gv.Snake.circle(c, c, radius, n), field, p)
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == warm + steps and len(res.snake) == n
+        assert all((k, m) == (n, n) for _, k, m in resampled)
+        assert any(warm < step <= warm + steps for step, _, _ in resampled)
+        # each step adds a float and its pointer to the history
+        history = steps * (sys.getsizeof(1.0) + 8)
+        assert marks[1] - marks[0] <= history + 8192
 
 
 class TestDiskConvergence:
