@@ -37,14 +37,13 @@ flat indices fetches the four bilinear corners of every snaxel, u and v
 together (_bilinear); the lower corner is found in float, truncated and
 lowered to (w-2, h-2), and cast to an index once.  Each clamp is a
 minimum against the upper corner (w-1, h-1) and a maximum against 0.
-A gamma or step of exactly 1 is not multiplied, since x * 1.0 is x to
-the bit.  One hypot gives the length of every move and of every new
-segment, and one maximum.reduceat the largest of each, for the stop
-test and the upper spacing bound; the shortest segment is looked for,
-by argmin, only when the run resamples, the contour has not settled and
-no segment is too long.  A step is 25 numpy calls, and 27 when gamma and step are
-not 1.  numpy's iterator still takes a buffer of its own, and returns
-it, for each call that broadcasts one operand against another.
+One hypot gives the length of every move and of every new segment, and
+one maximum.reduceat the largest of each, for the stop test and the
+upper spacing bound; the shortest segment is looked for, by argmin,
+only when the run resamples, the contour has not settled and no
+segment is too long.  A step is 27 numpy calls.  numpy's iterator
+still takes a buffer of its own, and returns it, for each call that
+broadcasts one operand against another.
 
 The loop runs with numpy's overflow and invalid-value errors raised:
 the field and the contour are finite, so a step's displacement is
@@ -304,7 +303,7 @@ def _resampler(n: int, m: int):
     fraction = targets[:, None]
     cum = np.zeros(n + 1)
     cum_from, cum_to = cum[:-1], cum[1:]
-    out, gathered = np.empty((2, m, 2))
+    out, gathered = np.empty((m, 2)), np.empty((m, 2))
     count = _constant(m)
     add, subtract, multiply, divide, greater, cumsum = (
         np.add, np.subtract, np.multiply, np.divide, np.greater, np.cumsum)
@@ -395,12 +394,11 @@ class _Workspace:
         _clamp(xy, self.hi, self._loaded)
         return ring.full
 
-    def steps(self, tension: np.ndarray, gamma: np.ndarray | None, step: np.ndarray | None):
+    def steps(self, tension: np.ndarray, gamma: np.ndarray, step: np.ndarray):
         """The steps of the loaded contour, one per next(): each moves
         every snaxel, writes the segments of the new contour into seg
         and their lengths into seglen, and yields the largest move, the
-        longest segment and the ring that holds the new contour.  A
-        gamma or step of None is 1, and is not multiplied.  Every
+        longest segment and the ring that holds the new contour.  Every
         operand and callable is bound once, as the generator starts, so
         that a step makes the numpy calls of its arithmetic, one of them
         through the sampler's closure, and no attribute lookup or call
@@ -424,11 +422,9 @@ class _Workspace:
             subtract(pts, tens, tens)
             multiply(tension, tens, tens)
             force = sample(at)
-            if gamma is not None:
-                multiply(gamma, force, force)
+            multiply(gamma, force, force)
             add(tens, force, disp)
-            if step is not None:
-                multiply(step, disp, disp)
+            multiply(step, disp, disp)
             add(pts, disp, out)
             minimum(out, hi, out=out)
             maximum(out, zero, out=out)
@@ -475,9 +471,7 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     ring = ws.load(_clamp(s.points, ws.hi))
     if resampling and Snake(ring[1:-1]).perimeter() < _MIN_PERIMETER:
         raise GeometryError("contour has (near) zero perimeter")
-    # a factor of exactly 1 is not multiplied: x * 1.0 is x to the bit
-    tension = _constant(p.tensile_sign * p.b)
-    gamma, step = (None if c == 1.0 else _constant(c) for c in (p.gamma, p.step))
+    tension, gamma, step = (_constant(c) for c in (p.tensile_sign * p.b, p.gamma, p.step))
     advance = ws.steps(tension, gamma, step).__next__
     # the shortest segment by argmin, which costs a third of a minimum.reduce
     seglen = ws.seglen

@@ -5,8 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import gvflow as gv
 from gvflow import grid
@@ -81,20 +79,6 @@ class TestVectorField:
         dup = field.copy()
         dup.u.values[0, 0] = 1.0
         assert field.values[0, 0, 0] == 0.0
-
-
-class TestEdgePad:
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(3, 24), st.integers(3, 24), st.integers(1, 60),
-           st.integers(0, 2**32 - 1), st.booleans())
-    def test_equals_numpy_edge_padding_bit_for_bit(self, h, w, r, seed, transposed):
-        # radii run past both sides; signed zeros and a strided input included
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(w, h)).T if transposed else rng.normal(size=(h, w))
-        a[rng.random(a.shape) < 0.2] = -0.0
-        got = grid._edge_pad(a, r)
-        assert got.flags.c_contiguous
-        assert np.array_equal(got.view(np.int64), np.pad(a, r, mode="edge").view(np.int64))
 
 
 class TestGradientCentral:

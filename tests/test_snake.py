@@ -361,6 +361,10 @@ class TestResampleContour:
         out = gv.resample_contour(square, 100.0)
         assert len(out) == 4
 
+    def test_points_are_no_view_of_a_larger_buffer(self):
+        out = gv.resample_contour(gv.Snake.circle(8.0, 8.0, 5.0, 12), 1.0)
+        assert out.points.flags.owndata
+
     @pytest.mark.parametrize("spacing", [1e-320, 5e-324])
     def test_spacing_whose_count_overflows_is_rejected(self, spacing):
         sq = gv.Snake(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]))
@@ -628,7 +632,7 @@ class TestAgainstTheReference:
     def test_equals_the_reference_loop(self, w, h, n, seed, b, gamma, step, sign, normalize,
                                        spacing, reach, max_iter):
         # b, gamma and step are also drawn as exactly 1.0, the CLI's
-        # default gamma and step, which the loop does not multiply by
+        # default gamma and step
         s, field, p = drawn_run(w, h, n, seed, b, gamma, step, sign, normalize, spacing, reach,
                                 max_iter)
         assert outcome(gv.snake_evolve, s, field, p) == outcome(reference_snake_evolve, s, field, p)
