@@ -361,14 +361,11 @@ class _Workspace:
     of each snaxel and the segments of the new contour one after the
     other, so that one hypot gives both their lengths and one reduceat
     the largest of each, whether or not the run resamples.  load puts a
-    contour in the first ring, and the steps of steps() start from it;
-    resample resamples a contour at the same count into a buffer of its
-    own, for load.
+    contour in the first ring, and the steps of steps() start from it.
     """
 
     def __init__(self, field: VectorField, n: int):
         self.n = n
-        self.resample = _resampler(n, n)
         self.hi = np.repeat([[field.spec.width - 1.0, field.spec.height - 1.0]], n, axis=0)
         self._sample = _bilinear(field, n)
         self._rings = _Ring(n), _Ring(n)
@@ -506,16 +503,16 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
                             f"past the cap of {max_snaxels}", n
                         )
                     m = _snaxel_count(count)
-                    if m == ws.n:
-                        xy = ws.resample(ring, ws.seg, seglen, perimeter)
-                    else:
-                        xy = _resampler(ws.n, m)(ring, ws.seg, seglen, perimeter)
+                    xy = _resampler(ws.n, m)(ring, ws.seg, seglen, perimeter)
+                    if m != ws.n:
                         ws = _Workspace(field, m)
                         seglen = ws.seglen
                         shortest = seglen.argmin
                     # the resampled contour is the current one from here
-                    # on, whether or not another step follows
+                    # on, whether or not another step follows; the
+                    # resampler's buffers go with xy
                     ring = ws.load(xy)
+                    del xy
                     advance = ws.steps(tension, gamma, step).__next__
     except FloatingPointError:
         raise DivergenceError("non-finite snaxel displacement", n) from None

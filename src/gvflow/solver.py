@@ -19,10 +19,12 @@ the spectral oracle.
 One stencil operator (_Stencil) serves the iteration, gvf_step,
 expansion_check and steady_residual, and grid.laplacian_5pt shares its
 neighbor terms and their sum.  The explicit update lives in one generator
-(_Stencil.steps) that binds its operands once per solve, and the
-iteration, gvf_step and expansion_check drive it: an iteration makes the
-numpy calls of its arithmetic, no method call of the stencil and no
-attribute lookup but the swap of its two field buffers.  On the stencil
+(_Stencil.steps), which makes its coefficients, binds its operands once
+per solve and measures each step's change and energy; the solve,
+gvf_step and expansion_check each make that one call and drive it.  An
+iteration makes the numpy calls of its arithmetic, no method call of the
+stencil and no attribute lookup but the swap of its two field buffers,
+and no code outside the stencil reads its buffers.  On the stencil
 one function (_steady_defect) defines h*src - A*v, A the steady-state
 operator, for steady_residual and the direct oracle's refinement, both
 on the domain's bounding box grown by one pixel, so their cost follows
@@ -60,9 +62,9 @@ demonstrate divergence, but are never silent.
 
 The generalized variant (GGVF) is the same solve with the per-pixel
 pair g(x) = exp(-|grad_f|^2 / K^2), h(x) = 1 - g(x), frozen from the
-initial gradient: _iterate resolves a GgvfParams to that GvfParams in
-one place, and ggvf_solve validates the worst case g = 1, whatever the
-image.
+initial gradient.  One branch of the one solve function (_solve) checks
+a GgvfParams at the worst case g = 1, h = 0, whatever the image, and
+resolves it to that GvfParams.
 
 Termination: iteration stops once the largest per-pixel change
 |v_new - v|_2 drops below delta.  A converged run's field is an
@@ -377,22 +379,24 @@ class _Stencil:
     order by one reduction and scattered back, overwrites the sum: one
     border mechanism for the full rectangle, masks and periodic borders.
     The neighbor sum's buffer and the field's, their views and the table
-    are built once, in __init__; coeffs(), which only steppers call,
-    makes the spare field buffer.
+    are built once, in __init__; steps() makes the spare field buffer.
 
     The explicit update is written once, in the generator steps(), which
-    binds every operand of an iteration once per solve, and its callers
-    drive it, one next() a step.  An iteration makes the numpy calls of
-    its arithmetic, through the bound neighbor sum (_summer), and no
-    method call of the stencil, view, reshape or slice; the only
-    attributes it touches are the two field buffers, which it swaps.  All
-    arithmetic runs on the span; the pad rows inside it, between the
-    planes, hold scratch values that no result reads.  Coefficients are
-    zero outside a mask's domain (coeffs), so its exterior stays exactly
-    zero.  A step writes into the other buffer and swaps, so an iteration
-    allocates nothing.  The span of every written buffer (neighbor sum,
-    both fields, the coefficients) starts on a 64-byte cache line, since
-    split stores cost about twice as much as aligned ones.
+    makes its coefficients (coeffs()), binds every operand of an iteration
+    once per solve and measures each step: the squared change per pixel
+    goes into the neighbor sum's buffer, and the step yields its max and
+    domain sum.  Its callers drive it, one next() a step.  An iteration
+    makes the numpy calls of its arithmetic, through the bound neighbor
+    sum (_summer), and no method call of the stencil, view, reshape or
+    slice; the only attributes it touches are the two field buffers, which
+    it swaps.  All arithmetic runs on the span; the pad rows inside it,
+    between the planes, hold scratch values that no result reads.
+    Coefficients are zero outside a mask's domain (coeffs), so its
+    exterior stays exactly zero.  A step writes into the other buffer and
+    swaps, so an iteration allocates nothing.  The span of every written
+    buffer (neighbor sum, both fields, the coefficients) starts on a
+    64-byte cache line, since split stores cost about twice as much as
+    aligned ones.
     """
 
     def __init__(self, mask: DomainMask, periodic: bool, field: np.ndarray):
@@ -427,19 +431,18 @@ class _Stencil:
         """The current (2, H, W) field, a view into its buffer."""
         return self._cur.interior
 
-    def coeffs(self, g, h, dt: float, src: VectorField):
+    def coeffs(self, g, h, dt: float, src: np.ndarray):
         """The coefficients of steps() for g, h (scalars or ScalarFields)
-        and the source field: keep = 1 - h*dt, hsrc = h*dt*src and
+        and the (2, H, W) source src: keep = 1 - h*dt, hsrc = h*dt*src and
         rc = g*dt, zero outside the domain and in the pad rows.  Each is
         computed in its own span buffer; on the full rectangle a scalar
-        keep or rc stays a scalar.  Also makes the spare field buffer."""
+        keep or rc stays a scalar."""
         g, h = _coeff_grid(g, self._spec), _coeff_grid(h, self._spec)
-        self._old = self._buffer()
         full = self._outside is None
         keep = (1.0 - h * dt if full and np.ndim(h) == 0 else self._span_buffer(
             lambda out: np.subtract(1.0, np.multiply(h, dt, out=out), out=out)))
         hsrc = self._span_buffer(
-            lambda out: np.multiply(np.multiply(h, dt, out=out), src.values, out=out))
+            lambda out: np.multiply(np.multiply(h, dt, out=out), src, out=out))
         rc = (g * dt if full and np.ndim(g) == 0 else self._span_buffer(
             lambda out: np.multiply(g, dt, out=out)))
         return keep, hsrc, rc
@@ -476,15 +479,30 @@ class _Stencil:
         self._summer(self._cur)()
         return self._nb_field
 
-    def steps(self, keep, hsrc, rc):
-        """The explicit update keep*c + hsrc + rc*(nb - 4c) of the field,
-        with hsrc = h*dt*grad_f, coefficients from coeffs(): each next()
-        makes one step and yields the spans of the new field and the old.
-        The old span stays as it is until the next step, which writes the
-        new field into it."""
+    def steps(self, g, h, dt: float, src: np.ndarray):
+        """The explicit update keep*c + hsrc + rc*(nb - 4c) of the field
+        under g, h and dt, hsrc = h*dt*src for the (2, H, W) source src,
+        with the coefficients of coeffs(): each next() makes one step and
+        yields its change and energy, the largest per-pixel |v_new - v|_2
+        and the sum of |v_new - v|_2^2 over the domain's pixels in
+        row-major order.  The first next() makes the coefficients and the
+        spare field buffer, which each step writes the new field into."""
+        keep, hsrc, rc = self.coeffs(g, h, dt, src)
         keep, rc = (_constant(c) if np.ndim(c) == 0 else c for c in (keep, rc))
+        self._old = self._buffer()
         four, multiply, subtract, add = _constant(4.0), np.multiply, np.subtract, np.add
+        max_reduce, add_reduce, sqrt = np.maximum.reduce, np.add.reduce, math.sqrt
         nb = self._nb_span
+        # the squared change per pixel goes into the neighbor sum's buffer,
+        # free until the next step, and its planes are added into the
+        # first; its max and sum are those of the flat plane, whose
+        # reductions ndarray.max and sum run
+        sq, sq_v = self._nb_field
+        sq_flat = sq.reshape(-1)
+        sq_take = sq_flat.take
+        # a mask's energy sums its pixels only, taken into one buffer
+        inside = None if self._outside is None else np.flatnonzero(~self._outside)
+        taken = None if inside is None else np.empty(inside.size)
         sum_old, sum_new = self._summer(self._cur), self._summer(self._old)
         old, new = self._cur.span, self._old.span
         while True:
@@ -497,7 +515,14 @@ class _Stencil:
             add(new, hsrc, out=new)
             add(new, nb, out=new)
             self._cur, self._old = self._old, self._cur
-            yield new, old
+            subtract(new, old, out=nb)
+            multiply(nb, nb, out=nb)
+            add(sq, sq_v, out=sq)
+            # mode "clip" writes straight into the buffer, where "raise"
+            # would copy it; every index is in range
+            yield (sqrt(float(max_reduce(sq_flat))),
+                   float(add_reduce(sq_flat) if inside is None
+                         else add_reduce(sq_take(inside, out=taken, mode="clip"))))
             old, new, sum_old, sum_new = new, old, sum_new, sum_old
 
 
@@ -523,56 +548,53 @@ def gvf_step(
         raise DimensionError("field and gradient grids differ")
     mask = _domain(mask, spec)
     stencil = _Stencil(mask, periodic, v.values)
-    next(stencil.steps(*stencil.coeffs(p.g, p.h, p.dt, grad_f)))
+    # the step's measures, unused here, square its change and may overflow
+    with np.errstate(over="ignore"):
+        next(stencil.steps(p.g, p.h, p.dt, grad_f.values))
     out = stencil.field.copy()
     np.copyto(out, v.values, where=~mask.inside)
     return VectorField(spec, out)
 
 
-def _iterate(source: VectorField, p: GvfParams | GgvfParams, mask: DomainMask,
-             periodic: bool) -> SolveReport:
-    """Run the explicit iteration from v(0) = source until the largest
-    per-pixel change drops below p.delta; shared by both solvers.  A
-    GgvfParams resolves to the GvfParams iterated: g = ggvf_weight(source,
-    K), h = 1 - g.  source, zero outside the domain, must have no other
-    reference, so that it is freed once the stencil has copied it."""
-    spec = source.spec
+def _masked_source(f: ScalarField, cap: float, mask: DomainMask) -> VectorField:
+    """Capped gradient of the edge map, zeroed outside the domain."""
+    grad = clamp_magnitude(gradient_central(f), cap)
+    if not mask.is_full:
+        grad.values[:, ~mask.inside] = 0.0
+    return grad
+
+
+def _solve(f, p: GvfParams | GgvfParams, mask, periodic, force) -> SolveReport:
+    """Both solvers: check p, then run the explicit iteration from v(0) =
+    the masked source until the largest per-pixel change drops below
+    p.delta.  A GgvfParams is checked at its worst case g = 1, h = 0 and
+    resolves to the GvfParams iterated: g = ggvf_weight(source, K),
+    h = 1 - g.  The source is freed once the stencil has copied it."""
+    spec = f.spec
+    mask = _domain(mask, spec)
+    source = _masked_source(f, p.cap, mask)
+    checked, suffix = p, ""
     if isinstance(p, GgvfParams):
+        checked, suffix = GvfParams(g=1.0, h=0.0, dt=p.dt), " (GGVF worst case g = 1, h = 0)"
         weight = ggvf_weight(source, p.K)
         p = GvfParams(g=weight, h=ScalarField(spec, 1.0 - weight.values),
                       dt=p.dt, delta=p.delta, cap=p.cap, max_iter=p.max_iter)
+    violations = validate_params(checked)
+    if violations and not force:
+        raise ParameterError("; ".join(violations) + suffix)
+    if np.any((_coeff_grid(checked.g, spec) == 0) & (_coeff_grid(checked.h, spec) == 0)
+              & mask.inside):
+        raise ParameterError("g and h both vanish at an interior pixel")
     # a forced run may overflow, which the loop reports as a DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         stencil = _Stencil(mask, periodic, source.values)
         del source
-        steps = stencil.steps(*stencil.coeffs(p.g, p.h, p.dt, VectorField(spec, stencil.field)))
-        # the squared change |v_new - v_old|^2 per pixel goes into the
-        # neighbor sum's buffer, free until the next step, and its planes
-        # are added into the first; its max and sum are those of the flat
-        # plane, whose reductions ndarray.max and sum run
-        d, (sq, sq_v) = stencil._nb_span, stencil._nb_field
-        sq_flat = sq.reshape(-1)
-        subtract, multiply, add = np.subtract, np.multiply, np.add
-        max_reduce, add_reduce = np.maximum.reduce, np.add.reduce
-        # the energy sums interior pixels only, in row-major order, taken
-        # into one buffer
-        inside = None if mask.is_full else np.flatnonzero(mask.inside)
-        taken = None if inside is None else np.empty(inside.size)
-        sq_take = sq_flat.take
-
+        steps = stencil.steps(p.g, p.h, p.dt, stencil.field)
         changes: list[float] = []
         energies: list[float] = []
         converged, iterations, first_change = False, 0, None
         # the range comes first, so that no step runs past max_iter
-        for n, (new, old) in zip(range(1, p.max_iter + 1), steps):
-            subtract(new, old, out=d)
-            multiply(d, d, out=d)
-            add(sq, sq_v, out=sq)
-            change = math.sqrt(float(max_reduce(sq_flat)))
-            # mode "clip" writes straight into the buffer, where "raise"
-            # would copy it; every index is in range
-            energy = float(add_reduce(sq_flat) if inside is None
-                           else add_reduce(sq_take(inside, out=taken, mode="clip")))
+        for n, (change, energy) in zip(range(1, p.max_iter + 1), steps):
             iterations = n
             changes.append(change)
             energies.append(energy)
@@ -604,29 +626,6 @@ def _iterate(source: VectorField, p: GvfParams | GgvfParams, mask: DomainMask,
     )
 
 
-def _masked_source(f: ScalarField, cap: float, mask: DomainMask) -> VectorField:
-    """Capped gradient of the edge map, zeroed outside the domain."""
-    grad = clamp_magnitude(gradient_central(f), cap)
-    if not mask.is_full:
-        grad.values[:, ~mask.inside] = 0.0
-    return grad
-
-
-def _solve(f, p, checked: GvfParams, suffix: str, mask, periodic, force) -> SolveReport:
-    """Both solvers' entry: check the coefficients checked (suffix ends
-    the stability message), then iterate p from the masked source, which
-    no local name holds, so that _iterate can free it."""
-    spec = f.spec
-    mask = _domain(mask, spec)
-    violations = validate_params(checked)
-    if violations and not force:
-        raise ParameterError("; ".join(violations) + suffix)
-    if np.any((_coeff_grid(checked.g, spec) == 0) & (_coeff_grid(checked.h, spec) == 0)
-              & mask.inside):
-        raise ParameterError("g and h both vanish at an interior pixel")
-    return _iterate(_masked_source(f, p.cap, mask), p, mask, periodic)
-
-
 def gvf_solve(
     f: ScalarField,
     p: GvfParams,
@@ -641,7 +640,7 @@ def gvf_solve(
     Raises ParameterError when the scheme constraints fail, unless
     force=True; divergence always raises.
     """
-    return _solve(f, p, p, "", mask, periodic, force)
+    return _solve(f, p, mask, periodic, force)
 
 
 def ggvf_weight(grad_f: VectorField, K: float) -> ScalarField:
@@ -671,8 +670,7 @@ def ggvf_solve(
     The scheme constraints are checked for the worst case g = 1, h = 0,
     whatever the image; report.params holds the resolved pair.
     """
-    return _solve(f, p, GvfParams(g=1.0, h=0.0, dt=p.dt), " (GGVF worst case g = 1, h = 0)",
-                  mask, periodic, force)
+    return _solve(f, p, mask, periodic, force)
 
 
 # --- steady-state oracles -----------------------------------------------------------
@@ -928,8 +926,10 @@ def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
         raise ParameterError(unstable)
     grad = gradient_central(f)
     stencil = _Stencil(DomainMask.full(f.spec), False, grad.values)
-    for _ in zip(range(n), stencil.steps(*stencil.coeffs(p.g, p.h, p.dt, grad))):
-        pass
+    # the steps' measures, unused here, square their change and may overflow
+    with np.errstate(over="ignore"):
+        for _ in zip(range(n), stencil.steps(p.g, p.h, p.dt, grad.values)):
+            pass
 
     hdt = p.h * p.dt
 

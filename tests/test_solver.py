@@ -245,6 +245,16 @@ class TestGvfStep:
         assert np.allclose(out.u.values, exp, atol=1e-15)
         assert np.all(out.v.values == 0)
 
+    def test_huge_field_steps_without_warning(self):
+        # a step measures its squared change, about 1e400 here, which
+        # gvf_step and expansion_check do not use: no overflow warning
+        # (an error under this suite's filterwarnings)
+        big = 1e200 * np.random.default_rng(1).random((6, 6))
+        v = gv.VectorField.from_arrays(big, np.zeros((6, 6)))
+        p = gv.GvfParams(g=1.0, h=0.1, dt=0.1)
+        assert np.all(np.isfinite(gv.gvf_step(v, gv.VectorField.zeros(v.spec), p).values))
+        assert math.isfinite(gv.expansion_check(gv.ScalarField.from_array(big), p, 3))
+
     def test_grid_mismatch(self):
         v = gv.VectorField.zeros(gv.GridSpec(5, 5))
         grad = gv.VectorField.zeros(gv.GridSpec(6, 5))
@@ -560,6 +570,20 @@ class TestGgvf:
         with pytest.raises(ParameterError, match=r"r < 1/4.*worst case g = 1"):
             gv.ggvf_solve(f, gv.GgvfParams(K=100.0, dt=0.3))
 
+    def test_forced_past_the_worst_case_rule(self):
+        # the image's own weights are stable at dt = 0.3, the U's are not
+        y, x = np.mgrid[0:12, 0:12]
+        ramp = gv.ScalarField.from_array(1000.0 * (x + y))
+        u = gv.edge_map(synth_ushape(48, 48), sigma=0.0)
+        for f, p in ((ramp, gv.GgvfParams(K=100.0, dt=0.3)), (u, gv.GgvfParams(dt=0.3, cap=40.0))):
+            with pytest.raises(ParameterError, match="GGVF worst case g = 1"):
+                gv.ggvf_solve(f, p)
+        rep = gv.ggvf_solve(ramp, gv.GgvfParams(K=100.0, dt=0.3), force=True)
+        assert rep.converged and rep.iterations == 1
+        with pytest.raises(DivergenceError) as diverged:
+            gv.ggvf_solve(u, gv.GgvfParams(dt=0.3, cap=40.0), force=True)
+        assert diverged.value.iteration == 101
+
     @pytest.mark.parametrize("cap, window, periodic", [
         (math.inf, False, False),
         (20.0, False, False),
@@ -696,12 +720,16 @@ class TestAlignedBuffers:
         if kind == "masked":
             mask = gv.DomainMask.from_rects(spec, hole=(1, 2, 1, 1))
         stencil = _Stencil(mask, kind == "periodic", field.values)
-        weight = gv.ScalarField(spec, rng.random(spec.shape))
-        coeffs = stencil.coeffs(weight, gv.ScalarField(spec, 1.0 - weight.values), 0.1, field)
-        spans = [stencil._nb_span, stencil._cur.span, stencil._old.span, *coeffs]
-        assert all(_address(s) % 64 == 0 for s in spans)
-        assert np.shares_memory(stencil.field, stencil._cur.flat)
         assert np.array_equal(stencil.field, [field.u.values, field.v.values])
+        g = gv.ScalarField(spec, rng.random(spec.shape))
+        h = gv.ScalarField(spec, 1.0 - g.values)
+        coeffs = stencil.coeffs(g, h, 0.1, field.values)
+        assert all(_address(s) % 64 == 0 for s in [stencil._nb_span, *coeffs])
+        # the first step makes the spare buffer and swaps the field into it
+        next(stencil.steps(g, h, 0.1, field.values))
+        assert all(_address(b.span) % 64 == 0 for b in (stencil._cur, stencil._old))
+        assert np.shares_memory(stencil.field, stencil._cur.flat)
+        assert np.array_equal(stencil._old.interior, field.values)
 
 
 @st.composite
