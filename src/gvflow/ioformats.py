@@ -171,34 +171,58 @@ def _field_header(header: list) -> tuple[int, int]:
 
 
 _FIELD_CHUNK = 1 << 14  # bytes read_field reads at a time
+# The longest line read_field holds, in bytes; write_field's are under 60.
+_MAX_LINE = 1 << 12
+# What a longer line that is not blank reads as: no header line and no
+# value pair
+_LONG_LINE = b"<line longer than %d bytes>" % _MAX_LINE
 
 
 def _line_blocks(fh):
     """The lines of the open binary file fh, a list per block, each block
     cut where bytes.splitlines of the whole file ends a line; FormatError
-    at the first byte outside ASCII, as soon as it is read."""
-    held, offset = [], 0
+    at the first byte outside ASCII, as soon as it is read.  A line
+    longer than _MAX_LINE is not held whole: it reads as an empty line if
+    it is blank, and as _LONG_LINE otherwise."""
+    held, offset, after_cr = [], 0, False
     while chunk := fh.read(_FIELD_CHUNK):
         _check_ascii(chunk, "field file", offset)
         offset += len(chunk)
-        # past the last line break; a "\r" at the end may be half of "\r\n"
-        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
-        if cut:
-            yield b"".join((*held, memoryview(chunk)[:cut])).splitlines()
+        # a "\n" that completes the "\r\n" whose "\r" ended the last chunk
+        start = int(after_cr and chunk[:1] == b"\n")
+        after_cr = chunk[-1:] == b"\r"
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        if cut > start:
+            yield _short_lines(b"".join((*held, memoryview(chunk)[start:cut])).splitlines())
             held = [chunk[cut:]]
         else:
-            held.append(chunk)
-    yield b"".join(held).splitlines()
+            # held is one unfinished line; past the limit, a line of the
+            # same blankness just over it stands in for it
+            held.append(chunk[start:])
+            if sum(map(len, held)) > _MAX_LINE:
+                held = [(b" " if b"".join(held).isspace() else b"x") * (_MAX_LINE + 1)]
+    yield _short_lines(b"".join(held).splitlines())
+
+
+def _short_lines(lines: list) -> list:
+    """lines, each longer than _MAX_LINE replaced by an empty line if it
+    is blank and by _LONG_LINE otherwise."""
+    if max(map(len, lines), default=0) <= _MAX_LINE:
+        return lines
+    return [line if len(line) <= _MAX_LINE else b"" if line.isspace() else _LONG_LINE
+            for line in lines]
 
 
 def read_field(path) -> VectorField:
     """Read a write_field container; values come back bit for bit.
 
     One pass parses the file a block of lines at a time straight into the
-    output.  A faulty file is read to its end, and its first fault is
-    raised in this order: a byte outside ASCII, the header, the number of
-    value lines (or text after them), a pair that is not two numbers, a
-    non-finite pair.
+    output.  A line longer than 4 KiB is refused unless it is blank: it
+    counts as one line, and it is reported as a short malformed line in
+    its place would be.  A faulty file is read to its end, and its first
+    fault is raised in this order: a byte outside ASCII, the header, the
+    number of value lines (or text after them), a pair that is not two
+    numbers, a non-finite pair.
     """
     with open(path, "rb", buffering=0) as fh:
         blocks, lines = _line_blocks(fh), []

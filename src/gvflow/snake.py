@@ -22,9 +22,10 @@ of a run, and makes no arrays.  A workspace (_Workspace), built once per
 snaxel count, owns the contour and every buffer and view a step
 touches, and its generator (_Workspace.steps) binds them all as it
 starts, so that a step makes the numpy calls of its arithmetic and no
-attribute lookup or call of a Python method.  A resampling that keeps
-the count writes into the workspace's own buffers and loads the result
-into the same workspace, and a new generator steps from it.
+attribute lookup or call of a Python method.  A resampling is one call
+of _resample, which makes a new (M, 2) array of the resampled points and
+a few per-target arrays beside it; the workspace loads the points (a new
+workspace if the count changes), and a new generator steps from it.
 The contour lives in one of two rings of N + 2 (x, y) rows, used in
 turn: a step reads one and writes the other.  A ring's two wrap rows
 repeat its last and first snaxel, so it gives both neighbors of every
@@ -117,8 +118,8 @@ class Snake:
         return len(self.points)
 
     def perimeter(self) -> float:
-        seg = np.diff(np.vstack([self.points, self.points[:1]]), axis=0)
-        return float(np.hypot(seg[:, 0], seg[:, 1]).sum())
+        """The closed polyline's length; inf past the float range."""
+        return _segments(self.points)[2]
 
 
 @dataclass(frozen=True)
@@ -258,34 +259,41 @@ def _snaxel_count(count: float) -> int:
     return max(4, int(round(count)))
 
 
+def _segments(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The (n, 2) segments leaving each point of the closed contour pts,
+    their lengths and their sum, the perimeter.  A length or perimeter
+    past the float range is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        seg = np.roll(pts, -1, axis=0) - pts
+        seglen = np.hypot(seg[:, 0], seg[:, 1])
+        return seg, seglen, float(seglen.sum())
+
+
 def resample_contour(s: Snake, spacing: float) -> Snake:
     """Redistribute snaxels at uniform arc length along the closed
     polyline, anchored at the current first point; the count is
     max(4, round(perimeter / spacing)), which may not pass 2**20."""
     if not spacing > 0:
         raise ParameterError("spacing must be > 0")
-    ring = _Ring(len(s))
-    np.copyto(ring.pts, s.points)
-    ring.close()
-    seg = ring.next - ring.pts
-    seglen = np.hypot(seg[:, 0], seg[:, 1])
-    perimeter = float(seglen.sum())
+    seg, seglen, perimeter = _segments(s.points)
     if perimeter < _MIN_PERIMETER:
         raise GeometryError("contour has (near) zero perimeter")
+    if perimeter == math.inf:
+        raise ParameterError("contour perimeter is past the float range")
     count = perimeter / spacing
     # compared unrounded, as in snake_evolve, so that inf is caught too
     if not count < _MAX_RESAMPLED + 0.5:
         raise ParameterError(
             f"spacing {spacing:.6g} is too small for a contour of perimeter "
             f"{perimeter:.6g}: {count:.6g} snaxels, past the cap of {_MAX_RESAMPLED}")
-    return Snake(_resampler(len(s), _snaxel_count(count))(ring.full, seg, seglen, perimeter))
+    return Snake(_resample(s.points, seg, seglen, perimeter, _snaxel_count(count)))
 
 
-def _resampler(n: int, m: int):
-    """resample(ring, seg, seglen, perimeter): m points at uniform arc
-    length along a closed ring of n points (see _Ring), from its (n, 2)
-    segments, their lengths and their sum, into an (m, 2) buffer of its
-    own that the next call overwrites.
+def _resample(pts: np.ndarray, seg: np.ndarray, seglen: np.ndarray, perimeter: float,
+              m: int) -> np.ndarray:
+    """A new (m, 2) array of points at uniform arc length along the
+    closed contour of the (n, 2) points pts, from its (n, 2) segments,
+    their lengths and their sum.
 
     Target k lies at arc length perimeter * k / m, on the segment i
     whose cumulative start cum[i] is the last at or before it, at
@@ -293,42 +301,20 @@ def _resampler(n: int, m: int):
     segment of length 0 the fraction is left as target - cum[i], and
     the point is the segment's start, since the segment vector is 0.
     cum is the running sum of seglen while perimeter is their sum, so a
-    target past cum[n - 1] lands on the last segment.  Each per-target
-    array is a take of the segment arrays into a buffer, worked on in
-    place; only searchsorted, which takes no output array, allocates
-    (the segment of each target)."""
-    ks = np.arange(m, dtype=np.float64)
-    targets, lengths, starts = np.empty((3, m))
-    positive = np.empty(m, bool)
-    fraction = targets[:, None]
-    cum = np.zeros(n + 1)
-    cum_from, cum_to = cum[:-1], cum[1:]
-    out, gathered = np.empty((m, 2)), np.empty((m, 2))
-    count = _constant(m)
-    add, subtract, multiply, divide, greater, cumsum = (
-        np.add, np.subtract, np.multiply, np.divide, np.greater, np.cumsum)
-
-    def resample(ring: np.ndarray, seg: np.ndarray, seglen: np.ndarray,
-                 perimeter: float) -> np.ndarray:
-        multiply(ks, perimeter, out=targets)
-        divide(targets, count, out=targets)
-        cumsum(seglen, out=cum_to)
-        idx = cum_from.searchsorted(targets, side="right")
-        idx -= 1
-        # mode "clip" writes straight into the buffer, where "raise"
-        # would copy it; every index is in range
-        seglen.take(idx, out=lengths, mode="clip")
-        cum.take(idx, out=starts, mode="clip")
-        subtract(targets, starts, out=targets)
-        greater(lengths, 0.0, out=positive)
-        divide(targets, lengths, out=targets, where=positive)
-        seg.take(idx, axis=0, out=out, mode="clip")
-        multiply(out, fraction, out=out)
-        ring[1:-1].take(idx, axis=0, out=gathered, mode="clip")
-        add(out, gathered, out=out)
-        return out
-
-    return resample
+    target past cum[n - 1] lands on the last segment."""
+    targets = np.arange(m, dtype=np.float64)
+    targets *= perimeter
+    targets /= m
+    cum = np.zeros(len(pts) + 1)
+    np.cumsum(seglen, out=cum[1:])
+    idx = cum[:-1].searchsorted(targets, side="right") - 1
+    lengths = seglen.take(idx)
+    targets -= cum.take(idx)
+    np.divide(targets, lengths, out=targets, where=lengths > 0.0)
+    out = seg.take(idx, axis=0)
+    out *= targets[:, None]
+    out += pts.take(idx, axis=0)
+    return out
 
 
 class _Ring:
@@ -503,14 +489,14 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
                             f"past the cap of {max_snaxels}", n
                         )
                     m = _snaxel_count(count)
-                    xy = _resampler(ws.n, m)(ring, ws.seg, seglen, perimeter)
+                    xy = _resample(ring[1:-1], ws.seg, seglen, perimeter, m)
                     if m != ws.n:
                         ws = _Workspace(field, m)
                         seglen = ws.seglen
                         shortest = seglen.argmin
                     # the resampled contour is the current one from here
-                    # on, whether or not another step follows; the
-                    # resampler's buffers go with xy
+                    # on, whether or not another step follows; xy is
+                    # freed once loaded
                     ring = ws.load(xy)
                     del xy
                     advance = ws.steps(tension, gamma, step).__next__

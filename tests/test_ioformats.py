@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import threading
 import time
+import tracemalloc
 import warnings
 from itertools import chain, repeat
 from unittest import mock
@@ -577,6 +579,62 @@ def read_through_a_pipe(data: bytes) -> gv.VectorField:
     finally:
         os.close(read_end)
         writer.join()
+
+
+def with_lines(tmp_path, edits: dict):
+    """The path of a 3x3 field file of ones and zeros whose line k (from
+    0, the empty one after the last line break included) is edits[k]."""
+    path = tmp_path / "lines.gvf"
+    io.write_field(gv.VectorField.from_arrays(np.ones((3, 3)), np.zeros((3, 3))), path)
+    lines = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join(edits.get(k, line) for k, line in enumerate(lines)))
+    return path
+
+
+class TestLongLines:
+    """A line longer than 4 KiB is not held whole: unless it is blank, it
+    reads as a short malformed line in its place would."""
+
+    def test_a_20_mib_value_line_is_a_bad_pair_read_in_kilobytes(self, tmp_path):
+        path = with_lines(tmp_path, {3: b"7" * (20 << 20)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"^bad value pair on line 4$"):
+                io.read_field(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_a_byte_outside_ascii_after_the_long_line_is_reported_first(self, tmp_path):
+        path = with_lines(tmp_path, {3: b"7" * (20 << 20), 5: b"1 \xe9"})
+        with pytest.raises(FormatError, match="non-ASCII byte") as err:
+            io.read_field(path)
+        assert err.value.offset == path.read_bytes().index(b"\xe9")
+
+    @pytest.mark.parametrize("chunk", [1 << 14, 1000, 7])
+    @pytest.mark.parametrize("edits, message", [
+        # padded past the limit, a pair that a short line would be
+        ({3: b" " * 5000 + b"1 0"}, "bad value pair on line 4"),
+        ({3: b"0." + b"0" * 5000 + b"1 0"}, "bad value pair on line 4"),
+        ({4: b"7" * 5000}, "bad value pair on line 5"),
+        ({0: b"G" * 5000}, "bad field-file magic '<line longer than 4096 bytes>'"),
+        ({1: b"3 3" + b" " * 5000}, "malformed field-file header"),
+        ({12: b"\t" * 5000 + b"0"}, "expected 9 value lines, got 10"),
+        # a blank line stays blank, and counts as one line
+        ({12: b" " * 5000}, None),
+        ({12: b" " * 5000 + b"\r\r"}, None),
+        ({3: b" " * 5000}, "bad value pair on line 4"),
+    ])
+    def test_a_long_line_is_one_short_malformed_or_blank_line(self, tmp_path, chunk, edits,
+                                                              message):
+        path = with_lines(tmp_path, edits)
+        with mock.patch.object(io, "_FIELD_CHUNK", chunk):
+            if message is None:
+                assert np.array_equal(io.read_field(path).values[0], np.ones((3, 3)))
+            else:
+                with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+                    io.read_field(path)
 
 
 class TestPeakMemory:

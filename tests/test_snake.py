@@ -139,20 +139,15 @@ def watch_steps(monkeypatch, record):
 
 
 def watch_resamplings(monkeypatch, record):
-    """Make snake_evolve call record(n, m, ring, seg, seglen, perimeter)
+    """Make snake_evolve call record(n, m, pts, seg, seglen, perimeter)
     before each resampling of n snaxels to m."""
-    real_resampler = snake_mod._resampler
+    real_resample = snake_mod._resample
 
-    def resampler(n, m):
-        real_resample = real_resampler(n, m)
+    def resample(pts, seg, seglen, perimeter, m):
+        record(len(pts), m, pts, seg, seglen, perimeter)
+        return real_resample(pts, seg, seglen, perimeter, m)
 
-        def resample(*args):
-            record(n, m, *args)
-            return real_resample(*args)
-
-        return resample
-
-    monkeypatch.setattr(snake_mod, "_resampler", resampler)
+    monkeypatch.setattr(snake_mod, "_resample", resample)
 
 
 def drawn_run(w, h, n, seed, b, gamma, step, sign, normalize, spacing, reach, max_iter):
@@ -180,7 +175,17 @@ def random_field(rng, w, h, scale):
     return gv.VectorField(gv.GridSpec(w, h), uv)
 
 
+# a contour whose segments along x, 2e308 long, are past the float range
+_WIDE = np.array([[1e308, 0.0], [-1e308, 0.0], [-1e308, 1.0], [1e308, 1.0]])
+
+
 class TestSnakeType:
+    def test_perimeter_past_the_float_range_is_inf_without_a_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert gv.Snake(_WIDE).perimeter() == math.inf
+        assert not caught
+
     def test_needs_four_points(self):
         with pytest.raises(ParameterError):
             gv.Snake(np.zeros((3, 2)))
@@ -390,6 +395,13 @@ class TestResampleContour:
         with pytest.raises(GeometryError):
             gv.resample_contour(s, 1.0)
 
+    def test_perimeter_past_the_float_range_is_refused_without_a_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParameterError, match="perimeter is past the float range"):
+                gv.resample_contour(gv.Snake(_WIDE), 2.0)
+        assert not caught
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(4, 60), st.integers(0, 2**32 - 1), st.floats(0.3, 5.0))
     def test_equals_the_reference_resampling(self, n, seed, spacing):
@@ -424,9 +436,8 @@ class TestResampleContour:
         perimeter, count = resample_count(seglen, spacing)
         want = np.ascontiguousarray(
             reference_resample(ring, seg, seglen, stretch * perimeter, count).T)
-        resample = snake_mod._resampler(len(pts), snake_mod._snaxel_count(count))
-        got = resample(np.ascontiguousarray(ring.T), np.ascontiguousarray(seg.T), seglen,
-                       stretch * perimeter)
+        got = snake_mod._resample(pts, np.ascontiguousarray(seg.T), seglen, stretch * perimeter,
+                                  snake_mod._snaxel_count(count))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         if stretch == 1.0:
             got = gv.resample_contour(gv.Snake(pts), spacing).points
@@ -678,7 +689,7 @@ class TestAgainstTheReference:
         # a unit radial field moves every snaxel straight in or out, so
         # the segments stay nearly equal and only one bound is crossed
         spacings = []
-        watch_resamplings(monkeypatch, lambda n, m, ring, seg, seglen, perimeter:
+        watch_resamplings(monkeypatch, lambda n, m, pts, seg, seglen, perimeter:
                           spacings.append((seglen.min(), seglen.max())))
         y, x = np.mgrid[0:64, 0:64] - 31.5
         outward = np.stack([x, y]) / np.hypot(x, y)
