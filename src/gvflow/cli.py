@@ -34,7 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from . import ioformats
-from .errors import DivergenceError, FormatError, GvfError, ParameterError, SizeError
+from .errors import (
+    DivergenceError,
+    FormatError,
+    GvfError,
+    ParameterError,
+    SizeError,
+    check_real,
+)
 from .grid import ScalarField, VectorField, clamp_magnitude, edge_map, gradient_central
 from .snake import Snake, SnakeParams, snake_evolve
 from .solver import (
@@ -65,6 +72,9 @@ def _parse_box(text: str) -> tuple[int, int, int, int]:
 
 
 def _parse_circle(text: str):
+    """cx, cy, r and the snaxel count n of a circle flag cx,cy,r[,n],
+    checked as far as no grid is needed: r > 0, and n an integer >= 4,
+    by default max(16, round(pi * r)), which must be finite."""
     try:
         parts = [float(p) for p in text.split(",")]
     except ValueError:
@@ -72,10 +82,17 @@ def _parse_circle(text: str):
     if len(parts) not in (3, 4) or not all(math.isfinite(p) for p in parts):
         raise ParameterError(f"expected finite cx,cy,r[,n] but got {text!r}")
     cx, cy, r = parts[:3]
-    if len(parts) == 4 and not parts[3].is_integer():
+    if r <= 0:
+        raise ParameterError("circle radius must be > 0")
+    if len(parts) == 3:
+        if math.pi * r == math.inf:
+            raise ParameterError(f"circle radius {r:g} has no finite default snaxel count pi * r")
+        return cx, cy, r, max(16, int(round(math.pi * r)))
+    if not parts[3].is_integer():
         raise ParameterError(f"circle snaxel count n must be an integer, got {parts[3]:g}")
-    n = int(parts[3]) if len(parts) == 4 else max(16, int(round(2.0 * math.pi * r / 2.0)))
-    return cx, cy, r, n
+    if parts[3] < 4:
+        raise ParameterError("a snake needs at least 4 snaxels")
+    return cx, cy, r, int(parts[3])
 
 
 def _circle_snake(circle, spec) -> Snake:
@@ -236,8 +253,7 @@ def _solve_settings(cfg: dict) -> dict:
 
 def _snake_params(cfg: dict) -> SnakeParams:
     """The snake stage's parameters, checked before any work is done."""
-    if not 0 < cfg["force_peak"] < math.inf:
-        raise ParameterError(f"--force-peak must be finite and > 0, got {cfg['force_peak']!r}")
+    check_real("--force-peak", cfg["force_peak"], above=True)
     return SnakeParams(
         b=cfg["b"],
         gamma=cfg["gamma"],
@@ -284,6 +300,11 @@ _SYNTH_FLAGS = {"hole_box": "box-hole", "cx": "disk", "cy": "disk", "radius": "d
 
 
 def cmd_synth(args) -> int:
+    # both checks allocate nothing, so a refused command builds no image
+    ioformats._check_synth_size(args.width, args.height)
+    for name, shape in _SYNTH_FLAGS.items():
+        if getattr(args, name) is not None and shape != args.shape:
+            raise ParameterError(f"--{name.replace('_', '-')} applies to --shape {shape} only")
     if args.shape == "ushape":
         img = ioformats.synth_ushape(args.width, args.height)
     elif args.shape == "box-hole":
@@ -292,9 +313,6 @@ def cmd_synth(args) -> int:
         if args.cx is None or args.cy is None or args.radius is None:
             raise ParameterError("disk needs --cx, --cy and --radius")
         img = ioformats.synth_disk(args.width, args.height, args.cx, args.cy, args.radius)
-    for name, shape in _SYNTH_FLAGS.items():
-        if getattr(args, name) is not None and shape != args.shape:
-            raise ParameterError(f"--{name.replace('_', '-')} applies to --shape {shape} only")
     ioformats.write_pgm(img, args.out_image)
     print(json.dumps({"wrote": str(args.out_image), "shape": args.shape}, sort_keys=True))
     return EXIT_OK
@@ -384,8 +402,8 @@ def cmd_snake(args, cfg, summary, open_out) -> bool:
     if not (args.init_circle or args.init_contour):
         raise ParameterError("need --init-circle or --init-contour")
     circle = _parse_circle(args.init_circle) if args.init_circle else None
-    if args.force_scale is not None and not 0 < args.force_scale < math.inf:
-        raise ParameterError(f"--force-scale must be finite and > 0, got {args.force_scale!r}")
+    if args.force_scale is not None:
+        check_real("--force-scale", args.force_scale, above=True)
     out_dir, field = open_out("field")
     init = (_circle_snake(circle, field.spec) if circle
             else Snake(ioformats.read_contour(args.init_contour)))

@@ -432,6 +432,9 @@ def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
 # takes 32 KiB.
 _RENDER_BLOCK = 4096
 
+# the largest |component| of a field that render takes as it is
+_RENDER_RANGE = (2.0**-1000, 2.0**1023)
+
 
 def _pixel_colors(mode: str, u: np.ndarray, v: np.ndarray, mag: np.ndarray,
                   peak: float) -> np.ndarray:
@@ -523,6 +526,11 @@ def render(
     line segments on every arrow_stride-th pixel, scaled so the longest
     arrow spans about one cell.  Contours are drawn as a closed red
     polyline, each segment clipped to the image before it is rasterized.
+
+    A field renders the same bytes when scaled by a power of two, so one
+    whose largest |component| m lies outside [2**-1000, 2**1023), where
+    |v| could overflow or the arrow scale stride / peak could, is first
+    scaled by the exact power of two that brings m into [1, 2).
     """
     if mode not in RENDER_MODES:
         raise ParameterError(f"unknown render mode {mode!r}")
@@ -530,7 +538,11 @@ def render(
         raise ParameterError(f"arrow stride must be an integer, got {arrow_stride!r}")
     if arrow_stride < 1:
         raise ParameterError(f"arrow stride must be >= 1, got {arrow_stride}")
-    u, v = field.values
+    values = field.values
+    m = max(float(values.max()), -float(values.min()))
+    if 0 < m < _RENDER_RANGE[0] or _RENDER_RANGE[1] <= m < math.inf:
+        values = np.ldexp(values, 1 - math.frexp(m)[1])
+    u, v = values
     mag = np.hypot(u, v)
     peak = mag.max()
     rgb = np.zeros(mag.shape + (3,), dtype=np.uint8)

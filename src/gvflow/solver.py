@@ -18,35 +18,38 @@ the spectral oracle.
 
 One stencil operator (_Stencil) serves the iteration, gvf_step,
 expansion_check and steady_residual, and grid.laplacian_5pt shares its
-neighbor terms and their sum.  The explicit update lives in one generator
-(_Stencil.steps), which makes its coefficients, binds its operands once
-per solve and measures each step's change and energy; the solve,
-gvf_step and expansion_check each make that one call and drive it.  An
-iteration makes the numpy calls of its arithmetic, no method call of the
-stencil and no attribute lookup but the swap of its two field buffers,
-and no code outside the stencil reads its buffers.  On the stencil
-one function (_steady_defect) defines h*src - A*v, A the steady-state
-operator, for steady_residual and the direct oracle's refinement, both
-on the domain's bounding box grown by one pixel, so their cost follows
-the domain, not the grid.  Each plane of the field's (2, H, W) array
-(grid.VectorField) sits between two zero rows of a (2, H+2, W) buffer,
-and the neighbor sum is four shifted views of the buffer's flattened
-span.  The stencil builds those views, and every other view an iteration
-touches, once: on a small grid a solve's cost is numpy's per-call
-overhead, so an iteration makes only the calls of its arithmetic.  The
-views are right at every pixel whose four neighbors lie in the
-domain.  For the others, the boundary pixels, one table (_border_table)
-lists the four neighbors, each one outside the domain replaced by its
-stand-in: the pixel itself under the mirror rule, the far end of its row
-or column under periodic borders.  The grid border counts as outside, so
-on every domain (the full rectangle, a mask, periodic borders) one
-gather of that table and one reduction of it fix up the sum at the
-boundary pixels, and a mask's exterior stays at zero.  Every sum adds
-x+1, x-1, y+1, y-1 in that order (grid._neighbor_offsets), so all
-results are reproducible to the last bit.  Every buffer the iteration
-writes starts its written span on a 64-byte cache line
-(grid._aligned_zeros): numpy aligns to 16 bytes only, and a ufunc whose
-output is split across cache lines runs about half as fast.
+neighbor terms and their sum.  The explicit update lives in one
+generator (_Stencil.steps), which makes its coefficients, binds its
+operands once per solve and measures each step's change and energy; the
+solve, gvf_step and expansion_check each make that one call and drive
+it.  An iteration makes the numpy calls of its arithmetic, no method
+call of the stencil and no attribute lookup but the swap of its two
+field buffers, and no code outside the stencil reads its buffers.  On
+the stencil one function (_steady_defect) defines h*src - A*v, A the
+steady-state operator, for steady_residual and the direct oracle's
+refinement, both on the domain's bounding box grown by one pixel, so
+their cost follows the domain, not the grid.  Each plane of the field's
+(2, H, W) array (grid.VectorField) sits between two zero rows of a
+(2, H+2, W) buffer, and the neighbor sum is four shifted views of the
+buffer's flattened span.  One builder (_Stencil._buffer) makes every
+such buffer of the stencil, the two field buffers, the neighbor sum's
+and the coefficients', with their views; the neighbor views are built
+where they are summed, once per buffer and solve.  On a small grid a
+solve's cost is numpy's per-call overhead, so an iteration makes only
+the calls of its arithmetic.  The views are right at every pixel whose
+four neighbors lie in the domain.  For the others, the boundary pixels,
+one table (_border_table) lists the four neighbors, each one outside the
+domain replaced by its stand-in: the pixel itself under the mirror rule,
+the far end of its row or column under periodic borders.  The grid
+border counts as outside, so on every domain (the full rectangle, a
+mask, periodic borders) one gather of that table and one reduction of it
+fix up the sum at the boundary pixels, and a mask's exterior stays at
+zero.  Every sum adds x+1, x-1, y+1, y-1 in that order
+(grid._neighbor_offsets), so all results are reproducible to the last
+bit.  Every buffer the iteration writes starts its written span on a
+64-byte cache line (grid._aligned_zeros): numpy aligns to 16 bytes only,
+and a ufunc whose output is split across cache lines runs about half as
+fast.
 
 A solve holds each full-size array once, and makes none that it does
 not keep: the field, its spare, the neighbor sum (whose first plane
@@ -354,13 +357,12 @@ def _border_table(mask: DomainMask, periodic: bool) -> tuple:
 
 
 class _Buffer(NamedTuple):
-    """A (2, H+2, W) field buffer's views that the stencil reads or
-    writes, all built once."""
+    """A (2, H+2, W) buffer's views that the stencil reads or writes, all
+    built once."""
 
     span: np.ndarray      # the flat span holding every pixel of both planes
     flat: np.ndarray      # the whole buffer, flattened
-    interior: np.ndarray  # the (2, H, W) field
-    terms: tuple          # the four neighbor views of the span
+    interior: np.ndarray  # the (2, H, W) planes
 
 
 class _Stencil:
@@ -378,8 +380,12 @@ class _Stencil:
     of the ones outside the domain (_border_table), summed in the same
     order by one reduction and scattered back, overwrites the sum: one
     border mechanism for the full rectangle, masks and periodic borders.
-    The neighbor sum's buffer and the field's, their views and the table
-    are built once, in __init__; steps() makes the spare field buffer.
+    Every (2, H+2, W) array comes from _buffer(), which returns its span,
+    its flat view and its (2, H, W) planes: the neighbor sum's and the
+    field's in __init__, the spare field's in steps() and the
+    coefficients' in coeffs().  _summer builds a buffer's four neighbor
+    views, once, where it binds their sum; the table is built in
+    __init__.
 
     The explicit update is written once, in the generator steps(), which
     makes its coefficients (coeffs()), binds every operand of an iteration
@@ -404,12 +410,9 @@ class _Stencil:
             raise ParameterError("periodic borders require the full-rectangle domain")
         self._spec = mask.spec
         hh, ww = mask.spec.shape
-        shape, plane = (2, hh + 2, ww), (hh + 2) * ww
-        self._span = span = slice(ww, 2 * plane - ww)
-        self._nb = _aligned_zeros(shape, ww)
-        self._nb_flat = self._nb.reshape(-1)
-        self._nb_span = self._nb_flat[span]
-        self._nb_field = self._nb[:, 1:-1]
+        plane = (hh + 2) * ww
+        self._span = slice(ww, 2 * plane - ww)
+        self._nb = self._buffer()
         self._outside = None if mask.is_full else ~mask.inside
         self._cur, self._old = self._buffer(), None
         self.field[...] = field
@@ -420,11 +423,11 @@ class _Stencil:
         self._fix_sum = np.empty(self._fix_at.shape)
 
     def _buffer(self) -> _Buffer:
-        """A zero (2, H+2, W) field buffer, span on a cache line, and its views."""
-        ww = self._spec.width
-        b = _aligned_zeros(self._nb.shape, ww)
+        """A zero (2, H+2, W) buffer, span on a cache line, and its views."""
+        hh, ww = self._spec.shape
+        b = _aligned_zeros((2, hh + 2, ww), ww)
         flat = b.reshape(-1)
-        return _Buffer(flat[self._span], flat, b[:, 1:-1], _neighbor_terms(flat, self._span, ww))
+        return _Buffer(flat[self._span], flat, b[:, 1:-1])
 
     @property
     def field(self) -> np.ndarray:
@@ -436,30 +439,33 @@ class _Stencil:
         and the (2, H, W) source src: keep = 1 - h*dt, hsrc = h*dt*src and
         rc = g*dt, zero outside the domain and in the pad rows.  Each is
         computed in its own span buffer; on the full rectangle a scalar
-        keep or rc stays a scalar."""
+        keep or rc is a 0-d array (grid._constant), which a ufunc takes
+        faster than a Python float."""
         g, h = _coeff_grid(g, self._spec), _coeff_grid(h, self._spec)
         full = self._outside is None
-        keep = (1.0 - h * dt if full and np.ndim(h) == 0 else self._span_buffer(
+        keep = (_constant(1.0 - h * dt) if full and np.ndim(h) == 0 else self._span_buffer(
             lambda out: np.subtract(1.0, np.multiply(h, dt, out=out), out=out)))
         hsrc = self._span_buffer(
             lambda out: np.multiply(np.multiply(h, dt, out=out), src, out=out))
-        rc = (g * dt if full and np.ndim(g) == 0 else self._span_buffer(
+        rc = (_constant(g * dt) if full and np.ndim(g) == 0 else self._span_buffer(
             lambda out: np.multiply(g, dt, out=out)))
         return keep, hsrc, rc
 
     def _span_buffer(self, fill) -> np.ndarray:
         """The span of a new coefficient buffer whose (2, H, W) interior
         fill(interior) writes, zeroed outside the domain."""
-        out = _aligned_zeros(self._nb.shape, self._span.start)
-        fill(out[:, 1:-1])
+        out = self._buffer()
+        fill(out.interior)
         if self._outside is not None:
-            np.copyto(out[:, 1:-1], 0.0, where=self._outside)
-        return out.reshape(-1)[self._span]
+            np.copyto(out.interior, 0.0, where=self._outside)
+        return out.span
 
     def _summer(self, buf: _Buffer):
         """The four-neighbor sum of the field in buf, into the neighbor
-        sum's span, as a call whose operands are bound."""
-        term_sum, nb_flat, at = _term_sum(buf.terms, self._nb_span), self._nb_flat, self._fix_at
+        sum's span, as a call whose operands, the four shifted views of
+        buf among them, are bound."""
+        terms = _neighbor_terms(buf.flat, self._span, self._spec.width)
+        term_sum, nb_flat, at = _term_sum(terms, self._nb.span), self._nb.flat, self._fix_at
         take, table, vals = buf.flat.take, self._fix_table, self._fix_vals
         reduce, fixed = np.add.reduce, self._fix_sum
 
@@ -477,7 +483,7 @@ class _Stencil:
     def neighbor_sum(self) -> np.ndarray:
         """The four-neighbor sum of the current field, a (2, H, W) view."""
         self._summer(self._cur)()
-        return self._nb_field
+        return self._nb.interior
 
     def steps(self, g, h, dt: float, src: np.ndarray):
         """The explicit update keep*c + hsrc + rc*(nb - 4c) of the field
@@ -488,16 +494,15 @@ class _Stencil:
         row-major order.  The first next() makes the coefficients and the
         spare field buffer, which each step writes the new field into."""
         keep, hsrc, rc = self.coeffs(g, h, dt, src)
-        keep, rc = (_constant(c) if np.ndim(c) == 0 else c for c in (keep, rc))
         self._old = self._buffer()
         four, multiply, subtract, add = _constant(4.0), np.multiply, np.subtract, np.add
         max_reduce, add_reduce, sqrt = np.maximum.reduce, np.add.reduce, math.sqrt
-        nb = self._nb_span
+        nb = self._nb.span
         # the squared change per pixel goes into the neighbor sum's buffer,
         # free until the next step, and its planes are added into the
         # first; its max and sum are those of the flat plane, whose
         # reductions ndarray.max and sum run
-        sq, sq_v = self._nb_field
+        sq, sq_v = self._nb.interior
         sq_flat = sq.reshape(-1)
         sq_take = sq_flat.take
         # a mask's energy sums its pixels only, taken into one buffer
@@ -592,20 +597,18 @@ def _solve(f, p: GvfParams | GgvfParams, mask, periodic, force) -> SolveReport:
         steps = stencil.steps(p.g, p.h, p.dt, stencil.field)
         changes: list[float] = []
         energies: list[float] = []
-        converged, iterations, first_change = False, 0, None
+        converged = False
         # the range comes first, so that no step runs past max_iter
         for n, (change, energy) in zip(range(1, p.max_iter + 1), steps):
-            iterations = n
             changes.append(change)
             energies.append(energy)
             if not math.isfinite(change):
                 raise DivergenceError("non-finite values in the field", n)
-            if first_change is None:
-                first_change = change
-            elif change > _DIVERGENCE_GROWTH * (first_change + 1e-300):
+            # at step 1 a finite change cannot pass its own growth bound
+            if change > _DIVERGENCE_GROWTH * (changes[0] + 1e-300):
                 raise DivergenceError(
                     f"per-iteration change grew past {_DIVERGENCE_GROWTH:g} times its "
-                    f"initial value ({change:.3g} vs {first_change:.3g})",
+                    f"initial value ({change:.3g} vs {changes[0]:.3g})",
                     n,
                 )
             if change < p.delta:
@@ -617,7 +620,7 @@ def _solve(f, p: GvfParams | GgvfParams, mask, periodic, force) -> SolveReport:
     del steps
     return SolveReport(
         field=VectorField(spec, stencil.field.copy()),
-        iterations=iterations,
+        iterations=len(changes),
         converged=converged,
         change_history=np.asarray(changes),
         energy_history=np.asarray(energies),

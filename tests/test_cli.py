@@ -123,6 +123,20 @@ class TestSynth:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape, flags", [
+        ("ushape", ["--cx", "5"]),
+        ("box-hole", ["--radius", "5"]),
+        ("disk", ["--cx", "5", "--cy", "5", "--radius", "3", "--hole-box", "1,1,2,2"]),
+    ])
+    def test_flag_of_another_shape_is_refused_before_the_image_is_built(
+            self, tmp_path, monkeypatch, shape, flags):
+        built = []
+        for name in ("synth_ushape", "synth_box_with_hole", "synth_disk"):
+            monkeypatch.setattr(io, name, lambda *args, name=name: built.append(name))
+        code = main(["synth", "--shape", shape, "--width", "2048", "--height", "2048", *flags,
+                     "--out-image", str(tmp_path / "x.pgm")])
+        assert code == EXIT_VALIDATION and built == []
+
 
 class TestPipeline:
     def test_gvf_artifacts_and_summary(self, u64, tmp_path):
@@ -357,10 +371,24 @@ class TestRunEnd:
         ([], "need --init-circle or --init-contour"),
         (["--init-circle", "6,6,4", "--force-scale", "0"], "--force-scale must be finite"),
         (["--init-circle", "1,2"], "expected finite cx,cy,r[,n]"),
+        (["--init-circle", "6,6,-4"], "circle radius must be > 0"),
+        (["--init-circle", "6,6,0,16"], "circle radius must be > 0"),
+        (["--init-circle", "6,6,4,3"], "at least 4 snaxels"),
+        # pi * r, the default count, is past the float range
+        (["--init-circle", "24,24,1e308"], "no finite default snaxel count"),
     ])
     def test_snake_flag_errors_make_no_directory(self, tmp_path, capsys, flags, message):
         code = main(["snake", "--field", "missing.gvf", "--out", str(tmp_path / "bad"), *flags])
-        assert code == EXIT_VALIDATION and message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and message in err and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_snake_circle_past_the_float_range_makes_no_directory(self, tmp_path, capsys):
+        code = main(["gvf", "--image", "missing.pgm", "--out", str(tmp_path / "bad"),
+                     "--snake", "24,24,1e308"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and "no finite default snaxel count" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "bad").exists()
 
 

@@ -808,6 +808,29 @@ class TestRender:
                       arrow_stride=stride)
         assert not path.exists()
 
+    @pytest.mark.parametrize("mode", io.RENDER_MODES)
+    def test_field_near_the_float_range_renders_as_its_unit_scale(self, tmp_path, mode):
+        # past about 1.3e308 |v| overflows: heatmaps came out black and
+        # arrows drew nothing; the field is scaled by a power of two first
+        rng = np.random.default_rng(47)
+        f = rng.uniform(1.0, 2.0, (2, 32, 32)) * rng.choice([-1.0, 1.0], (2, 32, 32))
+        a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            io.render(gv.VectorField.from_arrays(*f), mode, a)
+            io.render(gv.VectorField.from_arrays(*np.ldexp(f, 1023)), mode, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_subnormal_field_draws_arrows(self, tmp_path):
+        # stride / peak overflowed, then the rounding of inf raised
+        rng = np.random.default_rng(48)
+        f = rng.uniform(1.0, 2.0, (2, 32, 32))
+        path = tmp_path / "s.ppm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            io.render(gv.VectorField.from_arrays(*np.ldexp(f, -1070)), "arrows", path)
+        assert (self._read_ppm(path) == 255).any()
+
     def test_render_deterministic(self, tmp_path):
         rng = np.random.default_rng(45)
         field = gv.VectorField.from_arrays(rng.random((16, 16)), rng.random((16, 16)))

@@ -724,7 +724,7 @@ class TestAlignedBuffers:
         g = gv.ScalarField(spec, rng.random(spec.shape))
         h = gv.ScalarField(spec, 1.0 - g.values)
         coeffs = stencil.coeffs(g, h, 0.1, field.values)
-        assert all(_address(s) % 64 == 0 for s in [stencil._nb_span, *coeffs])
+        assert all(_address(s) % 64 == 0 for s in [stencil._nb.span, *coeffs])
         # the first step makes the spare buffer and swaps the field into it
         next(stencil.steps(g, h, 0.1, field.values))
         assert all(_address(b.span) % 64 == 0 for b in (stencil._cur, stencil._old))
