@@ -401,6 +401,8 @@ def cmd_snake(args, cfg, summary, open_out) -> bool:
     params = _snake_params(cfg)
     if not (args.init_circle or args.init_contour):
         raise ParameterError("need --init-circle or --init-contour")
+    if args.init_circle and args.init_contour:
+        raise ParameterError("--init-circle and --init-contour exclude each other")
     circle = _parse_circle(args.init_circle) if args.init_circle else None
     if args.force_scale is not None:
         check_real("--force-scale", args.force_scale, above=True)

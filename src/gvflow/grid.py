@@ -133,7 +133,7 @@ def _constant(x: float) -> np.ndarray:
     return a
 
 
-# --- the five-point neighbor sum -----------------------------------------------
+# --- the solver's stencil buffers ---------------------------------------------
 
 def _aligned_zeros(shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
     """Zero-filled, C-contiguous float64 array of the given shape whose
@@ -151,35 +151,6 @@ def _aligned_zeros(shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
     return raw[skip:skip + n].reshape(shape)
 
 
-def _neighbor_offsets(row: int) -> tuple[int, int, int, int]:
-    """Flat offsets of the x+1, x-1, y+1, y-1 neighbors in a buffer whose
-    rows are `row` elements long: the one order every neighbor sum adds."""
-    return (1, -1, row, -row)
-
-
-def _neighbor_terms(flat: np.ndarray, span: slice, row: int) -> tuple[np.ndarray, ...]:
-    """The four shifted views, in _neighbor_offsets order, of flat[span],
-    a flattened buffer with rows `row` elements long: element k of each
-    view is that neighbor of span element k."""
-    lo, hi = span.start, span.stop
-    return tuple(flat[lo + d:hi + d] for d in _neighbor_offsets(row))
-
-
-def _term_sum(terms, out: np.ndarray):
-    """out = ((t0 + t1) + t2) + t3, left to right, as a call whose
-    operands are bound, for a caller that sums the same views again and
-    again."""
-    t0, t1, t2, t3 = terms
-    add = np.add
-
-    def term_sum() -> None:
-        add(t0, t1, out=out)
-        add(out, t2, out=out)
-        add(out, t3, out=out)
-
-    return term_sum
-
-
 # --- operators ----------------------------------------------------------------
 
 def gradient_central(f: ScalarField) -> VectorField:
@@ -194,15 +165,12 @@ def gradient_central(f: ScalarField) -> VectorField:
 
 def laplacian_5pt(f: ScalarField) -> ScalarField:
     """Five-point Laplacian nb_sum - 4*a, mirrored at the borders; the
-    neighbor sum is the solvers' (_neighbor_terms) on the edge-padded
-    array, over the span from its first interior pixel to its last."""
+    neighbor sum adds x+1, x-1, y+1, y-1, in that order, on the
+    edge-padded array."""
     a = f.values
     p = np.pad(a, 1, mode="edge")
-    row = p.shape[1]
-    span = slice(row + 1, p.size - row - 1)
-    nb = np.empty_like(p)
-    _term_sum(_neighbor_terms(p.reshape(-1), span, row), nb.reshape(-1)[span])()
-    return ScalarField(f.spec, nb[1:-1, 1:-1] - 4.0 * a)
+    nb = ((p[1:-1, 2:] + p[1:-1, :-2]) + p[2:, 1:-1]) + p[:-2, 1:-1]
+    return ScalarField(f.spec, nb - 4.0 * a)
 
 
 def _symmetric_pass(padded: np.ndarray, kernel: np.ndarray, step: int) -> np.ndarray:
@@ -211,11 +179,11 @@ def _symmetric_pass(padded: np.ndarray, kernel: np.ndarray, step: int) -> np.nda
 
     The arithmetic is that of scipy.ndimage's symmetric-kernel loop:
     out = a[x] * k[r], then for j = r, r-1, ..., 1 (outermost pair
-    first) out += (a[x-j] + a[x+j]) * k[r-j].  As in _neighbor_terms, each
-    term is one contiguous pass over the flattened buffer: a shift of j
-    along the axis is an offset of j*step.  The result has the padded
-    shape; only the entries at least r*step from both ends of the
-    flattened buffer are meaningful.
+    first) out += (a[x-j] + a[x+j]) * k[r-j].  Each term is one
+    contiguous pass over the flattened buffer: a shift of j along the
+    axis is an offset of j*step.  The result has the padded shape; only
+    the entries at least r*step from both ends of the flattened buffer
+    are meaningful.
     """
     r = kernel.size // 2
     flat = padded.reshape(-1)

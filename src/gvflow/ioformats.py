@@ -553,7 +553,9 @@ def render(
         for top in range(0, mag.shape[0], step):
             rows = slice(top, top + step)
             rgb[rows] = _pixel_colors(mode, u[rows], v[rows], mag[rows], peak)
-    elif peak > 0:
+    elif peak > 0 and arrow_stride // 2 < min(mag.shape):
+        # only where an arrow can start: a stride past both sides would
+        # overflow the scale, though no arrow is drawn
         scale = arrow_stride / peak
         hgt, wdt = mag.shape
         for y in range(arrow_stride // 2, hgt, arrow_stride):

@@ -18,32 +18,36 @@ meaningful while the contour stretches; a contour due for resampling
 whose perimeter has shrunk below 1e-9 stops the run as collapsed.
 
 A step is a short sequence of whole-array calls, the same at every step
-of a run, and makes no arrays.  A workspace (_Workspace), built once per
-snaxel count, owns the contour and every buffer and view a step touches,
-and its generator (_Workspace.steps) binds them all as it starts, so
-that a step makes the numpy calls of its arithmetic and no attribute
-lookup or call of a Python method.  A resampling is one call of
-_resample, which makes a new (M, 2) array of the resampled points and a
-few per-target arrays beside it; the workspace loads the points (a new
-workspace if the count changes), and a new generator steps from it.  The
-contour lives in one of two rings of N + 2 (x, y) rows, used in turn:
-a step reads one and writes the other.  A ring's two wrap rows repeat its last and first snaxel, so
-it gives both neighbors of every snaxel for the tensile term and, after
-the update, the segments for the spacing test and the resampling.  The
-points, the neighbors and the step's own arrays are contiguous (N, 2)
-blocks, so the elementwise calls on them run as one flat loop; a numpy
-call on a strided two-row view costs about twice as much at a few
-hundred snaxels.  One take of flat indices fetches the four bilinear
-corners of every snaxel, u and v together (_bilinear); the lower corner
-is found in float, truncated and lowered to (w-2, h-2), and cast to an
-index once.  Each clamp is a minimum against the upper corner (w-1, h-1)
-and a maximum against 0.  One hypot gives the length of every move and
-of every new segment, and one maximum.reduceat the largest of each, for
-the stop test and the upper spacing bound; the shortest segment is
-looked for, by argmin, only when the run resamples, the contour has not
-settled and no segment is too long.  A step is 27 numpy calls.  numpy's
-iterator still takes a buffer of its own, and returns it, for each call
-that broadcasts one operand against another.
+of a run, and makes no arrays.  One generator (_steps), started once per
+snaxel count, makes every buffer and view a step touches, the sampler's
+included, as locals, so that a step makes the numpy calls of its
+arithmetic and no attribute lookup or call of a Python method.  It
+yields, per step, the largest move, the longest segment, the new points
+and their segments and lengths.  A resampling is one call of _resample,
+which makes a new (M, 2) array of the resampled points and a few
+per-target arrays beside it; at the same count the points are sent to
+the running generator, which loads them before its next step, and at
+another count a new generator starts from them.  The contour lives in
+one of two rings of N + 2 (x, y) rows, used in turn: a step reads one
+and writes the other.  A ring's two wrap rows repeat its last and first
+snaxel, so it gives both neighbors of every snaxel for the tensile term
+and, after the update, the segments for the spacing test and the
+resampling.  The points, the neighbors and the step's own arrays are
+contiguous (N, 2) blocks, so the elementwise calls on them run as one
+flat loop; a numpy call on a strided two-row view costs about twice as
+much at a few hundred snaxels.  One take of flat indices fetches the
+four bilinear corners of every snaxel, u and v together; the lower
+corner is found in float, truncated and lowered to (w-2, h-2), and cast
+to an index once.  Each clamp is a minimum against the upper corner
+(w-1, h-1) and a maximum against 0.  One hypot gives the length of every
+move and of every new segment, and one maximum.reduceat the largest of
+each, for the stop test and the upper spacing bound; the shortest
+segment is looked for, by argmin, only when the run resamples, the
+contour has not settled and no segment is too long.  A step is 27 numpy
+calls.  numpy's iterator still takes a buffer of its own, and returns
+it, for each call that broadcasts one operand against another.
+sample_field_bilinear is the sampler's formula for one point, in Python
+floats.
 
 The loop runs with numpy's overflow and invalid-value errors raised:
 the field and the contour are finite, so a step's displacement is
@@ -165,85 +169,28 @@ def tensile_force(s: Snake, i: int) -> tuple[float, float]:
     return float(b[0]), float(b[1])
 
 
-def _bilinear(field: VectorField, n: int):
-    """sample(xy): bilinear samples of both field components at n points
-    of the image rectangle, with one gather, into a buffer of its own
-    that the next call overwrites.
-
-    Points come as an (n, 2) array of (x, y) rows, as the contour holds
-    them, and the samples go out as an (n, 2) array of (u, v) rows.  In
-    between, the work runs along the n points: the field's values are
-    viewed as a (2, H*W) array, and the four corners of every point, u
-    and v together, come from one take of a (4, n) array of flat
-    indices.  The lower corner is found in float: the truncated point,
-    lowered to (w-2, h-2) where it is above, so every index is in range
-    and the take may clip.  Its flat index is worked out in float too,
-    exactly, and cast to intp once, as the four corners are added to it.
-    On a clamped point the truncation gives the fractions that a cast of
-    the point to an integer gives, signed zeros included: the two differ
-    only at -0.0, which the clamp's maximum against 0.0 turns into 0.0.
-    The corners are weighted and summed in the order
-    w00*c00 + w10*c10 + w01*c01 + w11*c11, with c10 one step along x;
-    the sum starts from -0.0, which leaves every first term as it is.
-    The bounds are held at full size and the scalars as 0-d arrays: a
-    ufunc call that broadcasts or converts a Python float costs more
-    than the arithmetic at a few hundred points.
-    """
-    w, h = field.spec.width, field.spec.height
-    base_hi = np.repeat([[w - 2.0, h - 2.0]], n, axis=0)
-    width, one = _constant(w), _ONE
-    corners = np.array([[0.0], [1.0], [w], [w + 1.0]])
-    take = field.values.reshape(2, -1).take
-    base = np.empty((n, 2))
-    base_x, base_y = base.T
-    row = np.empty(n)
-    index = np.empty((4, n), np.intp)
-    # q[0] = (1 - fx, 1 - fy), q[1] = (fx, fy), per point;
-    # w[ky, kx] = qy[ky] * qx[kx]
-    q = np.empty((2, n, 2))
-    cofrac, frac = q
-    qy, qx = q[:, None, :, 1], q[None, :, :, 0]
-    weights = np.empty((2, 2, n))
-    weights4 = weights.reshape(4, n)
-    terms = np.empty((2, 4, n))
-    out = np.empty((n, 2))
-    out_t = out.T
-    trunc, minimum, subtract, multiply, add = (
-        np.trunc, np.minimum, np.subtract, np.multiply, np.add)
-    add_reduce = np.add.reduce
-
-    def sample(xy: np.ndarray) -> np.ndarray:
-        trunc(xy, base)
-        minimum(base, base_hi, out=base)
-        subtract(xy, base, frac)
-        subtract(one, frac, cofrac)
-        multiply(qy, qx, weights)
-        multiply(base_y, width, row)
-        add(row, base_x, row)
-        add(row, corners, out=index, casting="unsafe")
-        take(index, axis=1, mode="clip", out=terms)
-        multiply(weights4, terms, terms)
-        add_reduce(terms, axis=1, out=out_t, initial=-0.0)
-        return out
-
-    return sample
-
-
-def _clamp(xy: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Points clamped to the pixel-center rectangle [0, w-1] x [0, h-1],
-    whose upper corner is hi."""
-    out = np.minimum(xy, hi, out=out)
-    return np.maximum(out, _ZERO, out=out)
-
-
 def sample_field_bilinear(field: VectorField, x: float, y: float) -> tuple[float, float]:
     """Bilinear interpolation of the field at one sub-pixel position;
-    a position outside the image is clamped onto it."""
+    a position outside the image is clamped onto it.
+
+    The arithmetic is that of the snake step's sampler (_steps), in
+    Python floats: the lower corner is the truncated point, lowered to
+    (w-2, h-2) where it is above, and the corners are weighted and
+    summed in the order w00*c00 + w10*c10 + w01*c01 + w11*c11, with c10
+    one step along x.  A coordinate at or below 0 clamps to +0.0, as the
+    step's maximum against 0.0 clamps -0.0."""
     if math.isnan(x) or math.isnan(y):
         raise ParameterError(f"sample position must not be NaN, got ({x!r}, {y!r})")
-    hi = np.array([[field.spec.width - 1.0, field.spec.height - 1.0]])
-    (u, v), = _bilinear(field, 1)(_clamp(np.array([[x, y]], dtype=float), hi))
-    return float(u), float(v)
+    w, h = field.spec.width, field.spec.height
+    x = min(float(x), w - 1.0) if x > 0.0 else 0.0
+    y = min(float(y), h - 1.0) if y > 0.0 else 0.0
+    x0, y0 = min(math.trunc(x), w - 2), min(math.trunc(y), h - 2)
+    fx, fy = x - x0, y - y0
+    w00, w10, w01, w11 = (1.0 - fy) * (1.0 - fx), (1.0 - fy) * fx, fy * (1.0 - fx), fy * fx
+    c = field.values.item
+    u, v = (w00 * c(k, y0, x0) + w10 * c(k, y0, x0 + 1) + w01 * c(k, y0 + 1, x0)
+            + w11 * c(k, y0 + 1, x0 + 1) for k in (0, 1))
+    return u, v
 
 
 def _unit_field(field: VectorField) -> VectorField:
@@ -316,10 +263,18 @@ def _resample(pts: np.ndarray, seg: np.ndarray, seglen: np.ndarray, perimeter: f
     return out
 
 
-class _Workspace:
-    """A contour of n snaxels, and every buffer and view of its step.
+def _steps(field: VectorField, xy: np.ndarray, tension: np.ndarray, gamma: np.ndarray,
+           step: np.ndarray):
+    """The steps of the contour of the n points xy, one per next(): each
+    moves every snaxel and yields the largest move, the longest segment
+    of the new contour, its points, and its (n, 2) segments and their
+    lengths.  Points sent to it, send(xy), which like the first lie in
+    the image rectangle up to rounding, are the contour of the next
+    step; the step samples the field at their clamped copy.
 
-    The contour lives in one of two rings, used in turn: a step reads
+    Every buffer and view of a step is a local, made as the generator
+    starts: the clamp's bounds, the sampler's buffers, then the two
+    rings and the step's own arrays.  A step reads
     the current ring and writes the other.  A ring holds its n (x, y)
     points as the n + 2 rows p_{n-1}, p_0 .. p_{n-1}, p_0: rows i and
     i + 2 are the neighbors of p_i, row i + 2 less row i + 1 is the
@@ -327,84 +282,112 @@ class _Workspace:
     are contiguous blocks.  Every step writes the move of each snaxel
     and the segments of the new contour one after the other, so that
     one hypot gives both their lengths and one reduceat the largest of
-    each, whether or not the run resamples.  load puts a contour in the
-    first ring, and the steps of steps() start from it.
+    each.  A step makes the numpy calls of its arithmetic and no
+    attribute lookup or call of a Python method.  The contour lies in
+    the image rectangle (clamped, or interpolated between clamped
+    points) and the clamp projects onto it, so no move is longer than
+    its displacement.
+
+    The sampler takes the bilinear samples of both field components at
+    the n points with one gather.  The field's values are viewed as a
+    (2, H*W) array, and the four corners of every point, u and v
+    together, come from one take of a (4, n) array of flat indices.  The
+    lower corner is found in float: the truncated point, lowered to
+    (w-2, h-2) where it is above, so every index is in range and the
+    take may clip.  Its flat index is worked out in float too, exactly,
+    and cast to intp once, as the four corners are added to it.  On a
+    clamped point the truncation gives the fractions that a cast of the
+    point to an integer gives, signed zeros included: the two differ
+    only at -0.0, which the clamp's maximum against 0.0 turns into 0.0.
+    The corners are weighted and summed in the order
+    w00*c00 + w10*c10 + w01*c01 + w11*c11, with c10 one step along x;
+    the sum starts from -0.0, which leaves every first term as it is.
+    The bounds are held at full size and the scalars as 0-d arrays: a
+    ufunc call that broadcasts or converts a Python float costs more
+    than the arithmetic at a few hundred points.
     """
-
-    def __init__(self, field: VectorField, n: int):
-        self.n = n
-        self.hi = np.repeat([[field.spec.width - 1.0, field.spec.height - 1.0]], n, axis=0)
-        self._sample = _bilinear(field, n)
-        # per ring: the whole ring, its points, their previous and next
-        # neighbors, and the wrap rows 0 and n + 1 with the rows n and 1
-        # they repeat.  Each ring is an array of its own: as the two
-        # halves of one (2, n + 2, 2) array, a step ran about 17 % slower
-        self._rings = tuple((r, r[1:-1], r[:-2], r[2:], r[::n + 1], r[n:0:-(n - 1)])
-                            for r in (np.empty((n + 2, 2)), np.empty((n + 2, 2))))
-        self._loaded = np.empty((n, 2))
-        self._tens = np.empty((n, 2))
-        self._disp = np.empty((n, 2))
-        diff = np.empty((2 * n, 2))
-        self._lengths = np.empty(2 * n)
-        self._move, self.seg = diff[:n], diff[n:]
-        self.seglen = self._lengths[n:]
-        self._dx, self._dy = diff.T
-        self._starts = np.array([0, n], np.intp)
-        self._tops = np.empty(2)
-
-    def load(self, xy: np.ndarray) -> np.ndarray:
-        """Make the n points xy, which lie in the image rectangle up to
-        rounding, the contour, and return the ring that holds it; the
-        first step of steps() samples the field at their clamped
-        copies."""
-        full, pts, _, _, wraps, wrapped = self._rings[0]
-        np.copyto(pts, xy)
-        np.copyto(wraps, wrapped)
-        _clamp(xy, self.hi, self._loaded)
-        return full
-
-    def steps(self, tension: np.ndarray, gamma: np.ndarray, step: np.ndarray):
-        """The steps of the loaded contour, one per next(): each moves
-        every snaxel, writes the segments of the new contour into seg
-        and their lengths into seglen, and yields the largest move, the
-        longest segment and the ring that holds the new contour.  Every
-        operand and callable is bound once, as the generator starts, so
-        that a step makes the numpy calls of its arithmetic, one of them
-        through the sampler's closure, and no attribute lookup or call
-        of a Python method.  The contour lies in the image rectangle
-        (clamped, or interpolated between clamped points) and the clamp
-        projects onto it, so no move is longer than its displacement."""
-        add, subtract, multiply, minimum, maximum = (
-            np.add, np.subtract, np.multiply, np.minimum, np.maximum)
-        hypot, copyto, top = np.hypot, np.copyto, np.maximum.reduceat
-        half, zero = _HALF, _ZERO
-        sample, hi, at = self._sample, self.hi, self._loaded
-        tens, disp, move, seg = self._tens, self._disp, self._move, self.seg
-        lengths, dx, dy, starts = self._lengths, self._dx, self._dy, self._starts
-        tops, tolist = self._tops, self._tops.tolist
-        cur, new = self._rings
-        while True:
-            _, pts, prev, after, _, _ = cur
-            full, out, _, out_next, wraps, wrapped = new
-            add(prev, after, tens)
-            multiply(half, tens, tens)
-            subtract(pts, tens, tens)
-            multiply(tension, tens, tens)
-            force = sample(at)
-            multiply(gamma, force, force)
-            add(tens, force, disp)
-            multiply(step, disp, disp)
-            add(pts, disp, out)
-            minimum(out, hi, out=out)
-            maximum(out, zero, out=out)
-            subtract(out, pts, move)
+    n = len(xy)
+    w, h = field.spec.width, field.spec.height
+    hi = np.repeat([[w - 1.0, h - 1.0]], n, axis=0)
+    base_hi = np.repeat([[w - 2.0, h - 2.0]], n, axis=0)
+    width = _constant(w)
+    corners = np.array([[0.0], [1.0], [w], [w + 1.0]])
+    take = field.values.reshape(2, -1).take
+    base = np.empty((n, 2))
+    base_x, base_y = base.T
+    row = np.empty(n)
+    index = np.empty((4, n), np.intp)
+    # q[0] = (1 - fx, 1 - fy), q[1] = (fx, fy), per point;
+    # w[ky, kx] = qy[ky] * qx[kx]
+    q = np.empty((2, n, 2))
+    cofrac, frac = q
+    qy, qx = q[:, None, :, 1], q[None, :, :, 0]
+    weights = np.empty((2, 2, n))
+    weights4 = weights.reshape(4, n)
+    terms = np.empty((2, 4, n))
+    force = np.empty((n, 2))
+    force_t = force.T
+    # per ring: its points, their previous and next neighbors, and the
+    # wrap rows 0 and n + 1 with the rows n and 1 they repeat.  Each ring
+    # is an array of its own: as the two halves of one (2, n + 2, 2)
+    # array, a step ran about 17 % slower
+    cur, new = ((r[1:-1], r[:-2], r[2:], r[::n + 1], r[n:0:-(n - 1)])
+                for r in (np.empty((n + 2, 2)), np.empty((n + 2, 2))))
+    loaded = np.empty((n, 2))
+    tens = np.empty((n, 2))
+    disp = np.empty((n, 2))
+    diff = np.empty((2 * n, 2))
+    lengths = np.empty(2 * n)
+    move, seg = diff[:n], diff[n:]
+    seglen = lengths[n:]
+    dx, dy = diff.T
+    starts = np.array([0, n], np.intp)
+    tops = np.empty(2)
+    tolist = tops.tolist
+    add, subtract, multiply, minimum, maximum, trunc = (
+        np.add, np.subtract, np.multiply, np.minimum, np.maximum, np.trunc)
+    hypot, copyto, top, add_reduce = np.hypot, np.copyto, np.maximum.reduceat, np.add.reduce
+    one, half, zero = _ONE, _HALF, _ZERO
+    while True:
+        pts, prev, after, wraps, wrapped = cur
+        if xy is not None:
+            copyto(pts, xy)
             copyto(wraps, wrapped)
-            subtract(out_next, out, seg)
-            hypot(dx, dy, lengths)
-            top(lengths, starts, out=tops)
-            moved, longest = tolist()
-            yield moved, longest, full
-            cur, new, at = new, cur, out
+            minimum(xy, hi, out=loaded)
+            maximum(loaded, zero, out=loaded)
+            at = loaded
+            # freed once loaded
+            del xy
+        out, _, out_next, wraps, wrapped = new
+        add(prev, after, tens)
+        multiply(half, tens, tens)
+        subtract(pts, tens, tens)
+        multiply(tension, tens, tens)
+        trunc(at, base)
+        minimum(base, base_hi, out=base)
+        subtract(at, base, frac)
+        subtract(one, frac, cofrac)
+        multiply(qy, qx, weights)
+        multiply(base_y, width, row)
+        add(row, base_x, row)
+        add(row, corners, out=index, casting="unsafe")
+        take(index, axis=1, mode="clip", out=terms)
+        multiply(weights4, terms, terms)
+        add_reduce(terms, axis=1, out=force_t, initial=-0.0)
+        multiply(gamma, force, force)
+        add(tens, force, disp)
+        multiply(step, disp, disp)
+        add(pts, disp, out)
+        minimum(out, hi, out=out)
+        maximum(out, zero, out=out)
+        subtract(out, pts, move)
+        copyto(wraps, wrapped)
+        subtract(out_next, out, seg)
+        hypot(dx, dy, lengths)
+        top(lengths, starts, out=tops)
+        moved, longest = tolist()
+        xy = yield moved, longest, out, seg, seglen
+        cur, new, at = new, cur, out
 
 
 def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
@@ -434,17 +417,15 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     resampling = p.resample_spacing > 0
     too_long, too_short = 2.0 * p.resample_spacing, 0.5 * p.resample_spacing
     eps = p.eps
-    ws = _Workspace(field, len(s))
     # initial snaxels outside the image are clamped onto it, as every
     # updated point is
-    ring = ws.load(_clamp(s.points, ws.hi))
-    if resampling and Snake(ring[1:-1]).perimeter() < _MIN_PERIMETER:
+    xy = np.maximum(np.minimum(s.points, [field.spec.width - 1.0, field.spec.height - 1.0]), 0.0)
+    if resampling and Snake(xy).perimeter() < _MIN_PERIMETER:
         raise GeometryError("contour has (near) zero perimeter")
     tension, gamma, step = (_constant(c) for c in (p.tensile_sign * p.b, p.gamma, p.step))
-    advance = ws.steps(tension, gamma, step).__next__
-    # the shortest segment by argmin, which costs a third of a minimum.reduce
-    seglen = ws.seglen
-    shortest = seglen.argmin
+    advance = _steps(field, xy, tension, gamma, step).send
+    # a resampling at the same count, sent with the next step
+    resampled = None
     history: list[float] = []
     record = history.append
     converged = collapsed = False
@@ -454,13 +435,16 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
     try:
         with np.errstate(over="raise", invalid="raise"):
             for n in range(1, p.max_iter + 1):
-                moved, longest, ring = advance()
+                moved, longest, xy, seg, seglen = advance(resampled)
+                resampled = None
                 record(moved)
                 # deformation = applied movement; a border-pinned snaxel is settled
                 if moved < eps:
                     converged = True
                     break
-                if resampling and (longest > too_long or seglen[shortest()] < too_short):
+                # the shortest segment by argmin, which costs a third of a
+                # minimum.reduce
+                if resampling and (longest > too_long or seglen[seglen.argmin()] < too_short):
                     perimeter = float(seglen.sum())
                     if perimeter < _MIN_PERIMETER:
                         collapsed = True
@@ -473,18 +457,14 @@ def snake_evolve(s: Snake, field: VectorField, p: SnakeParams) -> SnakeResult:
                             f"past the cap of {max_snaxels}", n
                         )
                     m = _snaxel_count(count)
-                    xy = _resample(ring[1:-1], ws.seg, seglen, perimeter, m)
-                    if m != ws.n:
-                        ws = _Workspace(field, m)
-                        seglen = ws.seglen
-                        shortest = seglen.argmin
                     # the resampled contour is the current one from here
-                    # on, whether or not another step follows; xy is
-                    # freed once loaded
-                    ring = ws.load(xy)
-                    del xy
-                    advance = ws.steps(tension, gamma, step).__next__
+                    # on, whether or not another step follows
+                    xy = _resample(xy, seg, seglen, perimeter, m)
+                    if m == len(seg):
+                        resampled = xy
+                    else:
+                        advance = _steps(field, xy, tension, gamma, step).send
     except FloatingPointError:
         raise DivergenceError("non-finite snaxel displacement", n) from None
-    return SnakeResult(Snake(ring[1:-1].copy()), len(history), converged,
+    return SnakeResult(Snake(xy.copy()), len(history), converged,
                        np.asarray(history), collapsed)

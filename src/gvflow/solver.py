@@ -17,25 +17,25 @@ boundary of a masked domain; a periodic variant wraps instead and backs
 the spectral oracle.
 
 One stencil operator (_Stencil) serves the iteration, gvf_step,
-expansion_check and steady_residual, and grid.laplacian_5pt shares its
-neighbor terms and their sum.  The explicit update lives in one
-generator (_Stencil.steps), which makes its coefficients, binds its
-operands once per solve and measures each step's change and energy; the
-solve, gvf_step and expansion_check each make that one call and drive
-it.  An iteration makes the numpy calls of its arithmetic, no method
-call of the stencil and no attribute lookup but the swap of its two
-field buffers, and no code outside the stencil reads its buffers.  On
-the stencil one function (_steady_defect) defines h*src - A*v, A the
-steady-state operator, for steady_residual and the direct oracle's
-refinement, both on the domain's bounding box grown by one pixel, so
-their cost follows the domain, not the grid.  Each plane of the field's
-(2, H, W) array (grid.VectorField) sits between two zero rows of a
-(2, H+2, W) buffer, and the neighbor sum is four shifted views of the
-buffer's flattened span.  One builder (_Stencil._buffer) makes every
-such buffer of the stencil, the two field buffers, the neighbor sum's
-and the coefficients', with their views; the neighbor views are built
-where they are summed, once per buffer and solve.  On a small grid a
-solve's cost is numpy's per-call overhead, so an iteration makes only
+expansion_check and steady_residual; grid.laplacian_5pt is the same sum
+written as a formula on the edge-padded array, apart from it.  The
+explicit update lives in one generator (_Stencil.steps), which makes its
+coefficients, binds its operands once per solve and measures each step's
+change and energy; the solve, gvf_step and expansion_check each make
+that one call and drive it.  An iteration makes the numpy calls of its
+arithmetic, no method call of the stencil and no attribute lookup but
+the swap of its two field buffers, and no code outside the stencil reads
+its buffers.  On the stencil one function (_steady_defect) defines
+h*src - A*v, A the steady-state operator, for steady_residual and the
+direct oracle's refinement, both on the domain's bounding box grown by
+one pixel, so their cost follows the domain, not the grid.  Each plane
+of the field's (2, H, W) array (grid.VectorField) sits between two zero
+rows of a (2, H+2, W) buffer, and the neighbor sum is four shifted views
+of the buffer's flattened span.  One builder (_Stencil._buffer) makes
+every such buffer of the stencil, the two field buffers, the neighbor
+sum's and the coefficients', with their views; the neighbor views are
+built where they are summed, once per buffer and solve.  On a small grid
+a solve's cost is numpy's per-call overhead, so an iteration makes only
 the calls of its arithmetic.  The views are right at every pixel whose
 four neighbors lie in the domain.  For the others, the boundary pixels,
 one table (_border_table) lists the four neighbors, each one outside the
@@ -44,12 +44,11 @@ the far end of its row or column under periodic borders.  The grid
 border counts as outside, so on every domain (the full rectangle, a
 mask, periodic borders) one gather of that table and one reduction of it
 fix up the sum at the boundary pixels, and a mask's exterior stays at
-zero.  Every sum adds x+1, x-1, y+1, y-1 in that order
-(grid._neighbor_offsets), so all results are reproducible to the last
-bit.  Every buffer the iteration writes starts its written span on a
-64-byte cache line (grid._aligned_zeros): numpy aligns to 16 bytes only,
-and a ufunc whose output is split across cache lines runs about half as
-fast.
+zero.  Every sum adds x+1, x-1, y+1, y-1 in that order, so all results
+are reproducible to the last bit.  Every buffer the iteration writes
+starts its written span on a 64-byte cache line (grid._aligned_zeros):
+numpy aligns to 16 bytes only, and a ufunc whose output is split across
+cache lines runs about half as fast.
 
 A solve holds each full-size array once, and makes none that it does
 not keep: the field, its spare, the neighbor sum (whose first plane
@@ -104,9 +103,6 @@ from .grid import (
     VectorField,
     _aligned_zeros,
     _constant,
-    _neighbor_offsets,
-    _neighbor_terms,
-    _term_sum,
     clamp_magnitude,
     gradient_central,
 )
@@ -349,7 +345,7 @@ def _border_table(mask: DomainMask, periodic: bool) -> tuple:
     boundary = mask.boundary()
     # below the plane's zero row
     at = np.flatnonzero(boundary) + ww
-    steps = np.array(_neighbor_offsets(ww))[:, None]
+    steps = np.array([1, -1, ww, -ww])[:, None]
     # how many steps back from the pixel its stand-in lies
     back = np.array([ww - 1, ww - 1, hh - 1, hh - 1])[:, None] if periodic else 0
     inside = np.array([flag[boundary] for flag in _neighbor_flags(mask.inside)])
@@ -369,23 +365,22 @@ class _Stencil:
     """Five-point stencil on both components of a field at once.
 
     Each (H, W) plane of the field lies between a zero pad row above and
-    one below, in a (2, H+2, W) buffer, so each plane is contiguous.
-    The neighbor sum adds four shifted views of the buffer's flat span,
-    from the first pixel of the first plane to the last of the second,
-    in the order x+1, x-1, y+1, y-1 (grid._neighbor_terms).  In column 0
-    or W-1 the x-1 or x+1 view reads the next row over, and in row 0 or
-    H-1 the y-1 or y+1 view reads a pad row; every such pixel is a
-    boundary pixel, like every pixel next to a mask's exterior.  There
-    one gather of a (4, 2n) table of the neighbors, stand-ins in place
-    of the ones outside the domain (_border_table), summed in the same
-    order by one reduction and scattered back, overwrites the sum: one
-    border mechanism for the full rectangle, masks and periodic borders.
-    Every (2, H+2, W) array comes from _buffer(), which returns its span,
-    its flat view and its (2, H, W) planes: the neighbor sum's and the
-    field's in __init__, the spare field's in steps() and the
-    coefficients' in coeffs().  _summer builds a buffer's four neighbor
-    views, once, where it binds their sum; the table is built in
-    __init__.
+    one below, in a (2, H+2, W) buffer, so each plane is contiguous.  The
+    neighbor sum adds four shifted views of the buffer's flat span, from
+    the first pixel of the first plane to the last of the second, in the
+    order x+1, x-1, y+1, y-1 (_summer).  In column 0 or W-1 the x-1 or x+1
+    view reads the next row over, and in row 0 or H-1 the y-1 or y+1 view
+    reads a pad row; every such pixel is a boundary pixel, like every
+    pixel next to a mask's exterior.  There one gather of a (4, 2n) table
+    of the neighbors, stand-ins in place of the ones outside the domain
+    (_border_table), summed in the same order by one reduction and
+    scattered back, overwrites the sum: one border mechanism for the full
+    rectangle, masks and periodic borders.  Every (2, H+2, W) array comes
+    from _buffer(), which returns its span, its flat view and its (2, H,
+    W) planes: the neighbor sum's and the field's in __init__, the spare
+    field's in steps() and the coefficients' in coeffs(). _summer builds a
+    buffer's four neighbor views, once, and binds them into the three
+    additions of their sum; the table is built in __init__.
 
     The explicit update is written once, in the generator steps(), which
     makes its coefficients (coeffs()), binds every operand of an iteration
@@ -463,14 +458,18 @@ class _Stencil:
     def _summer(self, buf: _Buffer):
         """The four-neighbor sum of the field in buf, into the neighbor
         sum's span, as a call whose operands, the four shifted views of
-        buf among them, are bound."""
-        terms = _neighbor_terms(buf.flat, self._span, self._spec.width)
-        term_sum, nb_flat, at = _term_sum(terms, self._nb.span), self._nb.flat, self._fix_at
-        take, table, vals = buf.flat.take, self._fix_table, self._fix_vals
+        buf's flat span among them, are bound: element k of each view is
+        the x+1, x-1, y+1 or y-1 neighbor of span element k."""
+        lo, hi, ww = self._span.start, self._span.stop, self._spec.width
+        east, west, down, up = (buf.flat[lo + d:hi + d] for d in (1, -1, ww, -ww))
+        nb, nb_flat, at = self._nb.span, self._nb.flat, self._fix_at
+        add, take, table, vals = np.add, buf.flat.take, self._fix_table, self._fix_vals
         reduce, fixed = np.add.reduce, self._fix_sum
 
         def neighbor_sum() -> None:
-            term_sum()
+            add(east, west, out=nb)
+            add(nb, down, out=nb)
+            add(nb, up, out=nb)
             # "clip" lets take write straight into out; every index is in range
             take(table, out=vals, mode="clip")
             # ((t0 + t1) + t2) + t3 to the bit from -0.0, the identity of +

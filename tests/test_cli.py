@@ -376,6 +376,9 @@ class TestRunEnd:
         (["--init-circle", "6,6,4,3"], "at least 4 snaxels"),
         # pi * r, the default count, is past the float range
         (["--init-circle", "24,24,1e308"], "no finite default snaxel count"),
+        # the contour path was never read: the circle won
+        (["--init-circle", "24,24,20,32", "--init-contour", "missing.csv"],
+         "--init-circle and --init-contour exclude each other"),
     ])
     def test_snake_flag_errors_make_no_directory(self, tmp_path, capsys, flags, message):
         code = main(["snake", "--field", "missing.gvf", "--out", str(tmp_path / "bad"), *flags])
@@ -669,6 +672,23 @@ class TestTypedErrors:
         assert code == EXIT_VALIDATION
         assert err == f"error: snake ran out of memory{grid}\n"
         assert summary_of(out)["error"] == f"snake ran out of memory{grid}"
+
+    @pytest.mark.parametrize("stride", [str(2**25), str(10**400)],
+                             ids=["2**25", "10**400"])
+    def test_render_stride_past_the_image_draws_no_arrow(self, tmp_path, capsys, stride):
+        # peak just above 2**-1000, so the field is not rescaled: stride /
+        # peak overflowed for 2**25 and raised OverflowError for 10**400
+        rng = np.random.default_rng(5)
+        field = tmp_path / "tiny.gvf"
+        io.write_field(gv.VectorField.from_arrays(
+            *np.ldexp(rng.uniform(1.0, 1.1, (2, 16, 16)), -1000)), field)
+        out = tmp_path / "r.ppm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = self.run(["render", "--field", str(field), "--mode", "arrows",
+                                  "--out-image", str(out), "--stride", stride], capsys)
+        assert code == 0 and err == ""
+        assert out.read_bytes() == b"P6\n16 16\n255\n" + bytes(16 * 16 * 3)
 
     def test_memory_exhaustion_without_a_summary_is_a_size_error(self, stored_field, tmp_path,
                                                                  capsys, monkeypatch):

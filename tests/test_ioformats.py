@@ -831,6 +831,18 @@ class TestRender:
             io.render(gv.VectorField.from_arrays(*np.ldexp(f, -1070)), "arrows", path)
         assert (self._read_ppm(path) == 255).any()
 
+    @pytest.mark.parametrize("stride", [2**25, 10**400], ids=["2**25", "10**400"])
+    def test_stride_past_the_image_draws_no_arrow(self, tmp_path, stride):
+        # peak just above 2**-1000, so the field is not rescaled: stride /
+        # peak overflowed for 2**25 and raised OverflowError for 10**400
+        rng = np.random.default_rng(49)
+        f = np.ldexp(rng.uniform(1.0, 1.1, (2, 32, 32)), -1000)
+        path = tmp_path / "s.ppm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            io.render(gv.VectorField.from_arrays(*f), "arrows", path, arrow_stride=stride)
+        assert not self._read_ppm(path).any()
+
     def test_render_deterministic(self, tmp_path):
         rng = np.random.default_rng(45)
         field = gv.VectorField.from_arrays(rng.random((16, 16)), rng.random((16, 16)))

@@ -22,7 +22,7 @@ def constant_field(spec, ux, vy):
     )
 
 
-# The allocating snake loop that the workspace loop replaced, kept as the
+# The allocating snake loop that the step generator replaced, kept as the
 # reference: snake_evolve must equal it to the last bit.
 
 class ReferenceSampler:
@@ -127,15 +127,19 @@ def outcome(evolve, s, field, p):
 
 
 def watch_steps(monkeypatch, record):
-    """Make snake_evolve call record() at each step of its loop."""
-    real_steps = snake_mod._Workspace.steps
+    """Make snake_evolve call record() at each step of its loop; each
+    send reaches the step generator."""
+    real_steps = snake_mod._steps
 
-    def steps(self, *args):
-        for out in real_steps(self, *args):
+    def steps(*args):
+        run = real_steps(*args)
+        sent = None
+        while True:
+            out = run.send(sent)
             record()
-            yield out
+            sent = yield out
 
-    monkeypatch.setattr(snake_mod._Workspace, "steps", steps)
+    monkeypatch.setattr(snake_mod, "_steps", steps)
 
 
 def watch_resamplings(monkeypatch, record):
@@ -632,7 +636,7 @@ class TestCollapse:
 
 
 class TestAgainstTheReference:
-    """The workspace loop equals the allocating reference loop bit for bit."""
+    """The step generator equals the allocating reference loop bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(3, 24), st.integers(3, 24), st.integers(4, 40),
@@ -666,13 +670,13 @@ class TestAgainstTheReference:
         # an inflating ring grows and sheds snaxels, a contracting one
         # shrinks to 4 and is then resampled at 4 again and again
         built, resampled = [], []
+        real_steps = snake_mod._steps
 
-        class Workspace(snake_mod._Workspace):
-            def __init__(self, field, n):
-                built.append(n)
-                super().__init__(field, n)
+        def steps(field, xy, *args):
+            built.append(len(xy))
+            return real_steps(field, xy, *args)
 
-        monkeypatch.setattr(snake_mod, "_Workspace", Workspace)
+        monkeypatch.setattr(snake_mod, "_steps", steps)
         watch_resamplings(monkeypatch, lambda n, m, *_: resampled.append(m))
         s = gv.Snake.circle(15.5, 15.5, radius, 16)
         field = gv.VectorField.zeros(gv.GridSpec(32, 32))

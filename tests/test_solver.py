@@ -796,6 +796,24 @@ class TestStencilNeighborSum:
         got = stencil.neighbor_sum()[:, mask.inside]
         assert np.all(got == 0.0) and np.all(np.signbit(got))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 1.0))
+    def test_full_rectangle_equals_the_laplacian(self, w, h, seed, zeros):
+        # laplacian_5pt sums the edge-padded array by its own formula; a
+        # share of the pixels, up to all of them, are signed zeros
+        rng = np.random.default_rng(seed)
+        shape = (2, h, w)
+        uv = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        pick = rng.random(shape)
+        uv[pick < zeros] = -0.0
+        uv[pick < zeros / 2.0] = 0.0
+        spec = gv.GridSpec(w, h)
+        got = _Stencil(gv.DomainMask.full(spec), False, uv).neighbor_sum() - 4.0 * uv
+        for comp in range(2):
+            want = gv.laplacian_5pt(gv.ScalarField(spec, uv[comp])).values
+            assert np.array_equal(got[comp].view(np.int64), want.view(np.int64))
+
 
 class TestOneLoopServesEveryCaller:
     """gvf_step and gvf_solve drive the same update: n steps from the
