@@ -163,6 +163,8 @@ class SnakeResult:
 def tensile_force(s: Snake, i: int) -> tuple[float, float]:
     """B_i = p_i - (p_{i-1} + p_{i+1})/2, indices modulo N."""
     n = len(s)
+    if not is_integer(i):
+        raise ParameterError(f"snaxel index must be an integer, got {i!r}")
     if not 0 <= i < n:
         raise ParameterError(f"snaxel index {i} out of range 0..{n - 1}")
     b = s.points[i] - 0.5 * (s.points[(i - 1) % n] + s.points[(i + 1) % n])
@@ -219,8 +221,7 @@ def resample_contour(s: Snake, spacing: float) -> Snake:
     """Redistribute snaxels at uniform arc length along the closed
     polyline, anchored at the current first point; the count is
     max(4, round(perimeter / spacing)), which may not pass 2**20."""
-    if not spacing > 0:
-        raise ParameterError("spacing must be > 0")
+    spacing = check_real("spacing", spacing, above=True, inf=True)
     seg, seglen, perimeter = _segments(s.points)
     if perimeter < _MIN_PERIMETER:
         raise GeometryError("contour has (near) zero perimeter")

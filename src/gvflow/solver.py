@@ -21,34 +21,34 @@ expansion_check and steady_residual; grid.laplacian_5pt is the same sum
 written as a formula on the edge-padded array, apart from it.  The
 explicit update lives in one generator (_Stencil.steps), which makes its
 coefficients, binds its operands once per solve and measures each step's
-change and energy; the solve, gvf_step and expansion_check each make
-that one call and drive it.  An iteration makes the numpy calls of its
-arithmetic, no method call of the stencil and no attribute lookup but
-the swap of its two field buffers, and no code outside the stencil reads
-its buffers.  On the stencil one function (_steady_defect) defines
-h*src - A*v, A the steady-state operator, for steady_residual and the
-direct oracle's refinement, both on the domain's bounding box grown by
-one pixel, so their cost follows the domain, not the grid.  Each plane
-of the field's (2, H, W) array (grid.VectorField) sits between two zero
-rows of a (2, H+2, W) buffer, and the neighbor sum is four shifted views
-of the buffer's flattened span.  One builder (_Stencil._buffer) makes
-every such buffer of the stencil, the two field buffers, the neighbor
-sum's and the coefficients', with their views; the neighbor views are
-built where they are summed, once per buffer and solve.  On a small grid
-a solve's cost is numpy's per-call overhead, so an iteration makes only
-the calls of its arithmetic.  The views are right at every pixel whose
-four neighbors lie in the domain.  For the others, the boundary pixels,
-one table (_border_table) lists the four neighbors, each one outside the
-domain replaced by its stand-in: the pixel itself under the mirror rule,
-the far end of its row or column under periodic borders.  The grid
-border counts as outside, so on every domain (the full rectangle, a
-mask, periodic borders) one gather of that table and one reduction of it
-fix up the sum at the boundary pixels, and a mask's exterior stays at
-zero.  Every sum adds x+1, x-1, y+1, y-1 in that order, so all results
-are reproducible to the last bit.  Every buffer the iteration writes
-starts its written span on a 64-byte cache line (grid._aligned_zeros):
-numpy aligns to 16 bytes only, and a ufunc whose output is split across
-cache lines runs about half as fast.
+change and energy; the solve and gvf_step each make that one call and
+drive it, and expansion_check steps through gvf_step.  An iteration
+makes the numpy calls of its arithmetic, no method call of the stencil
+and no attribute lookup but the swap of its two field buffers, and no
+code outside the stencil reads its buffers.  One method of the stencil
+(_Stencil.defect) computes h*src - A*v, A the steady-state operator, for
+steady_residual and the direct oracle's refinement, both on the domain's
+bounding box grown by one pixel, so their cost follows the domain, not
+the grid.  Each plane of the field's (2, H, W) array (grid.VectorField)
+sits between two zero rows of a (2, H+2, W) buffer, and the neighbor sum
+is four shifted views of the buffer's flattened span.  One builder
+(_Stencil._buffer) makes every such buffer of the stencil, the two field
+buffers, the neighbor sum's and the coefficients', with their views; the
+neighbor views are built where they are summed, once per buffer and
+solve.  On a small grid a solve's cost is numpy's per-call overhead, so
+an iteration makes only the calls of its arithmetic.  The views are
+right at every pixel whose four neighbors lie in the domain.  For the
+others, the boundary pixels, one table (_border_table) lists the four
+neighbors, each one outside the domain replaced by its stand-in: the
+pixel itself under the mirror rule, the far end of its row or column
+under periodic borders.  The grid border counts as outside, so on every
+domain (the full rectangle, a mask, periodic borders) one gather of that
+table and one reduction of it fix up the sum at the boundary pixels, and
+a mask's exterior stays at zero.  Every sum adds x+1, x-1, y+1, y-1 in
+that order, so all results are reproducible to the last bit.  Every
+buffer the iteration writes starts its written span on a 64-byte cache
+line (grid._aligned_zeros): numpy aligns to 16 bytes only, and a ufunc
+whose output is split across cache lines runs about half as fast.
 
 A solve holds each full-size array once, and makes none that it does
 not keep: the field, its spare, the neighbor sum (whose first plane
@@ -64,9 +64,9 @@ demonstrate divergence, but are never silent.
 
 The generalized variant (GGVF) is the same solve with the per-pixel
 pair g(x) = exp(-|grad_f|^2 / K^2), h(x) = 1 - g(x), frozen from the
-initial gradient.  One branch of the one solve function (_solve) checks
-a GgvfParams at the worst case g = 1, h = 0, whatever the image, and
-resolves it to that GvfParams.
+initial gradient.  validate_params checks a GgvfParams at the worst case
+g = 1, h = 0, whatever the image, and one branch of the one solve
+function (_solve) then resolves it to that GvfParams.
 
 Termination: iteration stops once the largest per-pixel change
 |v_new - v|_2 drops below delta.  A converged run's field is an
@@ -96,6 +96,7 @@ from .errors import (
     SizeError,
     check_count,
     check_real,
+    is_integer,
 )
 from .grid import (
     GridSpec,
@@ -218,11 +219,18 @@ class DomainMask:
         outer: tuple[int, int, int, int] | None = None,
         hole: tuple[int, int, int, int] | None = None,
     ) -> "DomainMask":
-        """Window (x, y, w, h) minus an optional rectangular hole, clipped."""
+        """Window (x, y, w, h) minus an optional rectangular hole, clipped;
+        each rectangle is four integers."""
         inside = np.full(spec.shape, outer is None)
         for rect, value in ((outer, True), (hole, False)):
             if rect is not None:
-                x0, y0, w, h = rect
+                try:
+                    x0, y0, w, h = rect
+                except (TypeError, ValueError):
+                    x0 = y0 = w = h = None
+                if not all(map(is_integer, (x0, y0, w, h))):
+                    raise ParameterError(
+                        f"a rectangle must be four integers (x, y, w, h), got {rect!r}")
                 x1, y1 = min(x0 + w, spec.width), min(y0 + h, spec.height)
                 inside[max(y0, 0):max(y1, 0), max(x0, 0):max(x1, 0)] = value
         return cls(spec, inside)
@@ -299,20 +307,34 @@ def _instability(g, h, dt: float) -> str | None:
             f"(r < 1/4 at h = 0)")
 
 
+def _check_params(p, kinds: tuple = (GvfParams,)) -> None:
+    """ParameterError, naming the expected types, unless p is one of kinds."""
+    if not isinstance(p, kinds):
+        resolved = ("; ggvf_solve(...).params is the resolved GvfParams"
+                    if isinstance(p, GgvfParams) else "")
+        raise ParameterError(f"params must be a {' or '.join(k.__name__ for k in kinds)}, "
+                             f"got {type(p).__name__}{resolved}")
+
+
 @np.errstate(over="ignore")
-def validate_params(p: GvfParams) -> list[str]:
+def validate_params(p: GvfParams | GgvfParams) -> list[str]:
     """Return the list of violated scheme constraints (empty = ok).
 
     Stability: diag(g)*Lap is similar to the symmetric sqrt(g) * Lap *
     sqrt(g), whose Gershgorin discs bound the decay rates h + g*lam of
     the modes by h_i + 4g_i + 4*sqrt(g_i * max g).  dt times that must
-    stay below 2: dt*(h + 8g) < 2 for constants, and dt < 1/4 for the
-    GGVF worst case g = 1, h = 0 that ggvf_solve checks.  The rule is
-    evaluated on g*dt, which does not overflow where g does.  h*dt < 1
-    and h < g take the maxima.  Violations are data, not errors: a
-    solve may force through them.  A negative per-pixel value, written
-    after p was built, is a ParameterError.
+    stay below 2: dt*(h + 8g) < 2 for constants.  A GgvfParams is
+    checked at its worst case g = 1, h = 0, whatever the image: dt < 1/4,
+    each violation marked as that case's.  The rule is evaluated on
+    g*dt, which does not overflow where g does.  h*dt < 1 and h < g take
+    the maxima.  Violations are data, not errors: a solve may force
+    through them.  A negative per-pixel value, written after p was
+    built, is a ParameterError.
     """
+    _check_params(p, (GvfParams, GgvfParams))
+    if isinstance(p, GgvfParams):
+        return [f"{v} (GGVF worst case g = 1, h = 0)"
+                for v in validate_params(GvfParams(g=1.0, h=0.0, dt=p.dt))]
     g, h = _coeff_grid(p.g), _coeff_grid(p.h)
     gmax, hmax = float(np.max(g)), float(np.max(h))
     unstable = _instability(g, h, p.dt)
@@ -386,13 +408,15 @@ class _Stencil:
     makes its coefficients (coeffs()), binds every operand of an iteration
     once per solve and measures each step: the squared change per pixel
     goes into the neighbor sum's buffer, and the step yields its max and
-    domain sum.  Its callers drive it, one next() a step.  An iteration
-    makes the numpy calls of its arithmetic, through the bound neighbor
-    sum (_summer), and no method call of the stencil, view, reshape or
-    slice; the only attributes it touches are the two field buffers, which
-    it swaps.  All arithmetic runs on the span; the pad rows inside it,
-    between the planes, hold scratch values that no result reads.
-    Coefficients are zero outside a mask's domain (coeffs), so its
+    domain sum.  Its callers, _solve and gvf_step, drive it, one next() a
+    step.  The steady-state defect is the one-shot method defect(), on the
+    field the stencil was built on, through the same bound sum.  An
+    iteration makes the numpy calls of its arithmetic, through the bound
+    neighbor sum (_summer), and no method call of the stencil, view,
+    reshape or slice; the only attributes it touches are the two field
+    buffers, which it swaps.  All arithmetic runs on the span; the pad
+    rows inside it, between the planes, hold scratch values that no result
+    reads.  Coefficients are zero outside a mask's domain (coeffs), so its
     exterior stays exactly zero.  A step writes into the other buffer and
     swaps, so an iteration allocates nothing.  The span of every written
     buffer (neighbor sum, both fields, the coefficients) starts on a
@@ -479,10 +503,17 @@ class _Stencil:
 
         return neighbor_sum
 
-    def neighbor_sum(self) -> np.ndarray:
-        """The four-neighbor sum of the current field, a (2, H, W) view."""
+    def defect(self, g, h, src: np.ndarray) -> np.ndarray:
+        """h*src - A*v = g*(nb - 4v) + h*(src - v) into the (2, H, W)
+        source src, A = diag(h) - diag(g)*Lap the steady-state operator
+        and v the field the stencil was built on, which it overwrites;
+        right at the domain's pixels."""
+        c, nb = self.field, self._nb.interior
         self._summer(self._cur)()
-        return self._nb.interior
+        # in place, in src and the neighbor sum, from the operands of every step
+        np.multiply(h, np.subtract(src, c, out=src), out=src)
+        np.subtract(nb, np.multiply(c, 4.0, out=c), out=nb)
+        return np.add(np.multiply(g, nb, out=nb), src, out=src)
 
     def steps(self, g, h, dt: float, src: np.ndarray):
         """The explicit update keep*c + hsrc + rc*(nb - 4c) of the field
@@ -547,6 +578,7 @@ def gvf_step(
     periodic: bool = False,
 ) -> VectorField:
     """A single explicit update of v; exterior pixels stay untouched."""
+    _check_params(p)
     spec = v.spec
     if grad_f.spec != spec:
         raise DimensionError("field and gradient grids differ")
@@ -569,25 +601,22 @@ def _masked_source(f: ScalarField, cap: float, mask: DomainMask) -> VectorField:
 
 
 def _solve(f, p: GvfParams | GgvfParams, mask, periodic, force) -> SolveReport:
-    """Both solvers: check p, then run the explicit iteration from v(0) =
-    the masked source until the largest per-pixel change drops below
-    p.delta.  A GgvfParams is checked at its worst case g = 1, h = 0 and
-    resolves to the GvfParams iterated: g = ggvf_weight(source, K),
-    h = 1 - g.  The source is freed once the stencil has copied it."""
+    """Both solvers: check p (validate_params), then run the explicit
+    iteration from v(0) = the masked source until the largest per-pixel
+    change drops below p.delta.  A GgvfParams resolves, once checked, to
+    the GvfParams iterated: g = ggvf_weight(source, K), h = 1 - g.  The
+    source is freed once the stencil has copied it."""
     spec = f.spec
     mask = _domain(mask, spec)
+    violations = validate_params(p)
+    if violations and not force:
+        raise ParameterError("; ".join(violations))
     source = _masked_source(f, p.cap, mask)
-    checked, suffix = p, ""
     if isinstance(p, GgvfParams):
-        checked, suffix = GvfParams(g=1.0, h=0.0, dt=p.dt), " (GGVF worst case g = 1, h = 0)"
         weight = ggvf_weight(source, p.K)
         p = GvfParams(g=weight, h=ScalarField(spec, 1.0 - weight.values),
                       dt=p.dt, delta=p.delta, cap=p.cap, max_iter=p.max_iter)
-    violations = validate_params(checked)
-    if violations and not force:
-        raise ParameterError("; ".join(violations) + suffix)
-    if np.any((_coeff_grid(checked.g, spec) == 0) & (_coeff_grid(checked.h, spec) == 0)
-              & mask.inside):
+    if np.any((_coeff_grid(p.g, spec) == 0) & (_coeff_grid(p.h, spec) == 0) & mask.inside):
         raise ParameterError("g and h both vanish at an interior pixel")
     # a forced run may overflow, which the loop reports as a DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -790,24 +819,13 @@ def _box_problem(f: ScalarField, p: GvfParams, mask: DomainMask) -> tuple:
     """The problem on the domain's box (_bounding_box): the box, the domain
     on it, g and h (checked on the full grid, then cropped) and the masked
     source of the cropped edge map, the full grid's at the domain."""
+    _check_params(p)
     box = _bounding_box(mask.inside)
     g, h = (c if np.ndim(c) == 0 else c[box]
             for c in (_coeff_grid(p.g, f.spec), _coeff_grid(p.h, f.spec)))
     edges = ScalarField.from_array(f.values[box])
     domain = DomainMask(edges.spec, mask.inside[box])
     return box, domain, g, h, _masked_source(edges, p.cap, domain)
-
-
-def _steady_defect(v, src: np.ndarray, g, h, domain: DomainMask, periodic: bool) -> np.ndarray:
-    """h*src - A*v = g*(nb - 4v) + h*(src - v) into src, A = diag(h) -
-    diag(g)*Lap the steady-state operator, for the (2, H, W) field v on
-    the grid of domain; right at the domain's pixels."""
-    stencil = _Stencil(domain, periodic, v)
-    c, nb = stencil.field, stencil.neighbor_sum()
-    # in place, in src and the neighbor sum, from the operands of every step
-    np.multiply(h, np.subtract(src, c, out=src), out=src)
-    np.subtract(nb, np.multiply(c, 4.0, out=c), out=nb)
-    return np.add(np.multiply(g, nb, out=nb), src, out=src)
 
 
 def direct_steady_solve(
@@ -828,10 +846,11 @@ def direct_steady_solve(
     W x H rectangle they cross the shorter side, for O(max(W, H) *
     min(W, H)^3) time and, at the 4096-pixel limit, at most 2 MiB of
     inverses.  Where g and h allow an ill-conditioned system, one step
-    of iterative refinement from steady_residual's operator restores
-    the digits elimination loses.  The coefficients come from the mask's
-    neighbor flags, _neighbor_flags, which the solver's _border_table
-    reads too; the tests' pixel-by-pixel scipy assembly checks both.
+    of iterative refinement from steady_residual's operator
+    (_Stencil.defect) restores the digits elimination loses.  The
+    coefficients come from the mask's neighbor flags, _neighbor_flags,
+    which the solver's _border_table reads too; the tests'
+    pixel-by-pixel scipy assembly checks both.
     Limited to small test-scale domains.
 
     Raises RankError when the steady state is not unique: g and h both
@@ -865,7 +884,7 @@ def direct_steady_solve(
     if not h_in.max() + 8.0 * g_grid[inside].max() <= _REFINE_ABOVE * h_in.min():
         v = np.zeros((2,) + inside.shape)
         v[at] = x.T
-        x += system.solve(_steady_defect(v, source.values, g, h, domain, False)[at].T)
+        x += system.solve(_Stencil(domain, False, v).defect(g, h, source.values)[at].T)
     if not np.all(np.isfinite(x)):
         raise RankError("steady-state system is singular")
     out = np.zeros((2,) + f.spec.shape)
@@ -885,7 +904,7 @@ def steady_residual(
     rectangle only, whose box is the grid.  Zero exactly at the steady
     state; one explicit step moves the field by dt times this quantity, so
     the fixed-point identity is exact.  A residual past the float range (g
-    near 1e308, say) is inf.  It is h*grad_f - A*v (_steady_defect) on the
+    near 1e308, say) is inf.  It is h*grad_f - A*v (_Stencil.defect) on the
     domain's box (_box_problem), as in direct_steady_solve's refinement:
     its cost follows the domain, with the full grid's bits.
     """
@@ -893,7 +912,7 @@ def steady_residual(
         raise DimensionError("field and edge map grids differ")
     mask = _domain(mask, v.spec)
     box, domain, g, h, source = _box_problem(f, p, mask)
-    r = _steady_defect(v.values[(slice(None),) + box], source.values, g, h, domain, periodic)
+    r = _Stencil(domain, periodic, v.values[(slice(None),) + box]).defect(g, h, source.values)
     np.multiply(r, r, out=r)
     res_sq = np.add(r[0], r[1], out=r[0])
     return math.sqrt(float(np.max(res_sq, where=domain.inside, initial=-np.inf)))
@@ -912,26 +931,25 @@ def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
 
         a_k^n + h*dt * sum_{j<n} a_k^j = a_k^n + h*dt * (1 - a_k^n) / (1 - a_k).
 
-    The closed form shares no code with the stencil.  Requires constant
-    g, h and the full-rectangle domain; it starts from the raw gradient,
-    so the magnitude cap is ignored.  A set that breaks validate_params'
+    The n steps are n calls of gvf_step; the closed form shares no code
+    with the stencil.  Requires a GvfParams with constant g, h and the
+    full-rectangle domain; it starts from the raw gradient, so the
+    magnitude cap is ignored.  A set that breaks validate_params'
     stability rule is a ParameterError with its message, raised before
     the first step: its modes grow without bound.  Sets that break only
     h*dt < 1 or h < g are checked.  The gap is zero (to rounding) when
     the step implements the scheme correctly, borders included.
     """
+    _check_params(p)
     if isinstance(p.g, ScalarField) or isinstance(p.h, ScalarField):
         raise ParameterError("expansion check supports constant coefficients only")
     check_count("expansion order n", n)
     unstable = _instability(p.g, p.h, p.dt)
     if unstable:
         raise ParameterError(unstable)
-    grad = gradient_central(f)
-    stencil = _Stencil(DomainMask.full(f.spec), False, grad.values)
-    # the steps' measures, unused here, square their change and may overflow
-    with np.errstate(over="ignore"):
-        for _ in zip(range(n), stencil.steps(p.g, p.h, p.dt, grad.values)):
-            pass
+    v = grad = gradient_central(f)
+    for _ in range(n):
+        v = gvf_step(v, grad, p)
 
     hdt = p.h * p.dt
 
@@ -942,4 +960,4 @@ def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
         return power + hdt * (1.0 - power) / decay if hdt > 0 else power
 
     closed = _modal_filter(grad.values, False, gain)
-    return float(np.abs(stencil.field - closed).max())
+    return float(np.abs(v.values - closed).max())

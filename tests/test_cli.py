@@ -184,7 +184,11 @@ class TestPipeline:
         code = main(["ggvf", "--image", str(u64), "--out", str(tmp_path / "x"),
                      "--dt", "0.3"])
         assert code == EXIT_VALIDATION
-        assert "r < 1/4" in capsys.readouterr().err
+        # the error line is validate_params' worst-case violation, word for word
+        violations = gv.validate_params(gv.GgvfParams(dt=0.3))
+        assert violations == ["stability violated: dt*max(h + 4g + 4*sqrt(g*max g)) = 2.4 >= 2 "
+                              "(r < 1/4 at h = 0) (GGVF worst case g = 1, h = 0)"]
+        assert capsys.readouterr().err == f"error: {violations[0]}\n"
 
     def test_nan_snake_parameter_is_validation_error(self, u64, tmp_path, capsys):
         code = main(["ggvf", "--image", str(u64), "--out", str(tmp_path / "x"),

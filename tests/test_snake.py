@@ -274,8 +274,18 @@ class TestTensileForce:
 
     def test_index_out_of_range(self):
         s = gv.Snake.circle(0, 0, 1, 8)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^snaxel index 8 out of range 0\.\.7$"):
             gv.tensile_force(s, 8)
+
+    @pytest.mark.parametrize("i", [1.5, "1", None, True, 1.0])
+    def test_index_must_be_an_integer(self, i):
+        # 1.5 used to end in IndexError, "1" in TypeError
+        with pytest.raises(ParameterError, match="^snaxel index must be an integer, got "):
+            gv.tensile_force(gv.Snake.circle(0, 0, 1, 8), i)
+
+    def test_numpy_integer_index(self):
+        s = gv.Snake.circle(0, 0, 1, 8)
+        assert gv.tensile_force(s, np.int64(3)) == gv.tensile_force(s, 3)
 
 
 class TestBilinearSampling:
@@ -373,6 +383,13 @@ class TestResampleContour:
     def test_points_are_no_view_of_a_larger_buffer(self):
         out = gv.resample_contour(gv.Snake.circle(8.0, 8.0, 5.0, 12), 1.0)
         assert out.points.flags.owndata
+
+    @pytest.mark.parametrize("spacing", [None, "2", 1j, 0.0, -1.0, math.nan])
+    def test_spacing_must_be_a_real_number_above_zero(self, spacing):
+        # None and "2" used to end in TypeError
+        sq = gv.Snake(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]]))
+        with pytest.raises(ParameterError, match="^spacing must be > 0, got "):
+            gv.resample_contour(sq, spacing)
 
     @pytest.mark.parametrize("spacing", [1e-320, 5e-324])
     def test_spacing_whose_count_overflows_is_rejected(self, spacing):

@@ -25,7 +25,14 @@ from gvflow.errors import (
 )
 from gvflow.grid import _aligned_zeros
 from gvflow.ioformats import synth_ushape
-from gvflow.solver import _coeff_grid, _LineBlocks, _masked_source, _Stencil, _steady_defect
+from gvflow.solver import _coeff_grid, _LineBlocks, _masked_source, _Stencil
+
+
+def neighbor_sum(stencil):
+    """The four-neighbor sum of the stencil's current field, a (2, H, W)
+    view, through the bound sum its steps and defect call."""
+    stencil._summer(stencil._cur)()
+    return stencil._nb.interior
 
 
 def impulse(n=8, value=1.0):
@@ -146,6 +153,31 @@ class TestParamTypes:
         with pytest.raises(ParameterError, match=rf"^{name} "):
             call(10**400)
 
+    @pytest.mark.parametrize("call, params", [
+        pytest.param(lambda f, p: gv.steady_residual(gv.gradient_central(f), f, p),
+                     gv.GgvfParams(), id="steady_residual"),
+        pytest.param(lambda f, p: gv.direct_steady_solve(f, p), gv.GgvfParams(),
+                     id="direct_steady_solve"),
+        pytest.param(lambda f, p: gv.gvf_step(gv.gradient_central(f), gv.gradient_central(f), p),
+                     gv.GgvfParams(), id="gvf_step"),
+        pytest.param(lambda f, p: gv.expansion_check(f, p, 1), gv.GgvfParams(),
+                     id="expansion_check"),
+        pytest.param(lambda f, p: gv.gvf_solve(f, p), None, id="gvf_solve"),
+        pytest.param(lambda f, p: gv.ggvf_solve(f, p), 1.0, id="ggvf_solve"),
+        pytest.param(lambda f, p: gv.validate_params(p), None, id="validate_params"),
+    ])
+    def test_params_of_the_wrong_type_are_named(self, call, params):
+        # each used to end in AttributeError on .g or .cap
+        message = {
+            "GgvfParams": "params must be a GvfParams, got GgvfParams; "
+                          "ggvf_solve(...).params is the resolved GvfParams",
+            "NoneType": "params must be a GvfParams or GgvfParams, got NoneType",
+            "float": "params must be a GvfParams or GgvfParams, got float",
+        }[type(params).__name__]
+        with pytest.raises(ParameterError) as refused:
+            call(impulse(8), params)
+        assert str(refused.value) == message
+
     def test_defaults(self):
         p = gv.GvfParams()
         assert (p.g, p.h, p.dt, p.delta, p.max_iter) == (2.0, 0.02, 0.12, 1e-4, 20000)
@@ -207,6 +239,14 @@ class TestValidateParams:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert gv.validate_params(gv.GvfParams(g=1e308, h=0.0, dt=1e-309)) == []
+
+    @pytest.mark.parametrize("dt", [0.05, 0.2499, 0.25, 0.3, 1e300])
+    def test_ggvf_params_are_checked_at_the_worst_case(self, dt):
+        # g = 1, h = 0 breaks only the stability rule, from dt = 1/4 on
+        violations = gv.validate_params(gv.GgvfParams(dt=dt))
+        worst = gv.validate_params(gv.GvfParams(g=1.0, h=0.0, dt=dt))
+        assert violations == [f"{v} (GGVF worst case g = 1, h = 0)" for v in worst]
+        assert len(violations) == (dt >= 0.25)
 
     @pytest.mark.parametrize("dt, ok", [(0.2499, True), (0.25, False)])
     def test_per_pixel_ggvf_pair_has_the_worst_case_rule(self, dt, ok):
@@ -636,6 +676,20 @@ class TestDomainMask:
         assert mask.inside_count == 64 - 4
         assert not mask.inside[3, 3] and mask.inside[2, 2]
 
+    @pytest.mark.parametrize("rect", [(1, 2, 3), (1, 2, 3, 4, 5), (1.0, 2, 3, 4),
+                                      (1, 2, True, 4), (1, 2, "3", 4), 5, "1234"])
+    @pytest.mark.parametrize("name", ["outer", "hole"])
+    def test_from_rects_refuses_a_rect_of_other_than_four_integers(self, name, rect):
+        # (1, 2, 3) used to end in ValueError from the unpack
+        with pytest.raises(ParameterError, match=r"^a rectangle must be four integers"):
+            gv.DomainMask.from_rects(gv.GridSpec(8, 8), **{name: rect})
+
+    def test_from_rects_takes_numpy_integers(self):
+        spec = gv.GridSpec(8, 8)
+        rect = np.array([3, 3, 2, 2])
+        assert np.array_equal(gv.DomainMask.from_rects(spec, hole=rect).inside,
+                              gv.DomainMask.from_rects(spec, hole=(3, 3, 2, 2)).inside)
+
     def test_boundary_classification(self):
         spec = gv.GridSpec(8, 8)
         mask = gv.DomainMask.from_rects(spec, hole=(3, 3, 2, 2))
@@ -764,7 +818,7 @@ class TestStencilNeighborSum:
         shape = (2,) + spec.shape
         u, v = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
         stencil = _Stencil(mask, periodic, np.stack([u, v]))
-        got = stencil.neighbor_sum()[:, mask.inside]
+        got = neighbor_sum(stencil)[:, mask.inside]
 
         # each pixel's neighbor in 2-D indices, from the mask alone: wrapped
         # for periodic borders, else itself where the neighbor is off the
@@ -793,7 +847,7 @@ class TestStencilNeighborSum:
         # whose stand-ins one reduction sums
         spec, mask, periodic = domain
         stencil = _Stencil(mask, periodic, np.full((2,) + spec.shape, -0.0))
-        got = stencil.neighbor_sum()[:, mask.inside]
+        got = neighbor_sum(stencil)[:, mask.inside]
         assert np.all(got == 0.0) and np.all(np.signbit(got))
 
     @settings(max_examples=150, deadline=None)
@@ -809,7 +863,7 @@ class TestStencilNeighborSum:
         uv[pick < zeros] = -0.0
         uv[pick < zeros / 2.0] = 0.0
         spec = gv.GridSpec(w, h)
-        got = _Stencil(gv.DomainMask.full(spec), False, uv).neighbor_sum() - 4.0 * uv
+        got = neighbor_sum(_Stencil(gv.DomainMask.full(spec), False, uv)) - 4.0 * uv
         for comp in range(2):
             want = gv.laplacian_5pt(gv.ScalarField(spec, uv[comp])).values
             assert np.array_equal(got[comp].view(np.int64), want.view(np.int64))
@@ -1035,7 +1089,7 @@ class TestDirectSolveAgreesWithSpsolve:
 
 
 class TestSteadyDefectIsTheAssembledOperator:
-    """_steady_defect, the h*src - A*v of steady_residual and of the
+    """_Stencil.defect, the h*src - A*v of steady_residual and of the
     direct oracle's refinement, against the pixel-by-pixel assembly."""
 
     @settings(max_examples=150, deadline=None)
@@ -1048,10 +1102,38 @@ class TestSteadyDefectIsTheAssembledOperator:
         v = np.random.default_rng(seed).standard_normal((2,) + f.spec.shape) * 100.0
         x = v[:, mask.inside].T
         g, h = (c.values if isinstance(c, gv.ScalarField) else c for c in (p.g, p.h))
-        got = _steady_defect(v, _masked_source(f, p.cap, mask).values, g, h, mask, False)
+        got = _Stencil(mask, False, v).defect(g, h, _masked_source(f, p.cap, mask).values)
         A = A.tocoo()
         largest = max(np.abs(b).max(), np.abs(A.data[:, None] * x[A.col]).max())
         assert np.abs(got[:, mask.inside].T - (b - A @ x)).max() <= 1e-12 * largest
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 1.0), st.one_of(coefficients, st.just(None)),
+           st.one_of(coefficients, st.just(None)))
+    def test_full_rectangle_equals_the_formula_to_the_bit(self, w, h, seed, zeros, g, hc):
+        # g*laplacian_5pt(v) + h*(src - v) per plane, in that order; None
+        # draws a per-pixel coefficient, and a share of the pixels of v
+        # and src, up to all of them, are signed zeros
+        rng = np.random.default_rng(seed)
+        shape = (2, h, w)
+
+        def field():
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            pick = rng.random(shape)
+            a[pick < zeros] = -0.0
+            a[pick < zeros / 2.0] = 0.0
+            return a
+
+        v, src = field(), field()
+        g, hc = (rng.uniform(0.0, 4.0, (h, w)) if c is None else c for c in (g, hc))
+        spec = gv.GridSpec(w, h)
+        got = _Stencil(gv.DomainMask.full(spec), False, v).defect(g, hc, src.copy())
+        for comp in range(2):
+            lap = gv.laplacian_5pt(gv.ScalarField(spec, v[comp])).values
+            want = g * lap + hc * (src[comp] - v[comp])
+            assert np.array_equal(got[comp].view(np.int64), want.view(np.int64))
 
 
 class TestDirectSolveOnEmptyLines:
