@@ -154,11 +154,21 @@ def _aligned_zeros(shape: tuple[int, ...], lead: int = 0) -> np.ndarray:
 # --- operators ----------------------------------------------------------------
 
 def gradient_central(f: ScalarField) -> VectorField:
-    """Central-difference gradient; mirrored neighbors at the borders."""
-    p = np.pad(f.values, 1, mode="edge")
+    """Central-difference gradient; mirrored neighbors at the borders.
+
+    The differences are taken on slices of the array: inside, the pixels
+    on either side; in a border row or column, the edge pixel stands in
+    for its missing neighbor, so the operands, and the bits, are those of
+    the edge-padded array's differences."""
+    a = f.values
     uv = np.empty((2,) + f.spec.shape)
-    np.subtract(p[1:-1, 2:], p[1:-1, :-2], out=uv[0])
-    np.subtract(p[2:, 1:-1], p[:-2, 1:-1], out=uv[1])
+    u, v = uv
+    np.subtract(a[:, 2:], a[:, :-2], out=u[:, 1:-1])
+    np.subtract(a[:, 1:2], a[:, :1], out=u[:, :1])
+    np.subtract(a[:, -1:], a[:, -2:-1], out=u[:, -1:])
+    np.subtract(a[2:], a[:-2], out=v[1:-1])
+    np.subtract(a[1:2], a[:1], out=v[:1])
+    np.subtract(a[-1:], a[-2:-1], out=v[-1:])
     uv /= 2.0
     return VectorField(f.spec, uv)
 
@@ -226,8 +236,8 @@ def gaussian_smooth(f: ScalarField, sigma: float) -> ScalarField:
 def _gaussian_blur(a: np.ndarray, sigma: float) -> np.ndarray:
     """gaussian_smooth on a bare (H, W) array, for sigma > 0.
 
-    The array is edge-padded by r on both axes once, by np.pad as in
-    gradient_central.  A padding column is a copy of a border column, so
+    The array is edge-padded by r on both axes once, by np.pad.  A
+    padding column is a copy of a border column, so
     after the pass along y it holds that column's result: exactly the
     edge padding the pass along x needs.
     """

@@ -21,17 +21,25 @@ expansion_check and steady_residual; grid.laplacian_5pt is the same sum
 written as a formula on the edge-padded array, apart from it.  The
 explicit update lives in one generator (_Stencil.steps), which makes its
 coefficients, binds its operands once per solve and measures each step's
-change and energy; the solve and gvf_step each make that one call and
-drive it, and expansion_check steps through gvf_step.  An iteration
-makes the numpy calls of its arithmetic, no method call of the stencil
-and no attribute lookup but the swap of its two field buffers, and no
-code outside the stencil reads its buffers.  One method of the stencil
-(_Stencil.defect) computes h*src - A*v, A the steady-state operator, for
-steady_residual and the direct oracle's refinement, both on the domain's
-bounding box grown by one pixel, so their cost follows the domain, not
-the grid.  Each plane of the field's (2, H, W) array (grid.VectorField)
-sits between two zero rows of a (2, H+2, W) buffer, and the neighbor sum
-is four shifted views of the buffer's flattened span.  One builder
+change and energy; the solve, gvf_step and expansion_check each make
+that one call and drive it.  An iteration makes the numpy calls of its
+arithmetic, no method call of the stencil and no attribute lookup but
+the swap of its two field buffers, and no code outside the stencil reads
+its buffers.  One method of the stencil (_Stencil.defect) computes
+h*src - A*v, A the steady-state operator, for steady_residual and the
+direct oracle's refinement.  One set-up (_box_problem) poses the problem
+of the solve and of both oracles on the domain's bounding box grown by
+one pixel: the box, the domain on it, g and h checked on the grid and
+cropped, and the masked source of the cropped edge map, which is the
+full grid's at the domain.  So their cost follows the domain, not the
+grid, with the full grid's bits; the solve writes its field back onto
+the grid, zero outside the box.  The stencil takes g and h as that
+set-up gives them, floats or (H, W) arrays, in steps() as in defect();
+gvf_step and expansion_check check theirs with the same function
+(_coeff_grid).  Each plane of the field's (2, H, W) array
+(grid.VectorField) sits between two zero rows of a (2, H+2, W) buffer,
+and the neighbor sum is four shifted views of the buffer's flattened
+span.  One builder
 (_Stencil._buffer) makes every such buffer of the stencil, the two field
 buffers, the neighbor sum's and the coefficients', with their views; the
 neighbor views are built where they are summed, once per buffer and
@@ -50,10 +58,11 @@ buffer the iteration writes starts its written span on a 64-byte cache
 line (grid._aligned_zeros): numpy aligns to 16 bytes only, and a ufunc
 whose output is split across cache lines runs about half as fast.
 
-A solve holds each full-size array once, and makes none that it does
+A solve holds each array of its box once, and makes none that it does
 not keep: the field, its spare, the neighbor sum (whose first plane
-takes the squared change), the coefficients (_Stencil.coeffs) and a
-GGVF solve's g and h.  The capped source, v(0), is freed once copied.
+takes the squared change) and the coefficients (_Stencil.coeffs).  The
+capped source, v(0), is freed once copied.  On the full grid it holds a
+GGVF solve's g and h, for its report, and the field it returns.
 
 One step scales each cosine mode of the field by a_k = 1 - h*dt -
 g*dt*lam_k, with lam_k in [0, 8) the stencil's symbol: with constant
@@ -65,8 +74,9 @@ demonstrate divergence, but are never silent.
 The generalized variant (GGVF) is the same solve with the per-pixel
 pair g(x) = exp(-|grad_f|^2 / K^2), h(x) = 1 - g(x), frozen from the
 initial gradient.  validate_params checks a GgvfParams at the worst case
-g = 1, h = 0, whatever the image, and one branch of the one solve
-function (_solve) then resolves it to that GvfParams.
+g = 1, h = 0, whatever the image, and the solve's set-up (_box_problem)
+then resolves it to that GvfParams, with the weight computed once, from
+the box's source.
 
 Termination: iteration stops once the largest per-pixel change
 |v_new - v|_2 drops below delta.  A converged run's field is an
@@ -277,18 +287,19 @@ class SolveReport:
 # --- parameter validation ------------------------------------------------------
 
 
-def _coeff_grid(c: float | ScalarField, spec: GridSpec | None = None):
+def _coeff_grid(c: float | ScalarField, spec: GridSpec | None = None, box: tuple | None = None):
     """Per-pixel coefficient as an (H, W) array, on grid spec if one is
-    given; scalars pass through.  GvfParams refuses negative values, but
-    a ScalarField's array may be written after that, so each use checks
-    again, with no full-grid temporary: fmin skips NaN, so its minimum
-    is below zero exactly where some value is (-0.0 is not)."""
+    given, checked on the whole grid and then cropped to box if one is
+    given (a view); scalars pass through.  GvfParams refuses negative
+    values, but a ScalarField's array may be written after that, so each
+    use checks again, with no full-grid temporary: fmin skips NaN, so its
+    minimum is below zero exactly where some value is (-0.0 is not)."""
     if isinstance(c, ScalarField):
         if spec is not None and c.spec != spec:
             raise DimensionError("per-pixel coefficient grid does not match field grid")
         if np.fmin.reduce(c.values, axis=None) < 0:
             raise ParameterError("per-pixel coefficients must be >= 0")
-        return c.values
+        return c.values if box is None else c.values[box]
     return float(c)
 
 
@@ -454,13 +465,12 @@ class _Stencil:
         return self._cur.interior
 
     def coeffs(self, g, h, dt: float, src: np.ndarray):
-        """The coefficients of steps() for g, h (scalars or ScalarFields)
-        and the (2, H, W) source src: keep = 1 - h*dt, hsrc = h*dt*src and
-        rc = g*dt, zero outside the domain and in the pad rows.  Each is
-        computed in its own span buffer; on the full rectangle a scalar
-        keep or rc is a 0-d array (grid._constant), which a ufunc takes
-        faster than a Python float."""
-        g, h = _coeff_grid(g, self._spec), _coeff_grid(h, self._spec)
+        """The coefficients of steps() for g, h (floats or checked (H, W)
+        arrays, as defect() takes them) and the (2, H, W) source src: keep
+        = 1 - h*dt, hsrc = h*dt*src and rc = g*dt, zero outside the domain
+        and in the pad rows.  Each is computed in its own span buffer; on
+        the full rectangle a scalar keep or rc is a 0-d array
+        (grid._constant), which a ufunc takes faster than a Python float."""
         full = self._outside is None
         keep = (_constant(1.0 - h * dt) if full and np.ndim(h) == 0 else self._span_buffer(
             lambda out: np.subtract(1.0, np.multiply(h, dt, out=out), out=out)))
@@ -517,12 +527,13 @@ class _Stencil:
 
     def steps(self, g, h, dt: float, src: np.ndarray):
         """The explicit update keep*c + hsrc + rc*(nb - 4c) of the field
-        under g, h and dt, hsrc = h*dt*src for the (2, H, W) source src,
-        with the coefficients of coeffs(): each next() makes one step and
-        yields its change and energy, the largest per-pixel |v_new - v|_2
-        and the sum of |v_new - v|_2^2 over the domain's pixels in
-        row-major order.  The first next() makes the coefficients and the
-        spare field buffer, which each step writes the new field into."""
+        under g, h (floats or checked (H, W) arrays) and dt, hsrc =
+        h*dt*src for the (2, H, W) source src, with the coefficients of
+        coeffs(): each next() makes one step and yields its change and
+        energy, the largest per-pixel |v_new - v|_2 and the sum of
+        |v_new - v|_2^2 over the domain's pixels in row-major order.  The
+        first next() makes the coefficients and the spare field buffer,
+        which each step writes the new field into."""
         keep, hsrc, rc = self.coeffs(g, h, dt, src)
         self._old = self._buffer()
         four, multiply, subtract, add = _constant(4.0), np.multiply, np.subtract, np.add
@@ -586,7 +597,7 @@ def gvf_step(
     stencil = _Stencil(mask, periodic, v.values)
     # the step's measures, unused here, square its change and may overflow
     with np.errstate(over="ignore"):
-        next(stencil.steps(p.g, p.h, p.dt, grad_f.values))
+        next(stencil.steps(_coeff_grid(p.g, spec), _coeff_grid(p.h, spec), p.dt, grad_f.values))
     out = stencil.field.copy()
     np.copyto(out, v.values, where=~mask.inside)
     return VectorField(spec, out)
@@ -601,28 +612,24 @@ def _masked_source(f: ScalarField, cap: float, mask: DomainMask) -> VectorField:
 
 
 def _solve(f, p: GvfParams | GgvfParams, mask, periodic, force) -> SolveReport:
-    """Both solvers: check p (validate_params), then run the explicit
-    iteration from v(0) = the masked source until the largest per-pixel
-    change drops below p.delta.  A GgvfParams resolves, once checked, to
-    the GvfParams iterated: g = ggvf_weight(source, K), h = 1 - g.  The
-    source is freed once the stencil has copied it."""
-    spec = f.spec
-    mask = _domain(mask, spec)
+    """Both solvers: check p (validate_params), set up the problem on the
+    domain's box (_box_problem, which resolves a GgvfParams to the
+    GvfParams iterated), then run the explicit iteration there from the
+    masked source, v(0), until the largest per-pixel change drops below
+    p.delta, and write the field back onto the grid, zero outside the
+    box.  The source is freed once the stencil has copied it."""
+    mask = _domain(mask, f.spec)
     violations = validate_params(p)
     if violations and not force:
         raise ParameterError("; ".join(violations))
-    source = _masked_source(f, p.cap, mask)
-    if isinstance(p, GgvfParams):
-        weight = ggvf_weight(source, p.K)
-        p = GvfParams(g=weight, h=ScalarField(spec, 1.0 - weight.values),
-                      dt=p.dt, delta=p.delta, cap=p.cap, max_iter=p.max_iter)
-    if np.any((_coeff_grid(p.g, spec) == 0) & (_coeff_grid(p.h, spec) == 0) & mask.inside):
+    p, box, domain, g, h, source = _box_problem(f, p, mask)
+    if np.any((g == 0) & (h == 0) & domain.inside):
         raise ParameterError("g and h both vanish at an interior pixel")
     # a forced run may overflow, which the loop reports as a DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        stencil = _Stencil(mask, periodic, source.values)
+        stencil = _Stencil(domain, periodic, source.values)
         del source
-        steps = stencil.steps(p.g, p.h, p.dt, stencil.field)
+        steps = stencil.steps(g, h, p.dt, stencil.field)
         changes: list[float] = []
         energies: list[float] = []
         converged = False
@@ -643,11 +650,13 @@ def _solve(f, p: GvfParams | GgvfParams, mask, periodic, force) -> SolveReport:
                 converged = True
                 break
 
-    # the report's copy of the field is made without the coefficients,
-    # which the generator's frame holds
+    # the report's field is made without the coefficients, which the
+    # generator's frame holds
     del steps
+    field = np.zeros((2,) + f.spec.shape)
+    field[(slice(None),) + box] = stencil.field
     return SolveReport(
-        field=VectorField(spec, stencil.field.copy()),
+        field=VectorField(f.spec, field),
         iterations=len(changes),
         converged=converged,
         change_history=np.asarray(changes),
@@ -815,17 +824,28 @@ def _bounding_box(inside: np.ndarray) -> tuple[slice, slice]:
     return box[0], box[1]
 
 
-def _box_problem(f: ScalarField, p: GvfParams, mask: DomainMask) -> tuple:
-    """The problem on the domain's box (_bounding_box): the box, the domain
-    on it, g and h (checked on the full grid, then cropped) and the masked
-    source of the cropped edge map, the full grid's at the domain."""
-    _check_params(p)
+def _box_problem(f: ScalarField, p: GvfParams | GgvfParams, mask: DomainMask) -> tuple:
+    """The problem on the domain's box (_bounding_box), the one set-up of
+    the explicit solve and both oracles: the GvfParams, the box, the
+    domain on it, g and h (_coeff_grid: checked on the full grid, then
+    cropped) and the masked source of the cropped edge map, the full
+    grid's at the domain.  A GgvfParams, which only the solve passes,
+    resolves to its per-pixel pair: g = ggvf_weight(source, K), computed
+    once from the box's source, set into a full grid of ones, and h = 1 -
+    g.  Outside the box the full grid's masked source is zero, so there
+    g = 1 and h = 0, the pair of the uncropped problem.  The callers
+    check p's type."""
     box = _bounding_box(mask.inside)
-    g, h = (c if np.ndim(c) == 0 else c[box]
-            for c in (_coeff_grid(p.g, f.spec), _coeff_grid(p.h, f.spec)))
     edges = ScalarField.from_array(f.values[box])
     domain = DomainMask(edges.spec, mask.inside[box])
-    return box, domain, g, h, _masked_source(edges, p.cap, domain)
+    source = _masked_source(edges, p.cap, domain)
+    if isinstance(p, GgvfParams):
+        g = np.ones(f.spec.shape)
+        g[box] = ggvf_weight(source, p.K).values
+        p = GvfParams(g=ScalarField(f.spec, g), h=ScalarField(f.spec, 1.0 - g),
+                      dt=p.dt, delta=p.delta, cap=p.cap, max_iter=p.max_iter)
+    g, h = (_coeff_grid(c, f.spec, box) for c in (p.g, p.h))
+    return p, box, domain, g, h, source
 
 
 def direct_steady_solve(
@@ -859,7 +879,8 @@ def direct_steady_solve(
     mask = _domain(mask, f.spec)
     if (m := mask.inside_count) > _ORACLE_LIMIT:
         raise SizeError(f"{m} interior pixels exceed the oracle limit of {_ORACLE_LIMIT}")
-    box, domain, g, h, source = _box_problem(f, p, mask)
+    _check_params(p)
+    _, box, domain, g, h, source = _box_problem(f, p, mask)
     inside = domain.inside
     g_grid, h_grid = (np.broadcast_to(c, inside.shape) for c in (g, h))
     if np.any((g_grid == 0) & (h_grid == 0) & inside):
@@ -911,7 +932,8 @@ def steady_residual(
     if f.spec != v.spec:
         raise DimensionError("field and edge map grids differ")
     mask = _domain(mask, v.spec)
-    box, domain, g, h, source = _box_problem(f, p, mask)
+    _check_params(p)
+    _, box, domain, g, h, source = _box_problem(f, p, mask)
     r = _Stencil(domain, periodic, v.values[(slice(None),) + box]).defect(g, h, source.values)
     np.multiply(r, r, out=r)
     res_sq = np.add(r[0], r[1], out=r[0])
@@ -931,8 +953,9 @@ def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
 
         a_k^n + h*dt * sum_{j<n} a_k^j = a_k^n + h*dt * (1 - a_k^n) / (1 - a_k).
 
-    The n steps are n calls of gvf_step; the closed form shares no code
-    with the stencil.  Requires a GvfParams with constant g, h and the
+    The n steps come from one stencil, through one steps() generator, as
+    gvf_step's one step does; the closed form shares no code with the
+    stencil.  Requires a GvfParams with constant g, h and the
     full-rectangle domain; it starts from the raw gradient, so the
     magnitude cap is ignored.  A set that breaks validate_params'
     stability rule is a ParameterError with its message, raised before
@@ -947,9 +970,13 @@ def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
     unstable = _instability(p.g, p.h, p.dt)
     if unstable:
         raise ParameterError(unstable)
-    v = grad = gradient_central(f)
-    for _ in range(n):
-        v = gvf_step(v, grad, p)
+    grad = gradient_central(f)
+    stencil = _Stencil(DomainMask.full(f.spec), False, grad.values)
+    steps = stencil.steps(_coeff_grid(p.g), _coeff_grid(p.h), p.dt, grad.values)
+    # the steps' measures, unused here, square their change and may overflow
+    with np.errstate(over="ignore"):
+        for _ in range(n):
+            next(steps)
 
     hdt = p.h * p.dt
 
@@ -960,4 +987,4 @@ def expansion_check(f: ScalarField, p: GvfParams, n: int) -> float:
         return power + hdt * (1.0 - power) / decay if hdt > 0 else power
 
     closed = _modal_filter(grad.values, False, gain)
-    return float(np.abs(v.values - closed).max())
+    return float(np.abs(stencil.field - closed).max())

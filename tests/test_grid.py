@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvflow as gv
 from gvflow import grid
@@ -114,6 +116,24 @@ class TestGradientCentral:
             gb = gv.gradient_central(gv.ScalarField.from_array(b))
             assert np.allclose(lhs.u.values, ca * ga.u.values + cb * gb.u.values, atol=1e-12)
             assert np.allclose(lhs.v.values, ca * ga.v.values + cb * gb.v.values, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 40), st.integers(3, 40), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 1.0))
+    def test_equals_the_edge_padded_formula_to_the_bit(self, w, h, seed, zeros):
+        # the differences of the edge-padded array, halved; a share of the
+        # pixels, up to all of them, are signed zeros, whose differences
+        # keep their sign only if the operands are the same
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((h, w)) * 10.0 ** rng.integers(-8, 8, (h, w))
+        pick = rng.random((h, w))
+        a[pick < zeros] = -0.0
+        a[pick < zeros / 2.0] = 0.0
+        p = np.pad(a, 1, mode="edge")
+        want = (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0, (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
+        got = gv.gradient_central(gv.ScalarField.from_array(a))
+        for comp, expected in zip((got.u, got.v), want):
+            assert np.array_equal(comp.values.view(np.int64), expected.view(np.int64))
 
 
 class TestLaplacian5pt:

@@ -100,7 +100,7 @@ class TestParamTypes:
         p = gv.GvfParams(g=g, h=0.1)
         g.values[3, 4] = -0.5
         with pytest.raises(ParameterError, match="per-pixel coefficients must be >= 0"):
-            gv.direct_steady_solve(gv.gradient_central(impulse(8)), p)
+            gv.direct_steady_solve(impulse(8), p)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 63), st.sampled_from(
@@ -525,6 +525,15 @@ class TestExpansionCheck:
         assert str(refused.value) == gv.validate_params(p)[0]
         assert str(refused.value).startswith("stability violated")
 
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_takes_its_steps_from_one_stencil(self, n):
+        # one stencil and border table for all n steps, not one a step
+        f = gv.ScalarField.from_array(np.random.default_rng(4).random((40, 40)) * 100.0)
+        with mock.patch("gvflow.solver._Stencil", wraps=_Stencil) as made:
+            gap = gv.expansion_check(f, gv.GvfParams(g=1.0, h=0.1, dt=0.2), n)
+        assert made.call_count == 1
+        assert gap <= 1e-12 * gv.gradient_central(f).magnitude().max()
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 40), st.integers(3, 40), coefficients, coefficients,
            st.floats(0.01, 0.999), st.integers(1, 300), st.integers(0, 2**32 - 1),
@@ -775,8 +784,8 @@ class TestAlignedBuffers:
             mask = gv.DomainMask.from_rects(spec, hole=(1, 2, 1, 1))
         stencil = _Stencil(mask, kind == "periodic", field.values)
         assert np.array_equal(stencil.field, [field.u.values, field.v.values])
-        g = gv.ScalarField(spec, rng.random(spec.shape))
-        h = gv.ScalarField(spec, 1.0 - g.values)
+        g = rng.random(spec.shape)
+        h = 1.0 - g
         coeffs = stencil.coeffs(g, h, 0.1, field.values)
         assert all(_address(s) % 64 == 0 for s in [stencil._nb.span, *coeffs])
         # the first step makes the spare buffer and swaps the field into it
@@ -1213,6 +1222,56 @@ class TestDirectSolveCrop:
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
 
+class TestSolveCrop:
+    """The explicit solve works on the domain's bounding box grown by one
+    pixel, as the oracles do, and writes its field back onto the grid:
+    field, NI, outcome and histories are the full grid's to the bit."""
+
+    @pytest.mark.parametrize("solve, budget", [
+        (lambda f, m: gv.gvf_solve(f, gv.GvfParams(max_iter=50), m), 2.5),
+        # the resolved pair on the full grid, g = 1 and h = 0 outside the box
+        (lambda f, m: gv.ggvf_solve(f, gv.GgvfParams(max_iter=50), m), 4.5),
+    ], ids=["gvf", "ggvf"])
+    def test_a_small_window_in_a_large_grid_peaks_near_its_output(self, solve, budget):
+        rng = np.random.default_rng(7)
+        f = gv.ScalarField.from_array(rng.random((1024, 1024)) * 100.0)
+        inside = np.zeros(f.spec.shape, bool)
+        inside[500:512, 300:312] = True
+        mask = gv.DomainMask(f.spec, inside)
+        # the output field alone is 2 full-grid arrays
+        assert traced_peak(lambda: solve(f, mask), f.spec) <= budget
+
+    @settings(max_examples=100, deadline=None)
+    @given(stencil_domains(), st.sampled_from(["scalar", "per-pixel", "ggvf"]),
+           st.sampled_from([1e-300, 1e-2, 1.0]), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    def test_equals_the_uncropped_bits(self, domain, kind, delta, max_iter, seed):
+        spec, mask, periodic = domain
+        rng = np.random.default_rng(seed)
+        f = gv.ScalarField(spec, rng.random(spec.shape) * 100.0)
+        run = dict(delta=delta, max_iter=max_iter)
+        if kind == "scalar":
+            p = gv.GvfParams(g=0.9, h=0.2, cap=30.0, **run)
+        elif kind == "per-pixel":
+            p = gv.GvfParams(g=gv.ScalarField(spec, rng.uniform(0.5, 1.5, spec.shape)),
+                             h=gv.ScalarField(spec, rng.uniform(0.01, 0.4, spec.shape)), **run)
+        else:
+            p = gv.GgvfParams(K=50.0, **run)
+        solve = gv.ggvf_solve if kind == "ggvf" else gv.gvf_solve
+        got = solve(f, p, mask, periodic)
+        whole = (slice(None), slice(None))
+        with mock.patch("gvflow.solver._bounding_box", lambda inside: whole):
+            ref = solve(f, p, mask, periodic)
+        assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+        pairs = [(got.field.values, ref.field.values),
+                 (got.change_history, ref.change_history),
+                 (got.energy_history, ref.energy_history)]
+        if kind == "ggvf":
+            pairs += [(got.params.g.values, ref.params.g.values),
+                      (got.params.h.values, ref.params.h.values)]
+        for a, b in pairs:
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestSteadyResidualCrop:
     """steady_residual works on the domain's bounding box grown by one
     pixel, as the direct oracle does, with the full grid's bits."""
@@ -1269,8 +1328,9 @@ class TestPeakMemory:
     in H x W float64 arrays.  A GGVF solve holds the field, its spare,
     the neighbor sum, three coefficients (two planes each) and g and h;
     a GVF solve with constant g and h on the full rectangle has one
-    coefficient array, h*dt*grad_f.  The source at an infinite cap is
-    the gradient (two arrays) and the edge padding it reads, no copy."""
+    coefficient array, h*dt*grad_f.  A masked solve holds those on the
+    domain's box, and the field written back onto the grid.  The source
+    at an infinite cap is the gradient (two arrays), no copy."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -1279,14 +1339,15 @@ class TestPeakMemory:
         return f, mask, gv.ggvf_solve(f, gv.GgvfParams(max_iter=3))
 
     @pytest.mark.parametrize("case, budget", [
-        ("ggvf_solve", 15), ("gvf_solve", 9), ("gvf_solve-masked", 15), ("steady_residual", 9),
-        ("masked_source", 3.5),
+        ("ggvf_solve", 15), ("ggvf_solve-masked", 15.5), ("gvf_solve", 9),
+        ("gvf_solve-masked", 13.5), ("steady_residual", 9), ("masked_source", 3),
     ])
     def test_budget(self, problem, case, budget):
         f, mask, rep = problem
         p = gv.GvfParams(max_iter=3)
         call = {
             "ggvf_solve": lambda: gv.ggvf_solve(f, gv.GgvfParams(max_iter=3)),
+            "ggvf_solve-masked": lambda: gv.ggvf_solve(f, gv.GgvfParams(max_iter=3), mask),
             "gvf_solve": lambda: gv.gvf_solve(f, p),
             "gvf_solve-masked": lambda: gv.gvf_solve(f, p, mask),
             # the per-pixel pair, as the CLI's GGVF residual
